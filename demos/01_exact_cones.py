@@ -5,7 +5,6 @@
 from tropgeom import (
     LinearMap,
     cone_from_generators,
-    dual_description,
     image_cone,
     intersect,
     is_unimodular,
@@ -19,7 +18,7 @@ print("rays:", c.rays)               # ((0, 1), (1, 0)); (1,1) was redundant
 
 # the dual description is computed by incremental double description and
 # cached on the cone: one primitive covector per facet
-print("facets:", dual_description(c))
+print("facets:", list(c.facets))
 
 # membership is exact: a point is in the cone iff it is in the span and all
 # facet covectors are nonnegative on it

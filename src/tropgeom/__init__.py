@@ -9,7 +9,6 @@ from .exactgeom import (
     RationalCone,
     cone_from_generators,
     cone_from_inequalities,
-    dual_description,
     image_cone,
     intersect,
     is_unimodular,

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .curves import build_moduli_complex, enumerate_stable_graphs
+from .curves import Unstable, build_moduli_complex, check_stable_range, enumerate_stable_graphs
 from .pipeline import (
     dr_support,
     figure1_demo,
@@ -34,6 +34,13 @@ def _parse_contact(text: str):
 
 class SystemExit2(Exception):
     pass
+
+
+def _check_range(args):
+    try:
+        check_stable_range(args.g, args.n)
+    except Unstable as exc:
+        raise SystemExit2(str(exc))
 
 
 def _dump(data, args) -> str:
@@ -88,7 +95,7 @@ def cmd_enumerate_maps(args) -> int:
     if contact.num_factors == 1:
         types = enumerate_rubber_types(contact, 0, max_edges=args.max_edges)
     elif contact.num_factors == 2:
-        types = [p.map_type for p in two_factor_types(contact)]
+        types = [p.map_type for p in two_factor_types(contact, args.max_edges)]
     else:
         raise SystemExit2("at most two factors are supported")
     if args.format == "dot":
@@ -105,7 +112,7 @@ def cmd_image(args) -> int:
     from .tropmaps import build_map_complex
     from .pipeline import image_family
 
-    base = build_moduli_complex(args.g, args.n)
+    base = build_moduli_complex(args.g, args.n, args.max_edges)
     mx = build_map_complex(
         enumerate_rubber_types(contact, 0, max_edges=args.max_edges), base
     )
@@ -138,11 +145,13 @@ def cmd_verify(args) -> int:
             args.g, args.n, contact.slopes[0], args.unimodularize, args.seed,
             max_edges=args.max_edges,
         )
-    else:
+    elif contact.num_factors == 2:
         report = product_run(
             args.g, args.n, contact.slopes[0], contact.slopes[1],
             args.unimodularize, args.seed, max_edges=args.max_edges,
         )
+    else:
+        raise SystemExit2("at most two factors are supported")
     return _report_out(report, args)
 
 
@@ -251,6 +260,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "g"):
+            _check_range(args)
         return args.fn(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

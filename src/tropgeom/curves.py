@@ -8,11 +8,11 @@ face maps and graph automorphisms acting on edge coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from . import linalg as la
-from .exactgeom import LinearMap, RationalCone, cone_from_generators, zero_cone
+from .exactgeom import LinearMap, RationalCone, cone_from_generators, image_cone, zero_cone
 from .complexes import ConeComplex, FaceMap
 
 
@@ -26,6 +26,28 @@ class NoSuchEdge(Exception):
 
 class Unstable(Exception):
     pass
+
+
+def union_find(k: int, pairs):
+    """Join the pairs, in order, into disjoint sets over 0..k-1.
+
+    Returns (find, merged): find maps a vertex to its set's root, and
+    merged[i] says whether pair i joined two sets that were distinct.
+    """
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merged = []
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        merged.append(ra != rb)
+    return find, merged
 
 
 @dataclass(frozen=True)
@@ -64,17 +86,8 @@ class DualGraph:
     def is_connected(self) -> bool:
         if self.num_vertices == 0:
             return False
-        parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in range(self.num_vertices)}) == 1
+        _, merged = union_find(self.num_vertices, self.edges)
+        return sum(merged) == self.num_vertices - 1
 
     def is_stable(self) -> bool:
         return self.is_connected() and all(
@@ -120,14 +133,17 @@ def genus(graph: DualGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# canonical labeling and automorphisms, with optional edge decorations
+# canonical labeling and automorphisms, with edge decorations
+#
+# A decorated graph carries one tuple of per-factor slopes per edge; a bare
+# graph carries () on every edge.  Reversing an edge negates its slopes.
 
 
-def _no_flip(d):
-    return d
+def _flip(d):
+    return tuple(-x for x in d)
 
 
-def _relabel(graph: DualGraph, edge_data, flip, vperm):
+def _relabel(graph: DualGraph, edge_data, vperm):
     """Apply a vertex permutation; returns (graph, data, eperm old->new)."""
     genera = [0] * graph.num_vertices
     for v, g in enumerate(graph.genera):
@@ -139,7 +155,7 @@ def _relabel(graph: DualGraph, edge_data, flip, vperm):
         d = edge_data[i]
         if a > b:
             a, b = b, a
-            d = flip(d)
+            d = _flip(d)
         rows.append((a, b, d, i))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     eperm = [0] * len(rows)
@@ -173,7 +189,7 @@ def _candidate_perms(graph: DualGraph):
         yield tuple(vperm)
 
 
-def canonical_with_data(graph: DualGraph, edge_data=None, flip=None):
+def canonical_with_data(graph: DualGraph, edge_data=None):
     """Canonical relabeling of a (decorated) graph plus its automorphisms.
 
     Returns (canonical graph, canonical data, vperm, eperm, aut_pairs) where
@@ -183,13 +199,10 @@ def canonical_with_data(graph: DualGraph, edge_data=None, flip=None):
     their matchings, so the theta graph has 2 x 3! = 12 pairs.
     """
     if edge_data is None:
-        edge_data = tuple(None for _ in graph.edges)
-        flip = _no_flip
-    if flip is None:
-        flip = _no_flip
+        edge_data = ((),) * graph.num_edges
     best = None
     for vperm in _candidate_perms(graph):
-        g2, d2, eperm = _relabel(graph, edge_data, flip, vperm)
+        g2, d2, eperm = _relabel(graph, edge_data, vperm)
         key = (g2.genera, g2.edges, d2, g2.legs)
         if best is None or key < best[0]:
             best = (key, g2, d2, vperm, eperm)
@@ -197,13 +210,8 @@ def canonical_with_data(graph: DualGraph, edge_data=None, flip=None):
 
     aut_pairs = []
     for vp in _candidate_perms(cgraph):
-        g2, d2, ep = _relabel(cgraph, cdata, flip, vp)
-        if (g2.genera, g2.edges, d2, g2.legs) != (
-            cgraph.genera,
-            cgraph.edges,
-            cdata,
-            cgraph.legs,
-        ):
+        g2, d2, _ = _relabel(cgraph, cdata, vp)
+        if (g2, d2) != (cgraph, cdata):
             continue
         # all matchings within groups of indistinguishable parallel edges
         groups = {}
@@ -213,7 +221,7 @@ def canonical_with_data(graph: DualGraph, edge_data=None, flip=None):
             d = cdata[i]
             if a > b:
                 a, b = b, a
-                d = flip(d)
+                d = _flip(d)
             groups.setdefault((a, b, d), []).append(i)
         slots = {}
         for i, (u, v) in enumerate(cgraph.edges):
@@ -317,11 +325,17 @@ def contract_edge(graph: DualGraph, edge_index: int):
         raise NoSuchEdge(f"edge {edge_index} out of range")
     raw, survivors = contract_subset(graph, [edge_index])
     cgraph, _, eperm, _ = canonical_form(raw)
-    ne, nh = graph.num_edges, cgraph.num_edges
+    return cgraph, _face_matrix(graph.num_edges, survivors, eperm)
+
+
+def _face_matrix(ne: int, survivors, eperm) -> LinearMap:
+    """Inclusion of a contracted graph's edge lengths, canonically labelled
+    by eperm, into the edge lengths of the graph it was contracted from."""
+    nh = len(survivors)
     rows = [[0] * nh for _ in range(ne)]
     for raw_pos, (orig_idx, _) in enumerate(survivors):
         rows[orig_idx][eperm[raw_pos]] = 1
-    return cgraph, LinearMap(tuple(tuple(r) for r in rows), nh, ne)
+    return LinearMap(tuple(tuple(r) for r in rows), nh, ne)
 
 
 def stabilize(graph: DualGraph):
@@ -418,6 +432,17 @@ def stabilize(graph: DualGraph):
 # enumeration
 
 
+def sort_key(graph: DualGraph, slopes=()):
+    """The order of enumerated graphs and types and of cone ids: edge count,
+    then the graph, then the per-factor slopes of a map type."""
+    return (graph.num_edges, graph.genera, graph.edges, graph.legs, slopes)
+
+
+def check_stable_range(g: int, n: int):
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise Unstable(f"(g, n) = ({g}, {n}) is not in the stable range")
+
+
 _enumeration_cache = {}
 
 
@@ -426,11 +451,10 @@ def enumerate_stable_graphs(g: int, n: int):
 
     Results are cached; graphs are immutable so sharing is safe.
     """
-    if 2 * g - 2 + n <= 0:
-        raise Unstable(f"(g, n) = ({g}, {n}) is not in the stable range")
+    check_stable_range(g, n)
     if (g, n) in _enumeration_cache:
         return list(_enumeration_cache[(g, n)])
-    found = {}
+    found = set()
     max_vertices = max(1, 2 * g - 2 + n)
     for k in range(1, max_vertices + 1):
         for genera in _sorted_genus_tuples(k, g):
@@ -451,13 +475,8 @@ def enumerate_stable_graphs(g: int, n: int):
                     graph = DualGraph(genera, edges, legs)
                     if not graph.is_stable():
                         continue
-                    cgraph, _, _, _ = canonical_form(graph)
-                    key = (cgraph.genera, cgraph.edges, cgraph.legs)
-                    if key not in found:
-                        found[key] = cgraph
-    result = sorted(
-        found.values(), key=lambda h: (h.num_edges, h.genera, h.edges, h.legs)
-    )
+                    found.add(canonical_form(graph)[0])
+    result = sorted(found, key=sort_key)
     _enumeration_cache[(g, n)] = result
     return list(result)
 
@@ -479,8 +498,7 @@ _oracle_cache = {}
 
 def enumerate_stable_graphs_bruteforce(g: int, n: int):
     """Independent oracle: raw generation with pairwise isomorphism dedup."""
-    if 2 * g - 2 + n <= 0:
-        raise Unstable(f"(g, n) = ({g}, {n}) is not in the stable range")
+    check_stable_range(g, n)
     if (g, n) in _oracle_cache:
         return list(_oracle_cache[(g, n)])
     classes = []
@@ -531,13 +549,18 @@ def _isomorphic(a: DualGraph, b: DualGraph) -> bool:
 class CurveModuliComplex:
     complex: ConeComplex
     graphs: dict  # cone id -> canonical DualGraph
+    _ids: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ids = {h: cid for cid, h in self.graphs.items()}
 
     def id_of(self, graph: DualGraph) -> str:
-        cgraph, _, _, _ = canonical_form(graph)
-        for cid, h in self.graphs.items():
-            if h == cgraph:
-                return cid
-        raise KeyError("graph is not a cone of this complex")
+        """The id of the graph's cone; the graph may be labelled arbitrarily."""
+        if graph not in self._ids:
+            graph = canonical_form(graph)[0]
+        if graph not in self._ids:
+            raise KeyError("graph is not a cone of this complex")
+        return self._ids[graph]
 
 
 def _orthant(n: int) -> RationalCone:
@@ -546,54 +569,84 @@ def _orthant(n: int) -> RationalCone:
     return cone_from_generators(la.identity_matrix(n), n)
 
 
-def build_complex_from_graphs(seed_graphs) -> CurveModuliComplex:
-    """The moduli complex generated by the given graphs under edge contraction."""
-    canon = {}
+def _contraction_complex(seeds, prefix: str, make, cone_of):
+    """The cone complex of decorated graphs closed under edge contraction.
+
+    seeds are (graph, edge data) pairs.  make(graph, data) builds the object
+    that stands for a canonical pair, and cone_of(object) its cone in edge
+    length coordinates.  Every subset of every object's edges is contracted
+    once; that one canonicalization gives the face map and, for a single
+    edge, finds new objects.  Contracting several edges at once must land on
+    an object found that way.  Cone ids are prefix + rank in sort_key order.
+    Returns (complex, cone id -> object).
+    """
+    found = {}  # object -> (canonical graph, canonical data, automorphisms)
+    contractions = {}  # object -> [(contracted edges, object, face matrix)]
     queue = []
-    for graph in seed_graphs:
-        cgraph, _, _, _ = canonical_form(graph)
-        key = (cgraph.genera, cgraph.edges, cgraph.legs)
-        if key not in canon:
-            canon[key] = cgraph
-            queue.append(cgraph)
+
+    def canonical(graph, data, discover=True):
+        cgraph, cdata, _, eperm, auts = canonical_with_data(graph, data)
+        obj = make(cgraph, cdata)
+        if discover and obj not in found:
+            found[obj] = (cgraph, cdata, auts)
+            queue.append(obj)
+        return obj, eperm
+
+    for graph, data in seeds:
+        canonical(graph, data)
     while queue:
-        graph = queue.pop()
-        for i in range(graph.num_edges):
-            contracted, _ = contract_edge(graph, i)
-            key = (contracted.genera, contracted.edges, contracted.legs)
-            if key not in canon:
-                canon[key] = contracted
-                queue.append(contracted)
-
-    ordered = sorted(
-        canon.values(), key=lambda h: (h.num_edges, h.genera, h.edges, h.legs)
-    )
-    ids = {}
-    graphs = {}
-    cones = {}
-    auts = {}
-    for k, graph in enumerate(ordered):
-        cid = f"G{k}"
-        ids[(graph.genera, graph.edges, graph.legs)] = cid
-        graphs[cid] = graph
-        cones[cid] = _orthant(graph.num_edges)
-        _, _, _, aut_pairs = canonical_form(graph)
-        auts[cid] = edge_perm_matrices(graph.num_edges, aut_pairs)
-
-    faces = set()
-    for cid, graph in graphs.items():
+        obj = queue.pop()
+        graph, data, _ = found[obj]
         ne = graph.num_edges
+        out = contractions[obj] = []
         for size in range(1, ne + 1):
             for subset in combinations(range(ne), size):
                 raw, survivors = contract_subset(graph, subset)
-                cgraph, _, eperm, _ = canonical_form(raw)
-                sub_id = ids[(cgraph.genera, cgraph.edges, cgraph.legs)]
-                rows = [[0] * cgraph.num_edges for _ in range(ne)]
-                for raw_pos, (orig_idx, _) in enumerate(survivors):
-                    rows[orig_idx][eperm[raw_pos]] = 1
-                m = LinearMap(tuple(tuple(r) for r in rows), cgraph.num_edges, ne)
-                faces.add(FaceMap(sub_id, cid, m))
-    cx = ConeComplex(cones, faces, auts)
+                raw_data = tuple(
+                    data[i] if sign > 0 else _flip(data[i]) for i, sign in survivors
+                )
+                sub, eperm = canonical(raw, raw_data, size == 1)
+                out.append((subset, sub, _face_matrix(ne, survivors, eperm)))
+
+    # sort_key takes per-factor slope rows, the transpose of the edge data
+    ordered = sorted(
+        found, key=lambda o: sort_key(found[o][0], tuple(zip(*found[o][1])))
+    )
+    ids = {obj: f"{prefix}{k}" for k, obj in enumerate(ordered)}
+    cones = {ids[obj]: cone_of(obj) for obj in ordered}
+    auts = {}
+    faces = set()
+    for obj in ordered:
+        cid = ids[obj]
+        cone = cones[cid]
+        ne = found[obj][0].num_edges
+        mats = edge_perm_matrices(ne, found[obj][2])
+        auts[cid] = [m for m in mats if image_cone(m, cone) == cone]
+        for subset, sub, m in contractions[obj]:
+            if sub not in ids:
+                raise AssertionError(
+                    f"contracting edges {subset} of {cid} at once reaches a "
+                    "cone that single edge contractions do not"
+                )
+            face = cone.face_at(
+                [tuple(1 if i == e else 0 for i in range(ne)) for e in subset]
+            )
+            if image_cone(m, cones[ids[sub]]) != face:
+                raise AssertionError(
+                    "contracted cone does not match the length zero face"
+                )
+            faces.add(FaceMap(ids[sub], cid, m))
+    return ConeComplex(cones, faces, auts), {cid: obj for obj, cid in ids.items()}
+
+
+def build_complex_from_graphs(seed_graphs) -> CurveModuliComplex:
+    """The moduli complex generated by the given graphs under edge contraction."""
+    cx, graphs = _contraction_complex(
+        ((h, ((),) * h.num_edges) for h in seed_graphs),
+        "G",
+        lambda graph, _: graph,
+        lambda graph: _orthant(graph.num_edges),
+    )
     return CurveModuliComplex(cx, graphs)
 
 

@@ -398,11 +398,6 @@ def cone_from_inequalities(ineqs, eqns, ambient_rank: int) -> RationalCone:
     return cone_from_generators(rays, ambient_rank)
 
 
-def dual_description(cone: RationalCone):
-    """Facet covectors of the cone (canonical, sorted)."""
-    return list(cone.facets)
-
-
 _intersect_cache: dict = {}
 
 

@@ -300,14 +300,6 @@ def solve_integer(mat: Mat, target):
     return mat_vec(v, tuple(y))
 
 
-def in_row_lattice(rows, x) -> bool:
-    """Whether x is an integer combination of the given rows."""
-    if not rows:
-        return all(a == 0 for a in x)
-    mt = transpose(tuple(rows))
-    return solve_integer(mt, tuple(x)) is not None
-
-
 def hnf_rows(rows):
     """Row-style Hermite normal form (pivots positive, entries above reduced).
 

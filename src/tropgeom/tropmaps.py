@@ -14,19 +14,17 @@ from itertools import product
 
 from . import linalg as la
 from .exactgeom import LinearMap, RationalCone, cone_from_inequalities, image_cone
-from .complexes import ConeComplex, FaceMap
+from .complexes import ConeComplex
 from .curves import (
     CurveModuliComplex,
     DualGraph,
-    Unstable,
+    _contraction_complex,
     canonical_with_data,
-    contract_subset,
-    edge_perm_matrices,
     enumerate_stable_graphs,
-    genus,
+    sort_key,
     stabilize,
+    union_find,
 )
-from itertools import combinations
 
 
 class IncompatibleStabilizations(Exception):
@@ -94,6 +92,14 @@ class RubberMapType:
             for i in range(self.graph.num_edges)
         )
 
+    @staticmethod
+    def from_edge_data(graph: DualGraph, data, contact: "ContactData") -> "RubberMapType":
+        """The inverse of edge_data: per-edge slope tuples to per-factor rows."""
+        slopes = tuple(
+            tuple(d[f] for d in data) for f in range(contact.num_factors)
+        )
+        return RubberMapType(graph, slopes, contact)
+
     def restrict_factor(self, i: int) -> "RubberMapType":
         return RubberMapType(self.graph, (self.slopes[i],), self.contact.factor(i))
 
@@ -151,10 +157,6 @@ class RubberMapType:
         return RubberMapType(graph, tuple(slopes), contact)
 
 
-def _slope_flip(d):
-    return tuple(-x for x in d)
-
-
 def is_balanced(t: RubberMapType) -> bool:
     """Signed slope sums vanish at every vertex, legs counted with their orders."""
     for f in range(t.num_factors):
@@ -182,17 +184,8 @@ def has_consistent_heights(t: RubberMapType) -> bool:
     """
     k = t.graph.num_vertices
     for f in range(t.num_factors):
-        parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, (a, b) in enumerate(t.graph.edges):
-            if t.slopes[f][i] == 0:
-                parent[find(a)] = find(b)
+        flat = [e for i, e in enumerate(t.graph.edges) if t.slopes[f][i] == 0]
+        find, _ = union_find(k, flat)
         arcs = set()
         for i, (a, b) in enumerate(t.graph.edges):
             s = t.slopes[f][i]
@@ -226,14 +219,8 @@ def has_consistent_heights(t: RubberMapType) -> bool:
 
 def canonical_type(t: RubberMapType):
     """Canonical representative plus the automorphisms of the decorated graph."""
-    cgraph, cdata, vperm, eperm, auts = canonical_with_data(
-        t.graph, t.edge_data(), _slope_flip
-    )
-    slopes = tuple(
-        tuple(cdata[i][f] for i in range(cgraph.num_edges))
-        for f in range(t.num_factors)
-    )
-    return RubberMapType(cgraph, slopes, t.contact), vperm, eperm, auts
+    cgraph, cdata, vperm, eperm, auts = canonical_with_data(t.graph, t.edge_data())
+    return RubberMapType.from_edge_data(cgraph, cdata, t.contact), vperm, eperm, auts
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +234,9 @@ def cycle_equations(t: RubberMapType):
     equal types produce identical matrices.
     """
     k = t.graph.num_vertices
-    parent_uf = list(range(k))
-
-    def find(x):
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    tree = []
-    back = []
-    for i, (u, v) in enumerate(t.graph.edges):
-        if find(u) != find(v):
-            parent_uf[find(u)] = find(v)
-            tree.append(i)
-        else:
-            back.append(i)
+    _, merged = union_find(k, t.graph.edges)
+    tree = [i for i, m in enumerate(merged) if m]
+    back = [i for i, m in enumerate(merged) if not m]
     # BFS parents over tree edges
     adj = {v: [] for v in range(k)}
     for i in tree:
@@ -386,28 +360,15 @@ def enumerate_rubber_types(contact: ContactData, factor: int = 0, max_edges=None
     single = contact.factor(factor)
     a = single.slopes[0]
     d = single.degree(0)
-    found = {}
+    found = set()
     for graph in enumerate_stable_graphs(contact.genus, contact.num_markings):
         if max_edges is not None and graph.num_edges > max_edges:
             continue
         for slopes in balanced_slope_assignments(graph, a, d):
             t = RubberMapType(graph, (slopes,), single)
-            if not has_consistent_heights(t):
-                continue
-            ct, _, _, _ = canonical_type(t)
-            key = (ct.graph.genera, ct.graph.edges, ct.graph.legs, ct.slopes)
-            if key not in found:
-                found[key] = ct
-    return sorted(
-        found.values(),
-        key=lambda t: (
-            t.graph.num_edges,
-            t.graph.genera,
-            t.graph.edges,
-            t.graph.legs,
-            t.slopes,
-        ),
-    )
+            if has_consistent_heights(t):
+                found.add(canonical_type(t)[0])
+    return sorted(found, key=lambda t: sort_key(t.graph, t.slopes))
 
 
 def enumerate_rubber_types_bruteforce(contact: ContactData, factor: int = 0):
@@ -643,89 +604,19 @@ class MapModuliComplex:
     target: CurveModuliComplex
 
 
-def _contract_type(t: RubberMapType, edge_indices):
-    raw, survivors = contract_subset(t.graph, edge_indices)
-    slopes = tuple(
-        tuple(sign * t.slopes[f][i] for i, sign in survivors)
-        for f in range(t.num_factors)
-    )
-    return RubberMapType(raw, slopes, t.contact), survivors
-
-
 def build_map_complex(types, target: CurveModuliComplex) -> MapModuliComplex:
     """Complex of moduli cones closed under edge contraction, with the
-    forgetful morphism to the curve moduli complex."""
+    forgetful morphism to the curve moduli complex.  The types share one
+    contact datum."""
     from .complexes import ComplexMorphism
 
-    canon = {}
-    queue = []
-
-    def add(t):
-        ct, _, _, _ = canonical_type(t)
-        key = (ct.graph.genera, ct.graph.edges, ct.graph.legs, ct.slopes)
-        if key not in canon:
-            canon[key] = ct
-            queue.append(ct)
-        return canon[key]
-
-    for t in types:
-        add(t)
-    while queue:
-        t = queue.pop()
-        for i in range(t.graph.num_edges):
-            contracted, _ = _contract_type(t, [i])
-            add(contracted)
-
-    ordered = sorted(
-        canon.values(),
-        key=lambda t: (
-            t.graph.num_edges,
-            t.graph.genera,
-            t.graph.edges,
-            t.graph.legs,
-            t.slopes,
-        ),
+    contact = types[0].contact if types else None
+    cx, typemap = _contraction_complex(
+        ((t.graph, t.edge_data()) for t in types),
+        "T",
+        lambda graph, data: RubberMapType.from_edge_data(graph, data, contact),
+        lambda t: moduli_cone(t).cone,
     )
-    ids = {}
-    typemap = {}
-    cones = {}
-    auts = {}
-    for k, t in enumerate(ordered):
-        tid = f"T{k}"
-        ids[(t.graph.genera, t.graph.edges, t.graph.legs, t.slopes)] = tid
-        typemap[tid] = t
-        cones[tid] = moduli_cone(t).cone
-        _, _, _, _, aut_pairs = canonical_with_data(
-            t.graph, t.edge_data(), _slope_flip
-        )
-        mats = edge_perm_matrices(t.graph.num_edges, aut_pairs)
-        auts[tid] = [m for m in mats if image_cone(m, cones[tid]) == cones[tid]]
-
-    faces = set()
-    for tid, t in typemap.items():
-        ne = t.graph.num_edges
-        parent_cone = cones[tid]
-        for size in range(1, ne + 1):
-            for subset in combinations(range(ne), size):
-                contracted, survivors = _contract_type(t, subset)
-                ct, _, eperm, _ = canonical_type(contracted)
-                sub_id = ids[(ct.graph.genera, ct.graph.edges, ct.graph.legs, ct.slopes)]
-                rows = [[0] * ct.graph.num_edges for _ in range(ne)]
-                for raw_pos, (orig_idx, _) in enumerate(survivors):
-                    rows[orig_idx][eperm[raw_pos]] = 1
-                m = LinearMap(
-                    tuple(tuple(r) for r in rows), ct.graph.num_edges, ne
-                )
-                face = parent_cone.face_at(
-                    [tuple(1 if i == e else 0 for i in range(ne)) for e in subset]
-                )
-                if image_cone(m, cones[sub_id]) != face:
-                    raise AssertionError(
-                        "contracted moduli cone does not match the length zero face"
-                    )
-                faces.add(FaceMap(sub_id, tid, m))
-    cx = ConeComplex(cones, faces, auts)
-
     assignments = {}
     for tid, t in typemap.items():
         stable, lmap, _ = stabilize(t.graph)

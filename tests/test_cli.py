@@ -93,6 +93,51 @@ def test_malformed_inputs_exit_two(capsys):
     assert main(["enumerate-maps", "1", "2", "1,-1,0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate-graphs", "0", "2"], "not in the stable range"),
+        (["enumerate-graphs", "-1", "5"], "not in the stable range"),
+        (["moduli-complex", "0", "2"], "not in the stable range"),
+        (["verify", "0", "2", "1,-1"], "not in the stable range"),
+        (["verify", "1", "2", "2,-2", "2,-2", "1,-1"], "at most two factors"),
+    ],
+    ids=["unstable", "negative-genus", "moduli-unstable", "verify-unstable", "three-factors"],
+)
+def test_exit_codes(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+
+
+def test_enumerate_maps_two_factor_honors_max_edges(capsys):
+    from tropgeom.pipeline import two_factor_types
+    from tropgeom.tropmaps import ContactData
+
+    code, out = run(capsys, "enumerate-maps", "1", "2", "2,-2", "1,-1", "--max-edges", "1")
+    assert code == 0
+    contact = ContactData(1, ((2, -2), (1, -1)))
+    truncated = [p.map_type.to_json() for p in two_factor_types(contact, 1)]
+    assert json.loads(out) == truncated
+    assert len(truncated) < len(two_factor_types(contact))
+
+
+def test_image_max_edges_matches_untruncated_base(capsys):
+    # G ids sort by edge count first, so the truncated base numbers its
+    # cones as the full one does
+    from tropgeom.curves import build_moduli_complex
+    from tropgeom.pipeline import image_family
+    from tropgeom.tropmaps import ContactData, build_map_complex, enumerate_rubber_types
+
+    code, out = run(capsys, "image", "1", "2", "2,-2", "--max-edges", "1")
+    assert code == 0
+    types = enumerate_rubber_types(ContactData(1, ((2, -2),)), 0, max_edges=1)
+    mx = build_map_complex(types, build_moduli_complex(1, 2))
+    assert json.loads(out) == image_family(mx).to_json()
+
+
 def test_byte_identical_outputs(capsys):
     _, first = run(capsys, "verify", "1", "1", "2,-2", "--seed", "7")
     _, second = run(capsys, "verify", "1", "1", "2,-2", "--seed", "7")

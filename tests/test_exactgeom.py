@@ -41,7 +41,7 @@ class TestConeFromGenerators:
 class TestDualDescription:
     def test_orthant(self):
         c = eg.cone_from_generators([(1, 0), (0, 1)])
-        assert eg.dual_description(c) == [(0, 1), (1, 0)]
+        assert list(c.facets) == [(0, 1), (1, 0)]
 
     def test_one_dimensional_cone(self):
         c = eg.cone_from_generators([(1, 2)], 2)

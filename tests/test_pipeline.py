@@ -4,6 +4,7 @@ import pytest
 
 from conftest import moduli_cached, produced_subdivisions
 from tropgeom import exactgeom as eg
+from tropgeom import pipeline
 from tropgeom.complexes import ConicalSubset, is_union_of_cones
 from tropgeom.curves import DualGraph, build_complex_from_graphs
 from tropgeom.pipeline import (
@@ -148,3 +149,27 @@ class TestFigureOne:
         assert by_name["host cone is three dimensional"].passed
         assert by_name["image union of cones before subdivision"].passed
         assert by_name["image union of cones after stellar subdivision"].passed
+
+
+class TestSoundnessCheck:
+    RUNS = [figure1_demo, lambda: single_factor_run(1, 2, (2, -2))]
+
+    @pytest.mark.parametrize("run", RUNS, ids=["figure1", "single"])
+    def test_geometry_error_fails_the_check(self, monkeypatch, run):
+        def uncovered(*args, **kwargs):
+            raise eg.GeometryError("sampled point not covered")
+
+        monkeypatch.setattr(pipeline, "soundness_sample", uncovered)
+        report = run()
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["subdivision soundness sample"].passed is False
+        assert not report.all_passed
+
+    @pytest.mark.parametrize("run", RUNS, ids=["figure1", "single"])
+    def test_other_errors_propagate(self, monkeypatch, run):
+        def crash(*args, **kwargs):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(pipeline, "soundness_sample", crash)
+        with pytest.raises(ZeroDivisionError):
+            run()

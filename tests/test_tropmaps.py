@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from conftest import moduli_cached
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import validate_complex, validate_morphism
-from tropgeom.curves import DualGraph
+from tropgeom.curves import DualGraph, contract_subset
 from tropgeom.tropmaps import (
     ContactData,
     IncompatibleStabilizations,
@@ -284,9 +286,9 @@ class TestMapComplex:
         for t in enumerate_rubber_types(contact):
             mc = moduli_cone(t)
             for e in range(t.graph.num_edges):
-                from tropgeom.tropmaps import _contract_type
-
-                contracted, survivors = _contract_type(t, [e])
+                raw, survivors = contract_subset(t.graph, [e])
+                slopes = (tuple(sign * t.slopes[0][i] for i, sign in survivors),)
+                contracted = RubberMapType(raw, slopes, t.contact)
                 sub_mc = moduli_cone(contracted)
                 face = mc.cone.face_at(
                     [tuple(1 if i == e else 0 for i in range(t.graph.num_edges))]
@@ -300,3 +302,32 @@ class TestMapComplex:
                     t.graph.num_edges,
                 )
                 assert eg.image_cone(m, sub_mc.cone) == face
+
+    def test_two_factor_complex_output_pinned(self):
+        # T ids sort by per-factor slope rows; on this complex that order
+        # differs from sorting by per-edge slope tuples, and the hash pins it
+        from tropgeom.pipeline import two_factor_types
+
+        contact = ContactData(2, ((2, -2), (3, -3)))
+        products = two_factor_types(contact)
+        mx = build_map_complex([p.map_type for p in products], moduli_cached(2, 2))
+        data = mx.complex.to_json()
+        data["types"] = {tid: t.to_json() for tid, t in mx.types.items()}
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert len(mx.types) == 171
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "888b88ce6503654cf36469025456ffa14ec665ca5faee07c851cd6728e8bb973"
+        )
+
+    def test_inconsistent_contraction_closure_is_rejected(self):
+        # loops with nonzero slopes are not identified with their reversal,
+        # so contracting two edges at once can land on a type that single
+        # contractions never reach; the build must fail, not return a
+        # complex whose face maps do not compose
+        from tropgeom.pipeline import two_factor_types
+
+        contact = ContactData(2, ((3, -3), (3, -3)))
+        types = [p.map_type for p in two_factor_types(contact)]
+        with pytest.raises(AssertionError, match="single edge contractions"):
+            build_map_complex(types, moduli_cached(2, 2))
+
