@@ -66,6 +66,7 @@ from .pipeline import (
     dr_support,
     figure1_demo,
     product_run,
+    run_contacts,
     single_factor_run,
     verify_theorem_hypotheses,
 )

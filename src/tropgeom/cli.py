@@ -13,18 +13,20 @@ import sys
 
 from .curves import Unstable, build_moduli_complex, check_stable_range, enumerate_stable_graphs
 from .pipeline import (
+    build_gamma_subdivision,
+    contact_types,
     dr_support,
     figure1_demo,
-    product_run,
-    single_factor_run,
-    two_factor_types,
+    image_family,
+    run_contacts,
 )
-from .tropmaps import ContactData, enumerate_rubber_types
+from .tropmaps import build_map_complex
 
 
 def _parse_contact(text: str):
+    """A comma separated contact vector; the empty string is the n = 0 vector."""
     try:
-        vec = tuple(int(x) for x in text.split(","))
+        vec = tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError as exc:
         raise SystemExit2(f"bad contact vector {text!r}: {exc}")
     if sum(vec) != 0:
@@ -80,24 +82,18 @@ def cmd_moduli_complex(args) -> int:
     return 0
 
 
-def _contact_from_args(args) -> ContactData:
-    vecs = [_parse_contact(a) for a in args.contacts]
-    if not vecs:
-        raise SystemExit2("at least one contact vector is required")
-    lengths = {len(v) for v in vecs}
-    if len(lengths) != 1 or lengths != {args.n}:
-        raise SystemExit2("contact vectors must all have length n")
-    return ContactData(args.g, tuple(vecs))
+def _vectors(args):
+    return [_parse_contact(a) for a in args.contacts]
+
+
+def _types(args):
+    _, types, _ = contact_types(args.g, args.n, _vectors(args), args.max_edges)
+    return types
 
 
 def cmd_enumerate_maps(args) -> int:
-    contact = _contact_from_args(args)
-    if contact.num_factors == 1:
-        types = enumerate_rubber_types(contact, 0, max_edges=args.max_edges)
-    elif contact.num_factors == 2:
-        types = [p.map_type for p in two_factor_types(contact, args.max_edges)]
-    else:
-        raise SystemExit2("at most two factors are supported")
+    types = _types(args)
+    types = types.get("Z", types["X"])
     if args.format == "dot":
         _emit("\n".join(t.to_dot(f"t{k}") for k, t in enumerate(types)), args)
     else:
@@ -106,69 +102,35 @@ def cmd_enumerate_maps(args) -> int:
 
 
 def cmd_image(args) -> int:
-    contact = _contact_from_args(args)
-    if contact.num_factors != 1:
+    if len(args.contacts) != 1:
         raise SystemExit2("image takes a single contact vector")
-    from .tropmaps import build_map_complex
-    from .pipeline import image_family
-
+    types = _types(args)["X"]
     base = build_moduli_complex(args.g, args.n, args.max_edges)
-    mx = build_map_complex(
-        enumerate_rubber_types(contact, 0, max_edges=args.max_edges), base
-    )
-    fam = image_family(mx)
+    fam = image_family(build_map_complex(types, base))
     _emit(_dump(fam.to_json(), args), args)
     return 0
 
 
 def cmd_subdivide(args) -> int:
-    contact = _contact_from_args(args)
-    from .tropmaps import build_map_complex
-    from .pipeline import build_gamma_subdivision, image_family
-
+    types = _types(args)
     base = build_moduli_complex(args.g, args.n, args.max_edges)
-    families = []
-    for i in range(contact.num_factors):
-        mx = build_map_complex(
-            enumerate_rubber_types(contact, i, max_edges=args.max_edges), base
-        )
-        families.append(image_family(mx))
+    families = [image_family(build_map_complex(ts, base)) for ts in types.values()]
     sub = build_gamma_subdivision(base, families, args.unimodularize)
     _emit(_dump(sub.to_json(), args), args)
     return 0
 
 
 def cmd_verify(args) -> int:
-    contact = _contact_from_args(args)
-    if contact.num_factors == 1:
-        report = single_factor_run(
-            args.g, args.n, contact.slopes[0], args.unimodularize, args.seed,
-            max_edges=args.max_edges,
-        )
-    elif contact.num_factors == 2:
-        report = product_run(
-            args.g, args.n, contact.slopes[0], contact.slopes[1],
-            args.unimodularize, args.seed, max_edges=args.max_edges,
-        )
-    else:
-        raise SystemExit2("at most two factors are supported")
-    return _report_out(report, args)
-
-
-def cmd_product_check(args) -> int:
-    report = product_run(
-        args.g, args.n, _parse_contact(args.a1), _parse_contact(args.a2),
-        args.unimodularize, args.seed,
+    report = run_contacts(
+        args.g, args.n, _vectors(args), args.unimodularize, args.seed,
+        max_edges=args.max_edges,
     )
     return _report_out(report, args)
 
 
 def cmd_dr_support(args) -> int:
-    contact = _contact_from_args(args)
-    if contact.num_factors != 1:
-        raise SystemExit2("dr-support takes a single contact vector")
     result = dr_support(
-        args.g, args.n, contact.slopes[0], args.unimodularize,
+        args.g, args.n, _parse_contact(args.contacts[0]), args.unimodularize,
         max_edges=args.max_edges,
     )
     data = result.report.to_json(include_timing=args.timing)
@@ -219,38 +181,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g", type=int)
     p.add_argument("n", type=int)
 
-    for name, fn, hint in [
-        ("enumerate-maps", cmd_enumerate_maps, "rubber map types"),
-        ("image", cmd_image, "forgetful image family"),
-        ("subdivide", cmd_subdivide, "subdivision making images conical"),
-        ("verify", cmd_verify, "hypothesis checks for the given contacts"),
+    for name, fn, nargs, hint in [
+        ("enumerate-maps", cmd_enumerate_maps, "+", "rubber map types"),
+        ("image", cmd_image, "+", "forgetful image family"),
+        ("subdivide", cmd_subdivide, "+", "subdivision making images conical"),
+        ("verify", cmd_verify, "+", "hypothesis checks for the given contacts"),
+        ("product-check", cmd_verify, 2, "two factor hypothesis run"),
+        ("dr-support", cmd_dr_support, 1, "ramification support and codims"),
     ]:
         p = add(name, fn, help=hint)
         p.add_argument("g", type=int)
         p.add_argument("n", type=int)
-        p.add_argument("contacts", nargs="+", help="contact vectors like 2,-2")
+        p.add_argument("contacts", nargs=nargs, help='contact vectors like 2,-2, or "" for n = 0')
         p.add_argument("--unimodularize", action="store_true")
         p.add_argument(
             "--max-edges", type=int, default=None,
             help="truncate to graphs with at most this many edges",
         )
-
-    p = add("product-check", cmd_product_check, help="two factor hypothesis run")
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("a1")
-    p.add_argument("a2")
-    p.add_argument("--unimodularize", action="store_true")
-
-    p = add("dr-support", cmd_dr_support, help="ramification support and codims")
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("contacts", nargs=1, help="one contact vector like 2,-2")
-    p.add_argument("--unimodularize", action="store_true")
-    p.add_argument(
-        "--max-edges", type=int, default=None,
-        help="truncate to graphs with at most this many edges",
-    )
 
     add("figure1", cmd_figure1, help="the worked genus 2 degree 3 example")
     return parser
@@ -266,7 +213,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

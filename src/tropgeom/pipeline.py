@@ -137,22 +137,16 @@ def build_gamma_subdivision(
 ) -> SubdivisionOf:
     """Subdivide the curve moduli complex so every image family is conical.
 
-    The union of all families drives the refinement; each family is then
-    re-checked separately, which is what the simultaneous statement needs.
+    The union of all families drives the refinement. The union check and
+    transport treat each piece on its own, so a conical union makes every
+    family conical, which is what the simultaneous statement needs.
     """
     merged = {}
     for fam in images:
         for host, cone in fam.pieces:
             merged[(host, cone.rays)] = (host, cone)
     union = ConicalSubset(base.complex, tuple(merged.values()))
-    sub = refine_until_conical(base.complex, union, unimodularize=unimodularize)
-    for fam in images:
-        chk = is_union_of_cones(sub.refined, sub.transport(fam))
-        if not chk.ok:
-            raise AssertionError(
-                f"an image family is not a union of cones after refinement: {chk.witnesses}"
-            )
-    return sub
+    return refine_until_conical(base.complex, union, unimodularize=unimodularize)
 
 
 def pullback_map_complexes(complexes, sub: SubdivisionOf):
@@ -172,6 +166,33 @@ def two_factor_types(contact: ContactData, max_edges: int | None = None):
             if tx.graph == ty.graph:
                 products.extend(superimpose(tx, ty))
     return products
+
+
+def contact_types(g: int, n: int, vectors, max_edges: int | None = None):
+    """Check the contact vectors and enumerate their map types by factor label.
+
+    Returns (contact, types, products): types maps X (and Y, and the
+    superimposed Z for two vectors) to lists of map types, and products are
+    the superimpose chambers behind Z, or None for one vector.
+    """
+    vectors = tuple(tuple(a) for a in vectors)
+    if not vectors:
+        raise ValueError("at least one contact vector is required")
+    if len(vectors) > 2:
+        raise ValueError("at most two factors are supported")
+    for a in vectors:
+        if len(a) != n:
+            raise ValueError(f"contact vector {list(a)} must have length n = {n}")
+    contact = ContactData(g, vectors)
+    types = {
+        label: enumerate_rubber_types(contact, i, max_edges=max_edges)
+        for i, label in enumerate("XY"[: len(vectors)])
+    }
+    products = None
+    if len(vectors) == 2:
+        products = two_factor_types(contact, max_edges=max_edges)
+        types["Z"] = [p.map_type for p in products]
+    return contact, types, products
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +296,6 @@ def verify_theorem_hypotheses(
     pullbacks maps factor labels (X, Y, Z) to PullbackResult values; products
     are the superimpose chambers backing the Z factor when present.
     """
-    t0 = time.time()
     report = Report(
         inputs={
             "genus": contact.genus,
@@ -290,7 +310,6 @@ def verify_theorem_hypotheses(
         _nu_check_pairs(report, products, sub, base)
     _soundness_into(report, sub, seed)
     report.subdivision_data = sub
-    report.elapsed = time.time() - t0
     return report
 
 
@@ -298,46 +317,16 @@ def verify_theorem_hypotheses(
 # top level runs
 
 
-def single_factor_run(
-    g: int, n: int, a, unimodularize: bool = False, seed: int = 0,
+def run_contacts(
+    g: int, n: int, vectors, unimodularize: bool = False, seed: int = 0,
     base: CurveModuliComplex | None = None, max_edges: int | None = None,
 ) -> Report:
-    """Subdivide along one contact vector's images and verify the hypotheses."""
-    t0 = time.time()
-    contact = ContactData(g, (tuple(a),))
+    """Subdivide along the image families of one or two contact vectors (and
+    their superimposition) and verify the hypotheses on every factor."""
+    t0 = time.perf_counter()
+    contact, types, products = contact_types(g, n, vectors, max_edges)
     base = base or build_moduli_complex(g, n, max_edges)
-    types = enumerate_rubber_types(contact, 0, max_edges=max_edges)
-    mx = build_map_complex(types, base)
-    fam = image_family(mx)
-    sub = build_gamma_subdivision(base, [fam], unimodularize)
-    pbs = pullback_map_complexes({"X": mx}, sub)
-    report = verify_theorem_hypotheses(pbs, sub, contact, seed=seed)
-    chk = is_union_of_cones(sub.refined, sub.transport(fam))
-    report.add("image family union of cones", "X", chk.ok)
-    report.inputs["types"] = len(types)
-    if max_edges is not None:
-        report.inputs["max_edges"] = max_edges
-    report.subdivision_data = sub
-    report.elapsed = time.time() - t0
-    return report
-
-
-def product_run(
-    g: int, n: int, a1, a2, unimodularize: bool = False, seed: int = 0,
-    base: CurveModuliComplex | None = None, max_edges: int | None = None,
-) -> Report:
-    """The two factor run: X, Y, and the superimposed Z family together."""
-    t0 = time.time()
-    contact = ContactData(g, (tuple(a1), tuple(a2)))
-    base = base or build_moduli_complex(g, n, max_edges)
-    tx_types = enumerate_rubber_types(contact, 0, max_edges=max_edges)
-    ty_types = enumerate_rubber_types(contact, 1, max_edges=max_edges)
-    products = two_factor_types(contact, max_edges=max_edges)
-    mxs = {
-        "X": build_map_complex(tx_types, base),
-        "Y": build_map_complex(ty_types, base),
-        "Z": build_map_complex([p.map_type for p in products], base),
-    }
+    mxs = {key: build_map_complex(ts, base) for key, ts in types.items()}
     families = {key: image_family(mx) for key, mx in mxs.items()}
     sub = build_gamma_subdivision(base, list(families.values()), unimodularize)
     pbs = pullback_map_complexes(mxs, sub)
@@ -347,12 +336,24 @@ def product_run(
     for key in sorted(families):
         chk = is_union_of_cones(sub.refined, sub.transport(families[key]))
         report.add("image family union of cones", key, chk.ok)
-    report.inputs["types"] = {k: len(m.types) for k, m in sorted(mxs.items())}
+    if products is None:
+        report.inputs["types"] = len(types["X"])
+    else:
+        report.inputs["types"] = {k: len(m.types) for k, m in sorted(mxs.items())}
     if max_edges is not None:
         report.inputs["max_edges"] = max_edges
-    report.subdivision_data = sub
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report
+
+
+def single_factor_run(g: int, n: int, a, *args, **kwargs) -> Report:
+    """run_contacts for one contact vector."""
+    return run_contacts(g, n, (a,), *args, **kwargs)
+
+
+def product_run(g: int, n: int, a1, a2, *args, **kwargs) -> Report:
+    """run_contacts for two contact vectors: X, Y and the superimposed Z."""
+    return run_contacts(g, n, (a1, a2), *args, **kwargs)
 
 
 @dataclass
@@ -369,10 +370,10 @@ def dr_support(g: int, n: int, a, unimodularize: bool = False,
     """The support of the ramification locus: union of all forgetful images,
     with a base subdivision making it a union of cones and a codimension
     table for the transverse intersection diagnostics."""
-    t0 = time.time()
-    contact = ContactData(g, (tuple(a),))
+    t0 = time.perf_counter()
+    _, by_label, _ = contact_types(g, n, (a,), max_edges)
+    types = by_label["X"]
     base = base or build_moduli_complex(g, n, max_edges)
-    types = enumerate_rubber_types(contact, 0, max_edges=max_edges)
     mx = build_map_complex(types, base)
     fam = image_family(mx)
     sub = build_gamma_subdivision(base, [fam], unimodularize)
@@ -394,7 +395,7 @@ def dr_support(g: int, n: int, a, unimodularize: bool = False,
     )
     chk = is_union_of_cones(sub.refined, transported)
     report.add("support is a union of cones", "base", chk.ok)
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return SupportResult(fam, sub, strata, report)
 
 
@@ -413,7 +414,7 @@ def figure1_demo(seed: int = 0) -> Report:
     from .curves import DualGraph, build_complex_from_graphs, enumerate_stable_graphs
     from .tropmaps import RubberMapType, moduli_cone
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     contact = ContactData(2, ((3, -3),))
     theta = DualGraph((0, 0), ((0, 1), (0, 1), (0, 1)), (0, 1))
     fig_type = RubberMapType(theta, ((-1, -1, -1),), contact)
@@ -456,5 +457,5 @@ def figure1_demo(seed: int = 0) -> Report:
     _semistability_into(report, "X", pb)
     report.subdivision_data = sub
     _soundness_into(report, sub, seed)
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report

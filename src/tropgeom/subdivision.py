@@ -200,7 +200,7 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
     raise GeometryError("cell closure did not stabilize")
 
 
-def _assemble(cx: ConeComplex, fans: dict, strict: bool = True) -> SubdivisionOf:
+def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
     """Build the refined complex from per-cone fans of cells.
 
     Cells whose relative interior meets the relative interior of their host
@@ -266,11 +266,10 @@ def _assemble(cx: ConeComplex, fans: dict, strict: bool = True) -> SubdivisionOf
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
     sub = SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
-    if strict:
-        problems = validate_complex(refined, deep=False)
-        problems += verify_subdivision(sub)
-        if problems:
-            raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
+    problems = validate_complex(refined, deep=False)
+    problems += verify_subdivision(sub)
+    if problems:
+        raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
     return sub
 
 

@@ -43,6 +43,8 @@ class ContactData:
         for a in self.slopes:
             if sum(a) != 0:
                 raise ValueError(f"contact orders {a} do not sum to zero")
+        if len({len(a) for a in self.slopes}) > 1:
+            raise ValueError(f"contact vectors {self.slopes} differ in length")
 
     @property
     def num_markings(self):

@@ -101,8 +101,13 @@ def test_malformed_inputs_exit_two(capsys):
         (["moduli-complex", "0", "2"], "not in the stable range"),
         (["verify", "0", "2", "1,-1"], "not in the stable range"),
         (["verify", "1", "2", "2,-2", "2,-2", "1,-1"], "at most two factors"),
+        (["product-check", "1", "2", "2,-2", "1,0,-1"], "length n"),
+        (["subdivide", "1", "2", "2,-2", "1,-1", "1,-1"], "at most two factors"),
     ],
-    ids=["unstable", "negative-genus", "moduli-unstable", "verify-unstable", "three-factors"],
+    ids=[
+        "unstable", "negative-genus", "moduli-unstable", "verify-unstable", "three-factors",
+        "product-check-ragged", "subdivide-three-factors",
+    ],
 )
 def test_exit_codes(capsys, argv, message):
     assert main(argv) == 2
@@ -110,6 +115,19 @@ def test_exit_codes(capsys, argv, message):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and message in lines[0]
+
+
+def test_product_check_is_verify_with_two_vectors(capsys):
+    args = ["1", "2", "2,-2", "1,-1", "--max-edges", "1"]
+    code, product = run(capsys, "product-check", *args)
+    assert code == 0
+    assert (code, product) == run(capsys, "verify", *args)
+
+
+def test_verify_unmarked(capsys):
+    code, out = run(capsys, "verify", "2", "0", "")
+    assert code == 0
+    assert json.loads(out)["inputs"]["contacts"] == [[]]
 
 
 def test_enumerate_maps_two_factor_honors_max_edges(capsys):

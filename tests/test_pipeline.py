@@ -15,6 +15,7 @@ from tropgeom.pipeline import (
     figure1_demo,
     image_family,
     product_run,
+    run_contacts,
     single_factor_run,
     two_factor_types,
 )
@@ -86,6 +87,28 @@ class TestRuns:
             if "cover" in c.name or "disjoint" in c.name
         )
         assert names(a) == names(b)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: single_factor_run(1, 1, (2, -2)),
+            lambda: product_run(1, 2, (2, -2), (1, 0, -1)),
+            lambda: dr_support(1, 1, (2, -2)),
+        ],
+        ids=["single", "product", "dr-support"],
+    )
+    def test_vector_of_wrong_length_is_a_value_error(self, run):
+        with pytest.raises(ValueError, match="must have length n"):
+            run()
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [([], "at least one"), ([(2, -2), (1, -1), (1, -1)], "at most two factors")],
+        ids=["none", "three"],
+    )
+    def test_number_of_vectors(self, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            run_contacts(1, 2, vectors)
 
     def test_report_json_shape(self):
         report = single_factor_run(1, 1, (0,))

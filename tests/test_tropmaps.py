@@ -40,6 +40,10 @@ class TestContactData:
         with pytest.raises(ValueError):
             ContactData(0, ((1, 1),))
 
+    def test_rejects_ragged_vectors(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            ContactData(1, ((2, -2), (1, 0, -1)))
+
 
 class TestBalancingAndHeights:
     def test_figure_one_type_balanced(self):
