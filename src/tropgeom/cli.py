@@ -82,6 +82,11 @@ def cmd_moduli_complex(args) -> int:
     return 0
 
 
+def _no_unimodularize(args):
+    if args.unimodularize:
+        raise SystemExit2(f"{args.command} does not take --unimodularize")
+
+
 def _vectors(args):
     return [_parse_contact(a) for a in args.contacts]
 
@@ -92,6 +97,7 @@ def _types(args):
 
 
 def cmd_enumerate_maps(args) -> int:
+    _no_unimodularize(args)
     types = _types(args)
     types = types.get("Z", types["X"])
     if args.format == "dot":
@@ -104,6 +110,7 @@ def cmd_enumerate_maps(args) -> int:
 def cmd_image(args) -> int:
     if len(args.contacts) != 1:
         raise SystemExit2("image takes a single contact vector")
+    _no_unimodularize(args)
     types = _types(args)["X"]
     base = build_moduli_complex(args.g, args.n, args.max_edges)
     fam = image_family(build_map_complex(types, base))

@@ -54,6 +54,9 @@ class ConeComplex:
             full_auts[cid] = tuple(sorted(mats.values(), key=lambda g: g.matrix))
         self.auts = full_auts
         self._embeddings = {}
+        # the checked subdivision that cuts nothing, built on first use by
+        # subdivision.hyperplane_refine
+        self._unrefined = None
 
     def ids(self):
         return sorted(self.cones)

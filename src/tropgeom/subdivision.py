@@ -162,6 +162,10 @@ def compose_subdivisions(s1: SubdivisionOf, s2: SubdivisionOf) -> SubdivisionOf:
 # ---------------------------------------------------------------------------
 # the assembler
 
+# rounds a fixpoint loop (cell closure, covector transport) may take before it
+# is reported as not settling
+MAX_FIXPOINT_ROUNDS = 64
+
 
 def _closure_of_fans(cx: ConeComplex, fans: dict):
     """Face-close the given cells, then close under automorphisms and
@@ -177,15 +181,15 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
     face_images = {
         f: image_cone(f.map, cx.cones[f.sub]) for f in cx.faces
     }
-    for _ in range(64):
-        changed = False
+    for _ in range(MAX_FIXPOINT_ROUNDS):
+        changed = set()
         for cid in cx.ids():
             for g in cx.auts[cid]:
                 for c in list(cells[cid]):
                     img = image_cone(g, c)
                     if img not in cells[cid]:
                         cells[cid].add(img)
-                        changed = True
+                        changed.add(cid)
         for f in cx.faces:
             fimg = face_images[f]
             sub_cone = cx.cones[f.sub]
@@ -194,14 +198,75 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
                     back = pull_back_cone(f.map, sub_cone, c)
                     if back not in cells[f.sub]:
                         cells[f.sub].add(back)
-                        changed = True
+                        changed.add(f.sub)
         if not changed:
             return cells
-    raise GeometryError("cell closure did not stabilize")
+    raise GeometryError(
+        f"cell closure did not stabilize in {MAX_FIXPOINT_ROUNDS} rounds; "
+        f"cells of cones {sorted(changed)} still changed in the last round"
+    )
 
 
 def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
-    """Build the refined complex from per-cone fans of cells.
+    """Build the refined complex from per-cone fans of cells and verify it.
+
+    A cone without a fan, or whose fan is the cone alone, is not cut; when
+    no cone is cut the unrefined subdivision is built directly.  Either way
+    the result passes the same checks before it is returned.
+    """
+    if all(list(fans.get(cid, (cone,))) == [cone] for cid, cone in cx.cones.items()):
+        sub = _unrefined(cx)
+    else:
+        sub = _glue_fans(cx, fans)
+    problems = validate_complex(sub.refined, deep=False)
+    problems += verify_subdivision(sub)
+    if problems:
+        raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
+    return sub
+
+
+def _unrefined(cx: ConeComplex) -> SubdivisionOf:
+    """The subdivision that cuts nothing: cone cid becomes the cone cid.0.
+
+    Each proper face is glued along the first embedding onto it, composed
+    with the inverse of the first automorphism of its source, which is the
+    face map `_glue_fans` picks for the same cells.
+    """
+    first_inverse = {}
+    for cid in cx.ids():
+        h = cx.auts[cid][0]
+        first_inverse[cid] = LinearMap(
+            la.invert_unimodular(h.matrix), h.source_rank, h.target_rank
+        )
+    new_cones = {}
+    new_auts = {}
+    new_faces = set()
+    assignments = {}
+    for cid in cx.ids():
+        cone = cx.cones[cid]
+        nid = f"{cid}.0"
+        new_cones[nid] = cone
+        new_auts[nid] = [g for g in cx.auts[cid] if image_cone(g, cone) == cone]
+        assignments[nid] = (cid, LinearMap.identity(cone.ambient_rank))
+        onto = {}
+        for emb in cx.embeddings_into(cid):
+            onto.setdefault(emb.cone.rays, emb)
+        for face in cone.proper_faces():
+            emb = onto.get(face.rays)
+            if emb is None:
+                raise GeometryError(
+                    f"face {face.rays} of cone {cid} is not represented; "
+                    "cannot resolve cell ownership"
+                )
+            new_faces.add(
+                FaceMap(f"{emb.src}.0", nid, emb.map.compose(first_inverse[emb.src]))
+            )
+    refined = ConeComplex(new_cones, new_faces, new_auts)
+    return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
+
+
+def _glue_fans(cx: ConeComplex, fans: dict) -> SubdivisionOf:
+    """Glue per-cone fans of cells into a refined complex (unverified).
 
     Cells whose relative interior meets the relative interior of their host
     cone are owned by that host; every other cell is pulled back to the face
@@ -265,12 +330,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
             new_faces.add(FaceMap(sub_id, nid, sub_map))
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
-    sub = SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
-    problems = validate_complex(refined, deep=False)
-    problems += verify_subdivision(sub)
-    if problems:
-        raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
-    return sub
+    return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +508,8 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
 
     Covector sets are first closed under automorphisms, restriction to faces,
     and transport across shared faces (fixpoint), so the sliced fans glue.
+    When no covector slices its cone nothing is cut: the checked unrefined
+    subdivision is built once per complex and returned on every such call.
     """
     covs = {cid: set() for cid in cx.cones}
     for cid, ws in covectors_by_cone.items():
@@ -455,17 +517,26 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
             w = _canon_covector(tuple(w))
             if _slices(cx.cones[cid], w):
                 covs[cid].add(w)
+    if not any(covs.values()):
+        if cx._unrefined is None:
+            cx._unrefined = _assemble(cx, {})
+        return cx._unrefined
 
-    for _ in range(64):
-        changed = False
+    added = {}  # cone id -> covectors added to it in the current round
+
+    def add(cid, w):
+        covs[cid].add(w)
+        added.setdefault(cid, set()).add(w)
+
+    for _ in range(MAX_FIXPOINT_ROUNDS):
+        added.clear()
         for cid in cx.ids():
             for g in cx.auts[cid]:
                 gt = la.transpose(g.matrix)
                 for w in list(covs[cid]):
                     w2 = _canon_covector(la.mat_vec(gt, w))
                     if _slices(cx.cones[cid], w2) and w2 not in covs[cid]:
-                        covs[cid].add(w2)
-                        changed = True
+                        add(cid, w2)
         for f in cx.faces:
             mt = la.transpose(f.map.matrix)
             sub_cone = cx.cones[f.sub]
@@ -473,8 +544,7 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
             for w in list(covs[f.sup]):
                 w2 = _canon_covector(la.mat_vec(mt, w))
                 if _slices(sub_cone, w2) and w2 not in covs[f.sub]:
-                    covs[f.sub].add(w2)
-                    changed = True
+                    add(f.sub, w2)
             # extend covectors of the face to the big cone
             for w in list(covs[f.sub]):
                 if any(
@@ -484,12 +554,17 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
                 lifted = _extend_covector(f.map, sub_cone, w)
                 lifted = _canon_covector(lifted)
                 if lifted not in covs[f.sup]:
-                    covs[f.sup].add(lifted)
-                    changed = True
-        if not changed:
+                    add(f.sup, lifted)
+        if not added:
             break
     else:
-        raise GeometryError("covector transport did not stabilize")
+        still = "; ".join(
+            f"{cid}: {sorted(ws)}" for cid, ws in sorted(added.items())
+        )
+        raise GeometryError(
+            f"covector transport did not stabilize in {MAX_FIXPOINT_ROUNDS} rounds; "
+            f"covectors still added in the last round: {still}"
+        )
 
     fans = {
         cid: _chambers(cx.cones[cid], sorted(covs[cid]))

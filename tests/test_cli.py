@@ -103,10 +103,13 @@ def test_malformed_inputs_exit_two(capsys):
         (["verify", "1", "2", "2,-2", "2,-2", "1,-1"], "at most two factors"),
         (["product-check", "1", "2", "2,-2", "1,0,-1"], "length n"),
         (["subdivide", "1", "2", "2,-2", "1,-1", "1,-1"], "at most two factors"),
+        (["image", "1", "2", "3,-3", "--unimodularize"], "--unimodularize"),
+        (["enumerate-maps", "1", "2", "2,-2", "--unimodularize"], "--unimodularize"),
     ],
     ids=[
         "unstable", "negative-genus", "moduli-unstable", "verify-unstable", "three-factors",
-        "product-check-ragged", "subdivide-three-factors",
+        "product-check-ragged", "subdivide-three-factors", "image-unimodularize",
+        "enumerate-maps-unimodularize",
     ],
 )
 def test_exit_codes(capsys, argv, message):
@@ -157,9 +160,9 @@ def test_image_max_edges_matches_untruncated_base(capsys):
 
 
 def test_byte_identical_outputs(capsys):
-    _, first = run(capsys, "verify", "1", "1", "2,-2", "--seed", "7")
-    _, second = run(capsys, "verify", "1", "1", "2,-2", "--seed", "7")
-    assert first == second
+    code, first = run(capsys, "verify", "1", "2", "2,-2", "--seed", "7")
+    assert code == 0 and first
+    assert (code, first) == run(capsys, "verify", "1", "2", "2,-2", "--seed", "7")
     _, a = run(capsys, "enumerate-maps", "1", "2", "2,-2", "1,-1")
     _, b = run(capsys, "enumerate-maps", "1", "2", "2,-2", "1,-1")
     assert a == b

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import moduli_cached
 
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
@@ -13,8 +14,13 @@ from tropgeom.complexes import (
     validate_complex,
     validate_morphism,
 )
+from tropgeom import subdivision
+from tropgeom.pipeline import contact_types
 from tropgeom.subdivision import (
     RayOutside,
+    _assemble,
+    _glue_fans,
+    _unrefined,
     cones_cover_exactly,
     common_refinement,
     compose_subdivisions,
@@ -258,3 +264,101 @@ class TestSoundness:
         assert ok
         ok, witness = cones_cover_exactly(target, [a])
         assert not ok and target.contains(witness) and not a.contains(witness)
+
+
+def _same_subdivision(a, b):
+    return (
+        a.refined.to_json() == b.refined.to_json()
+        and a.projection.to_json() == b.projection.to_json()
+    )
+
+
+class TestUnrefined:
+    @pytest.mark.parametrize(
+        "g, n", [(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)]
+    )
+    def test_direct_builder_matches_general_path_on_bases(self, g, n):
+        cx = moduli_cached(g, n).complex
+        assert _same_subdivision(_unrefined(cx), _glue_fans(cx, {}))
+
+    @pytest.mark.parametrize(
+        "g, n, vectors",
+        [
+            (0, 5, ((1, 1, -1, -1, 0), (2, 0, -1, 0, -1))),
+            (1, 2, ((2, -2), (1, -1))),
+            (1, 3, ((2, -1, -1), (1, 0, -1))),
+        ],
+    )
+    def test_direct_builder_matches_general_path_on_map_complexes(self, g, n, vectors):
+        from tropgeom.tropmaps import build_map_complex
+
+        base = moduli_cached(g, n)
+        for k in (1, 2):
+            _, types, _ = contact_types(g, n, vectors[:k])
+            for ts in types.values():
+                cx = build_map_complex(ts, base).complex
+                assert _same_subdivision(_unrefined(cx), _glue_fans(cx, {}))
+
+    def test_uncut_fans_take_the_direct_builder(self, orthant3):
+        cx, top = orthant3
+        direct = _assemble(cx, {top: [cx.cones[top]]})
+        assert _same_subdivision(direct, _glue_fans(cx, {}))
+        assert direct.is_identity()
+
+    def test_overlapping_cells_are_rejected(self, orthant2):
+        cx, top = orthant2
+        fan = [
+            eg.cone_from_generators([(1, 0), (1, 2)]),
+            eg.cone_from_generators([(1, 1), (0, 1)]),
+        ]
+        with pytest.raises(eg.GeometryError, match="not well glued"):
+            _assemble(cx, {top: fan})
+
+    def test_built_and_checked_once_per_complex(self, orthant3):
+        cx, top = orthant3
+        s = hyperplane_refine(cx, {})
+        assert hyperplane_refine(cx, {}) is s
+        # a covector that does not slice its cone cuts nothing either
+        assert hyperplane_refine(cx, {top: [(1, 0, 0)]}) is s
+        assert s.original is cx and s.is_identity()
+        assert verify_subdivision(s) == []
+        assert validate_complex(s.refined, deep=False) == []
+
+
+class TestFixpointDiagnostics:
+    def _face12(self):
+        cone = eg.cone_from_generators(la.identity_matrix(3), 3)
+        cx, ids = complex_from_fan([cone], 3)
+        face = eg.cone_from_generators([(1, 0, 0), (0, 1, 0)], 3)
+        return cx, ids[cone.rays], ids[face.rays]
+
+    def test_covector_transport_names_cones_and_covectors(self, monkeypatch):
+        # the covector reaches the face (e1, e2) in round one; round two
+        # confirms that nothing changes
+        cx, top, face = self._face12()
+        monkeypatch.setattr(subdivision, "MAX_FIXPOINT_ROUNDS", 2)
+        assert len(hyperplane_refine(cx, {top: [(1, -1, 0)]}).max_cells_over(top)) == 2
+        monkeypatch.setattr(subdivision, "MAX_FIXPOINT_ROUNDS", 1)
+        with pytest.raises(eg.GeometryError) as info:
+            hyperplane_refine(cx, {top: [(1, -1, 0)]})
+        message = str(info.value)
+        assert "in 1 rounds" in message
+        assert f"{face}: [(1, -1, 0)]" in message
+
+    def test_cell_closure_names_cones(self, monkeypatch):
+        # only the top cone is given cells; the ray (1, 1, 0) is pulled back
+        # into the face (e1, e2) in round one
+        cx, top, face = self._face12()
+        halves = [
+            eg.cone_from_generators([(1, 0, 0), (1, 1, 0), (0, 0, 1)], 3),
+            eg.cone_from_generators([(1, 1, 0), (0, 1, 0), (0, 0, 1)], 3),
+        ]
+        monkeypatch.setattr(subdivision, "MAX_FIXPOINT_ROUNDS", 2)
+        cells = subdivision._closure_of_fans(cx, {top: halves})
+        assert eg.cone_from_generators([(1, 1, 0)], 3) in cells[face]
+        monkeypatch.setattr(subdivision, "MAX_FIXPOINT_ROUNDS", 1)
+        with pytest.raises(eg.GeometryError) as info:
+            subdivision._closure_of_fans(cx, {top: halves})
+        message = str(info.value)
+        assert "in 1 rounds" in message
+        assert f"cones ['{face}']" in message
