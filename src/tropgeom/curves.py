@@ -9,7 +9,7 @@ face maps and graph automorphisms acting on edge coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 
 from . import linalg as la
 from .exactgeom import LinearMap, RationalCone, cone_from_generators, image_cone, zero_cone
@@ -449,96 +449,71 @@ _enumeration_cache = {}
 def enumerate_stable_graphs(g: int, n: int):
     """All isomorphism classes of stable genus g graphs with n legs.
 
-    Results are cached; graphs are immutable so sharing is safe.
+    The graphs are generated by inverse contraction (Maggiolo-Pagani,
+    "Generating stable modular graphs", J. Symbolic Comput. 46, 2011), one
+    edge count at a time, from the single vertex of genus g carrying every
+    leg: each graph with e edges yields its loop insertions and vertex
+    splits (_splits), and their canonical forms are the graphs with e + 1
+    edges.  This finds every class: contracting any edge of a stable graph
+    with e + 1 edges gives a stable graph of the same (g, n) with e edges,
+    and the loop insertion (for a loop) or vertex split (otherwise) that
+    undoes the contraction is among that graph's _splits.  The canonical
+    form is the one the cone ids rest on.  Results are sorted by sort_key
+    and cached; graphs are immutable so sharing is safe.
     """
     check_stable_range(g, n)
     if (g, n) in _enumeration_cache:
         return list(_enumeration_cache[(g, n)])
-    found = set()
-    max_vertices = max(1, 2 * g - 2 + n)
-    for k in range(1, max_vertices + 1):
-        for genera in _sorted_genus_tuples(k, g):
-            e_count = g - sum(genera) + k - 1
-            if e_count < 0:
-                continue
-            pairs = [(i, j) for i in range(k) for j in range(i, k)]
-            for edges in combinations_with_replacement(pairs, e_count):
-                ends = [0] * k
-                for u, v in edges:
-                    ends[u] += 1
-                    ends[v] += 1
-                if any(
-                    2 * gv - 2 + ends[v] + n <= 0 for v, gv in enumerate(genera)
-                ):
-                    continue
-                for legs in product(range(k), repeat=n):
-                    graph = DualGraph(genera, edges, legs)
-                    if not graph.is_stable():
-                        continue
-                    found.add(canonical_form(graph)[0])
+    level = {DualGraph((g,), (), (0,) * n)}
+    found = set(level)
+    while level:
+        level = {
+            canonical_form(split)[0] for graph in level for split in _splits(graph)
+        }
+        found |= level
     result = sorted(found, key=sort_key)
     _enumeration_cache[(g, n)] = result
     return list(result)
 
 
-def _sorted_genus_tuples(k: int, g: int):
-    """Nondecreasing genus tuples of length k with sum at most g."""
-    def rec(remaining, minimum, length):
-        if length == 0:
-            yield ()
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in rec(remaining - first, first, length - 1):
-                yield (first,) + rest
-    yield from rec(g, 0, k)
+def _splits(graph: DualGraph):
+    """The stable graphs with one edge more that contract onto graph.
 
-
-_oracle_cache = {}
-
-
-def enumerate_stable_graphs_bruteforce(g: int, n: int):
-    """Independent oracle: raw generation with pairwise isomorphism dedup."""
-    check_stable_range(g, n)
-    if (g, n) in _oracle_cache:
-        return list(_oracle_cache[(g, n)])
-    classes = []
-    max_vertices = max(1, 2 * g - 2 + n)
-    for k in range(1, max_vertices + 1):
-        pairs = [(i, j) for i in range(k) for j in range(i, k)]
-        for genera in product(range(g + 1), repeat=k):
-            e_count = g - sum(genera) + k - 1
-            if e_count < 0:
-                continue
-            for edges in combinations_with_replacement(pairs, e_count):
-                for legs in product(range(k), repeat=n):
-                    graph = DualGraph(genera, edges, legs)
-                    if not graph.is_stable():
-                        continue
-                    if genus(graph) != g:
-                        continue
-                    if not any(_isomorphic(graph, other) for other in classes):
-                        classes.append(graph)
-    _oracle_cache[(g, n)] = classes
-    return list(classes)
-
-
-def _isomorphic(a: DualGraph, b: DualGraph) -> bool:
-    """Direct isomorphism test by trying all vertex bijections."""
-    if (
-        a.num_vertices != b.num_vertices
-        or a.num_edges != b.num_edges
-        or sorted(a.genera) != sorted(b.genera)
-    ):
-        return False
-    for vperm in permutations(range(a.num_vertices)):
-        if any(a.genera[v] != b.genera[vperm[v]] for v in range(a.num_vertices)):
-            continue
-        if tuple(vperm[v] for v in a.legs) != b.legs:
-            continue
-        mapped = sorted(tuple(sorted((vperm[u], vperm[v]))) for u, v in a.edges)
-        if tuple(mapped) == b.edges:
-            return True
-    return False
+    At each vertex v: a loop, when v has positive genus, which takes one
+    from it; and every split of v into v and a new vertex w joined by a new
+    edge, with the genus of v shared out and each half edge and leg at v
+    sent to one side, where both sides are stable.  Swapping the two sides
+    gives the same graph, so only one of each swapped pair is yielded.
+    """
+    k = graph.num_vertices
+    for v, gv in enumerate(graph.genera):
+        if gv > 0:
+            genera = list(graph.genera)
+            genera[v] -= 1
+            yield DualGraph(tuple(genera), graph.edges + ((v, v),), graph.legs)
+        # the ends at v: (edge index, 0 or 1) per edge end, (None, i) per leg i
+        ends = [(i, end) for i, e in enumerate(graph.edges) for end in (0, 1) if e[end] == v]
+        ends += [(None, i) for i, u in enumerate(graph.legs) if u == v]
+        full = (1 << len(ends)) - 1
+        for g1 in range(gv + 1):
+            g2 = gv - g1
+            for mask in range(full + 1):
+                if (g1, mask) > (g2, full ^ mask):
+                    continue
+                moved = bin(mask).count("1")
+                if 2 * g1 + len(ends) - moved <= 1 or 2 * g2 + moved <= 1:
+                    continue
+                edges = [list(e) for e in graph.edges]
+                legs = list(graph.legs)
+                for bit, (i, end) in enumerate(ends):
+                    if mask >> bit & 1:
+                        if i is None:
+                            legs[end] = k
+                        else:
+                            edges[i][end] = k
+                genera = list(graph.genera) + [g2]
+                genera[v] = g1
+                yield DualGraph(tuple(genera), tuple(edges) + ((v, k),), tuple(legs))
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,21 @@ def pullback_map_complexes(complexes, sub: SubdivisionOf):
     return {key: pullback_subdivision(mx.forgetful, sub) for key, mx in complexes.items()}
 
 
-def two_factor_types(contact: ContactData, max_edges: int | None = None):
-    """Product types for a two factor contact datum, organized by superimpose."""
+def two_factor_types(
+    contact: ContactData, max_edges: int | None = None, factor_types=None
+):
+    """Product types for a two factor contact datum, organized by superimpose.
+
+    factor_types is the pair of single factor type lists, X and Y, when the
+    caller has already enumerated them with the same max_edges.
+    """
     if contact.num_factors != 2:
         raise ValueError("two factor contact data required")
-    txs = enumerate_rubber_types(contact, 0, max_edges=max_edges)
-    tys = enumerate_rubber_types(contact, 1, max_edges=max_edges)
+    if factor_types is None:
+        factor_types = [
+            enumerate_rubber_types(contact, i, max_edges=max_edges) for i in (0, 1)
+        ]
+    txs, tys = factor_types
     products = []
     for tx in txs:
         for ty in tys:
@@ -190,7 +199,7 @@ def contact_types(g: int, n: int, vectors, max_edges: int | None = None):
     }
     products = None
     if len(vectors) == 2:
-        products = two_factor_types(contact, max_edges=max_edges)
+        products = two_factor_types(contact, max_edges, (types["X"], types["Y"]))
         types["Z"] = [p.map_type for p in products]
     return contact, types, products
 

@@ -373,70 +373,6 @@ def enumerate_rubber_types(contact: ContactData, factor: int = 0, max_edges=None
     return sorted(found, key=lambda t: sort_key(t.graph, t.slopes))
 
 
-def enumerate_rubber_types_bruteforce(contact: ContactData, factor: int = 0):
-    """Independent oracle: every orientation and magnitude, pairwise iso dedup."""
-    single = contact.factor(factor)
-    a = single.slopes[0]
-    d = single.degree(0)
-    types = []
-    from .curves import enumerate_stable_graphs_bruteforce
-
-    for graph in enumerate_stable_graphs_bruteforce(contact.genus, contact.num_markings):
-        ne = graph.num_edges
-        for raw in product(range(-d, d + 1), repeat=ne):
-            t = RubberMapType(graph, (raw,), single)
-            if not is_balanced(t):
-                continue
-            if not has_consistent_heights(t):
-                continue
-            if not any(_isomorphic_types(t, s) for s in types):
-                types.append(t)
-    return types
-
-
-def _isomorphic_types(a: RubberMapType, b: RubberMapType) -> bool:
-    """Direct isomorphism test over vertex bijections (independent of the
-    canonicalization machinery)."""
-    if a.contact != b.contact or a.num_factors != b.num_factors:
-        return False
-    ga, gb = a.graph, b.graph
-    if (
-        ga.num_vertices != gb.num_vertices
-        or ga.num_edges != gb.num_edges
-        or sorted(ga.genera) != sorted(gb.genera)
-    ):
-        return False
-    from itertools import permutations as perms
-
-    b_edges = {}
-    for i, (u, v) in enumerate(gb.edges):
-        key = (u, v)
-        b_edges.setdefault(key, []).append(i)
-    for vperm in perms(range(ga.num_vertices)):
-        if any(ga.genera[v] != gb.genera[vperm[v]] for v in range(ga.num_vertices)):
-            continue
-        if tuple(vperm[v] for v in ga.legs) != gb.legs:
-            continue
-        # multiset match of decorated edges
-        need = {}
-        for i, (u, v) in enumerate(ga.edges):
-            x, y = vperm[u], vperm[v]
-            data = tuple(a.slopes[f][i] for f in range(a.num_factors))
-            if x > y:
-                x, y = y, x
-                data = tuple(-s for s in data)
-            need.setdefault((x, y, data), 0)
-            need[(x, y, data)] += 1
-        have = {}
-        for i, (u, v) in enumerate(gb.edges):
-            data = tuple(b.slopes[f][i] for f in range(b.num_factors))
-            have.setdefault((u, v, data), 0)
-            have[(u, v, data)] += 1
-        if need == have:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # forgetful images
 

@@ -13,14 +13,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 from conftest import moduli_cached, produced_subdivisions, random_cone
+from oracles import enumerate_rubber_types_bruteforce, enumerate_stable_graphs_bruteforce
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import is_union_of_cones
-from tropgeom.curves import (
-    canonical_form,
-    enumerate_stable_graphs,
-    enumerate_stable_graphs_bruteforce,
-)
+from tropgeom.curves import canonical_form, enumerate_stable_graphs
 from tropgeom.pipeline import figure1_demo, product_run, single_factor_run
 from tropgeom.subdivision import soundness_sample, verify_subdivision
 from tropgeom.tropmaps import (
@@ -28,7 +25,6 @@ from tropgeom.tropmaps import (
     canonical_type,
     cycle_equations,
     enumerate_rubber_types,
-    enumerate_rubber_types_bruteforce,
     is_balanced,
     moduli_cone,
 )

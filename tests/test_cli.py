@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,21 @@ def test_enumerate_graphs_boundary_case(capsys):
     data = json.loads(out)
     assert len(data) == 1
     assert data[0]["edges"] == []
+
+
+@pytest.mark.parametrize(
+    "g, n, digest",
+    [
+        ("2", "2", "ed0af561cc73cc461cfba6b70e1f4eeb630822abaadbf3d82836f9b074b7a2d6"),
+        ("1", "4", "c7a7e2fc252eb7d26e158d781a017b367ec62547dd65c6367cfef98e6aa6d020"),
+    ],
+)
+def test_enumerate_graphs_output_pinned(capsys, g, n, digest):
+    # the bytes of the brute-force generator that split generation replaced:
+    # graph order and canonical labels
+    code, out = run(capsys, "enumerate-graphs", g, n)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_graphs_dot(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import moduli_cached
+from oracles import enumerate_stable_graphs_bruteforce
 from tropgeom import exactgeom as eg
 from tropgeom.complexes import validate_complex
 from tropgeom.curves import (
@@ -16,7 +17,6 @@ from tropgeom.curves import (
     canonical_form,
     contract_edge,
     enumerate_stable_graphs,
-    enumerate_stable_graphs_bruteforce,
     genus,
     stabilize,
 )
@@ -111,7 +111,7 @@ class TestEnumeration:
         assert len(main) == len(oracle) == count
 
     def test_oracle_agreement_through_dim_three(self):
-        for g, n in [(0, 5), (1, 2), (2, 1)]:
+        for g, n in [(0, 5), (1, 2), (2, 1), (2, 2), (3, 0)]:
             main = enumerate_stable_graphs(g, n)
             oracle = enumerate_stable_graphs_bruteforce(g, n)
             assert len(main) == len(oracle)
@@ -119,6 +119,14 @@ class TestEnumeration:
             for graph in oracle:
                 c, _, _, _ = canonical_form(graph)
                 assert (c.genera, c.edges, c.legs) in keys
+
+    @pytest.mark.parametrize(
+        "g,n,count", [(0, 6, 236), (0, 7, 2752), (1, 4, 163), (2, 3, 555)]
+    )
+    def test_known_counts_beyond_the_oracle(self, g, n, count):
+        # (0, n): OEIS A000311; (1, 4) and (2, 3): the brute-force generator
+        # that split generation replaced
+        assert len(enumerate_stable_graphs(g, n)) == count
 
     def test_unstable_range_rejected(self):
         with pytest.raises(Unstable):

@@ -77,6 +77,23 @@ class TestRuns:
         report = product_run(1, 2, (2, -2), (1, -1))
         assert report.all_passed
 
+    def test_two_vector_run_enumerates_each_factor_once(self, monkeypatch):
+        factors, products = [], []
+
+        def counting(contact, factor=0, max_edges=None):
+            factors.append(factor)
+            return enumerate_rubber_types(contact, factor, max_edges=max_edges)
+
+        def recording(*args, **kwargs):
+            products.append(args)
+            return two_factor_types(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "enumerate_rubber_types", counting)
+        monkeypatch.setattr(pipeline, "two_factor_types", recording)
+        assert product_run(1, 2, (2, -2), (1, -1)).all_passed
+        assert factors == [0, 1]
+        assert len(products) == 1
+
     def test_xy_symmetry_of_product_verdicts(self):
         a = product_run(1, 2, (2, -2), (1, -1))
         b = product_run(1, 2, (1, -1), (2, -2))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import moduli_cached
+from oracles import enumerate_rubber_types_bruteforce
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import validate_complex, validate_morphism
@@ -18,7 +19,6 @@ from tropgeom.tropmaps import (
     canonical_type,
     cycle_equations,
     enumerate_rubber_types,
-    enumerate_rubber_types_bruteforce,
     fiber_product_cone,
     forgetful_image,
     has_consistent_heights,
