@@ -29,6 +29,7 @@ from .complexes import (
 from .subdivision import (
     RayOutside,
     SubdivisionOf,
+    check_subdivision,
     common_refinement,
     compose_subdivisions,
     hyperplane_refine,

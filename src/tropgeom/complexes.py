@@ -54,8 +54,8 @@ class ConeComplex:
             full_auts[cid] = tuple(sorted(mats.values(), key=lambda g: g.matrix))
         self.auts = full_auts
         self._embeddings = {}
-        # the checked subdivision that cuts nothing, built on first use by
-        # subdivision.hyperplane_refine
+        # the subdivision that cuts nothing, built on first use by
+        # subdivision.hyperplane_refine and so checked once per complex
         self._unrefined = None
 
     def ids(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg as la
 from .linalg import Mat, Vec
@@ -483,62 +482,3 @@ def sample_points(cone: RationalCone, count: int, rng):
         )
         pts.append(p)
     return pts
-
-
-# ---------------------------------------------------------------------------
-# brute force oracles, used by the test suite and the acceptance gate
-
-
-def facets_bruteforce(cone: RationalCone):
-    """Facets by subset enumeration over rays (independent of the DD path)."""
-    d = cone.dim
-    if d == 0:
-        return []
-    smat = tuple(cone.span_basis)
-    coords = [la.lattice_coords(cone.span_basis, r) for r in cone.rays]
-    found = set()
-    if d == 1:
-        # single facet: the functional positive on the unique ray direction
-        w = (1,)
-        cands = [w]
-    else:
-        cands = []
-        for sub in combinations(coords, d - 1):
-            if la.rank(sub) != d - 1:
-                continue
-            ker = la.kernel_basis(tuple(sub), d)
-            if len(ker) != 1:
-                continue
-            cands.append(la.primitive(ker[0]))
-    for w in cands:
-        for orient in (w, la.vscale(-1, w)):
-            vals = [la.dot(orient, rc) for rc in coords]
-            if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
-                if la.rank([rc for rc, v in zip(coords, vals) if v == 0]) == d - 1 or d == 1:
-                    found.add(tuple(orient))
-    # lift to canonical ambient covectors exactly as the main path does
-    ann = la.kernel_basis(cone.span_basis, cone.ambient_rank)
-    hnf, pivots = la.hnf_rows(ann)
-    lifted = set()
-    for w in found:
-        c = la.solve_integer(smat, w)
-        lifted.add(tuple(la.reduce_mod_lattice(c, hnf, pivots)))
-    return sorted(lifted)
-
-
-def contains_bruteforce(cone: RationalCone, x) -> bool:
-    """Membership via Caratheodory subsets of rays (independent of facets)."""
-    if all(v == 0 for v in x):
-        return True
-    n = cone.ambient_rank
-    for size in range(1, cone.dim + 1):
-        for sub in combinations(cone.rays, size):
-            if la.rank(sub) != size:
-                continue
-            m = la.transpose(sub)
-            sol = la.solve(m, x)
-            if sol is None:
-                continue
-            if all(c >= 0 for c in sol):
-                return True
-    return False

@@ -454,9 +454,9 @@ def figure1_demo(seed: int = 0) -> Report:
     before = is_union_of_cones(base.complex, fam)
     report.add("image union of cones before subdivision", host_id, not before.ok)
 
-    from .subdivision import stellar_subdivide
+    from .subdivision import check_subdivision, stellar_subdivide
 
-    sub = stellar_subdivide(base.complex, host_id, (1, 1, 1))
+    sub = check_subdivision(stellar_subdivide(base.complex, host_id, (1, 1, 1)))
     report.subdivision = sub.summary()
     after = is_union_of_cones(sub.refined, sub.transport(fam))
     report.add("image union of cones after stellar subdivision", host_id, after.ok)

@@ -3,8 +3,15 @@
 All refinement operations (stellar, hyperplane arrangement, common
 refinement, pullback) produce per-cone fans and hand them to a single
 assembler that resolves cell ownership across face gluings, collapses
-automorphism orbits, and rebuilds a valid glued complex together with the
+automorphism orbits, and rebuilds a glued complex together with the
 projection morphism.
+
+The assembler does not check what it builds.  `check_subdivision` does, once
+per subdivision object, where a subdivision leaves the engine: on the result
+of `refine_until_conical` (after unimodularization), on the source
+subdivision of `pullback_subdivision`, and on the stellar subdivision of the
+worked example.  `stellar_subdivide`, `hyperplane_refine` and
+`common_refinement` are steps that return unchecked subdivisions.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ class SubdivisionOf:
 
     def __post_init__(self):
         self._cells_cache = {}
+        # set by check_subdivision once the subdivision has passed its checks
+        self._checked = False
 
     def owned_by(self):
         out = {}
@@ -208,20 +217,30 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
 
 
 def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
-    """Build the refined complex from per-cone fans of cells and verify it.
+    """Build the refined complex from per-cone fans of cells (unchecked).
 
     A cone without a fan, or whose fan is the cone alone, is not cut; when
-    no cone is cut the unrefined subdivision is built directly.  Either way
-    the result passes the same checks before it is returned.
+    no cone is cut the unrefined subdivision is built directly.
     """
     if all(list(fans.get(cid, (cone,))) == [cone] for cid, cone in cx.cones.items()):
-        sub = _unrefined(cx)
-    else:
-        sub = _glue_fans(cx, fans)
+        return _unrefined(cx)
+    return _glue_fans(cx, fans)
+
+
+def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
+    """Check a subdivision once and return it.
+
+    Runs the shallow complex invariants of the refined complex and
+    `verify_subdivision`, and raises a GeometryError naming every problem.
+    A subdivision that passed is marked, so checking it again does nothing.
+    """
+    if sub._checked:
+        return sub
     problems = validate_complex(sub.refined, deep=False)
     problems += verify_subdivision(sub)
     if problems:
         raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
+    sub._checked = True
     return sub
 
 
@@ -338,12 +357,40 @@ def _glue_fans(cx: ConeComplex, fans: dict) -> SubdivisionOf:
 
 
 def verify_subdivision(sub: SubdivisionOf):
-    """Check that the refined cells partition every original cone.
+    """Check that the refined cells subdivide every original cone.
 
-    Uses the wall criterion: inside each original cone the maximal cells must
-    form a fan whose internal walls are shared by exactly two cells, whose
-    boundary walls lie on the boundary of the cone, and whose dual graph is
-    connected.
+    Returns a list of problems, empty when there are none.  Over each
+    original cone C of dimension d it certifies, exactly:
+
+    1. every cell lies in C and is a face of a maximal cell (a cell of
+       dimension d);
+    2. a wall (a facet of a maximal cell, keyed by its rays) in the boundary
+       of C is a facet of exactly one maximal cell, and every other wall is
+       a facet of exactly two, which lie on opposite sides of it; the
+       maximal cells are connected through their walls;
+    3. the relative interior point of the first maximal cell lies in no
+       other maximal cell;
+    4. any two maximal cells meet in a common face.
+
+    Checks 2 and 3 make the maximal cells cover C once.  The covering number
+    of a point, the number of maximal cells containing it, can only change
+    across the hyperplane of a wall.  A generic point q of that hyperplane
+    inside C lies in the interior of some cells and in the relative interior
+    of exactly one facet of each other cell containing it; each such facet is
+    an internal wall whose two cells lie on opposite sides, so as many of
+    these cells lie on one side of q as on the other, and the covering
+    number is the same on both sides.  It is therefore constant on the
+    generic points of C, and check 3 makes it 1 next to the first cell's
+    interior point: the maximal cells cover C and their interiors are
+    disjoint.  This is the pseudo-manifold characterisation of subdivisions
+    (De Loera, Rambau and Santos, *Triangulations*, Springer 2010).  Check 4
+    makes the cover a fan.  Faces of cells that meet in a common face meet
+    in a common face too, so by check 1 the lower dimensional cells need no
+    pairwise test.
+
+    Check 4 runs on pairs of maximal cells only, and a pair that a facet of
+    either cell separates is settled without double description (see
+    `_meet_in_a_face`).
     """
     out = []
     for cid in sub.original.ids():
@@ -352,39 +399,39 @@ def verify_subdivision(sub: SubdivisionOf):
         for a in cells:
             if not cone.contains_cone(a):
                 out.append(f"cell {a.rays} pokes out of cone {cid}")
-        for i, a in enumerate(cells):
-            for b in cells[i + 1 :]:
-                cut = intersect(a, b)
-                if not (cut.is_face_of(a) and cut.is_face_of(b)):
-                    out.append(
-                        f"cells {a.rays} and {b.rays} in {cid} do not meet in a common face"
-                    )
         if cone.dim == 0:
             continue
         maxima = [c for c in cells if c.dim == cone.dim]
         if not maxima:
             out.append(f"no maximal cells over cone {cid}")
             continue
+        faces = {f.rays for m in maxima for f in m.all_faces()}
+        for a in cells:
+            if a.rays not in faces:
+                out.append(f"cell {a.rays} in {cid} is not a face of a maximal cell")
         walls = {}
         for idx, m in enumerate(maxima):
             for f in m.facets:
-                w = m.face_at([f])
-                walls.setdefault(w.rays, []).append(idx)
+                walls.setdefault(m.face_at([f]).rays, []).append((idx, f))
         adj = {i: set() for i in range(len(maxima))}
         for wrays, incident in walls.items():
-            wall = cone_from_generators(list(wrays), cone.ambient_rank)
             on_boundary = any(
                 all(la.dot(g, r) == 0 for r in wrays) for g in cone.facets
             )
             if on_boundary:
                 if len(incident) != 1:
                     out.append(f"boundary wall {wrays} in {cid} shared by {len(incident)} cells")
+            elif len(incident) != 2:
+                out.append(f"internal wall {wrays} in {cid} shared by {len(incident)} cells")
             else:
-                if len(incident) != 2:
-                    out.append(f"internal wall {wrays} in {cid} shared by {len(incident)} cells")
-                else:
-                    adj[incident[0]].add(incident[1])
-                    adj[incident[1]].add(incident[0])
+                (i, f), (j, _) = incident
+                if not any(la.dot(f, r) < 0 for r in maxima[j].rays):
+                    out.append(
+                        f"cells {maxima[i].rays} and {maxima[j].rays} in {cid} "
+                        f"lie on one side of their wall {wrays}"
+                    )
+                adj[i].add(j)
+                adj[j].add(i)
         seen = {0}
         stack = [0]
         while stack:
@@ -394,7 +441,44 @@ def verify_subdivision(sub: SubdivisionOf):
                     stack.append(j)
         if len(seen) != len(maxima):
             out.append(f"maximal cells over {cid} are not wall connected")
+        p = maxima[0].relint_point()
+        for m in maxima[1:]:
+            if m.contains(p):
+                out.append(
+                    f"point {p} of {cid} lies in cells {maxima[0].rays} and {m.rays}"
+                )
+        for i, a in enumerate(maxima):
+            for b in maxima[i + 1 :]:
+                if not _meet_in_a_face(a, b):
+                    out.append(
+                        f"cells {a.rays} and {b.rays} in {cid} do not meet in a common face"
+                    )
     return out
+
+
+def _meet_in_a_face(a: RationalCone, b: RationalCone) -> bool:
+    """Whether the cones a and b meet in a face of both.
+
+    A facet covector f of one cone that is <= 0 on every ray of the other
+    confines a and b to meet inside their faces on f = 0.  Those faces are
+    accepted when they are equal or one is the zero cone, and are tested the
+    same way otherwise (a face of a face is a face).  Only a pair that no
+    facet of either separates is intersected.
+    """
+    while a.rays != b.rays and not a.is_zero() and not b.is_zero():
+        f = _facet_beneath(a, b) or _facet_beneath(b, a)
+        if f is None:
+            cut = intersect(a, b)
+            return cut.is_face_of(a) and cut.is_face_of(b)
+        a, b = a.face_at([f]), b.face_at([f])
+    return True
+
+
+def _facet_beneath(a: RationalCone, b: RationalCone):
+    """A facet covector of a that is <= 0 on every ray of b, or None."""
+    return next(
+        (f for f in a.facets if all(la.dot(f, r) <= 0 for r in b.rays)), None
+    )
 
 
 def soundness_sample(sub: SubdivisionOf, rng, per_cone: int = 12):
@@ -435,6 +519,7 @@ def stellar_subdivide(cx: ConeComplex, cone_id: str, ray) -> SubdivisionOf:
 
     The ray is inserted together with its automorphism orbit, and the
     insertion is propagated to every cone that shares the face of the ray.
+    The result is a step, not checked; see `check_subdivision`.
     """
     cone = cx.cones[cone_id]
     ray = la.primitive(tuple(ray))
@@ -508,8 +593,10 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
 
     Covector sets are first closed under automorphisms, restriction to faces,
     and transport across shared faces (fixpoint), so the sliced fans glue.
-    When no covector slices its cone nothing is cut: the checked unrefined
-    subdivision is built once per complex and returned on every such call.
+    When no covector slices its cone nothing is cut: the unrefined
+    subdivision is built once per complex and returned on every such call,
+    so `check_subdivision` checks it once per complex.  The result is a
+    step, not checked.
     """
     covs = {cid: set() for cid in cx.cones}
     for cid, ws in covectors_by_cone.items():
@@ -608,7 +695,10 @@ def cones_cover_exactly(target: RationalCone, cells):
 
 
 def common_refinement(s1: SubdivisionOf, s2: SubdivisionOf) -> SubdivisionOf:
-    """Coarsest subdivision refining both (cells are pairwise intersections)."""
+    """Coarsest subdivision refining both (cells are pairwise intersections).
+
+    The result is a step, not checked; see `check_subdivision`.
+    """
     if s1.original is not s2.original and s1.original.cones != s2.original.cones:
         raise GeometryError("subdivisions do not share an original complex")
     cx = s1.original
@@ -635,7 +725,8 @@ def pullback_subdivision(phi: ComplexMorphism, s: SubdivisionOf) -> PullbackResu
     """Refine the source of a morphism by preimages of refined target cells.
 
     The induced morphism from the refined source to the refined target maps
-    each cone into a single cone.
+    each cone into a single cone.  The source subdivision is checked.  A
+    source cone over a target cone that is not cut is its own fan.
     """
     if phi.target is not s.original and phi.target.cones != s.original.cones:
         raise GeometryError("subdivision does not refine the morphism target")
@@ -644,13 +735,19 @@ def pullback_subdivision(phi: ComplexMorphism, s: SubdivisionOf) -> PullbackResu
     for cid in cx.ids():
         tgt, m = phi.assignments[cid]
         dom = cx.cones[cid]
+        maxima = s.max_cells_over(tgt)
+        if [c.cone for c in maxima] == [s.original.cones[tgt]]:
+            # a morphism that sends dom outside its target cone fails below,
+            # where the image of a refined cone finds no refined cell
+            fans[cid] = [dom]
+            continue
         cells = set()
-        for c in s.max_cells_over(tgt):
+        for c in maxima:
             piece = preimage_cone(m, c.cone, dom)
             if piece.dim == dom.dim:
                 cells.add(piece)
         fans[cid] = sorted(cells, key=lambda c: c.rays)
-    sub_src = _assemble(cx, fans)
+    sub_src = check_subdivision(_assemble(cx, fans))
 
     assignments = {}
     for rid in sub_src.refined.ids():
@@ -697,11 +794,13 @@ def pullback_subdivision(phi: ComplexMorphism, s: SubdivisionOf) -> PullbackResu
 def refine_until_conical(
     cx: ConeComplex, subset: ConicalSubset, unimodularize: bool = False
 ) -> SubdivisionOf:
-    """A subdivision of the complex in which the subset is a union of cones.
+    """A checked subdivision of the complex in which the subset is a union
+    of cones.
 
     Uses the arrangement of all supporting covectors (facets and span
     equations) of the pieces; optionally unimodularizes afterwards by
-    repeated stellar subdivision.
+    repeated stellar subdivision.  Only the final subdivision is checked,
+    not the steps that compose it.
     """
     covs = {}
     for host, piece in subset.pieces:
@@ -717,7 +816,7 @@ def refine_until_conical(
         check = is_union_of_cones(sub.refined, sub.transport(subset))
         if not check.ok:
             raise GeometryError("unimodularization broke the conical subset")
-    return sub
+    return check_subdivision(sub)
 
 
 def _parallelepiped_interior_point(cone: RationalCone):

@@ -1,14 +1,19 @@
-"""Independent brute-force oracles for the enumerators.
+"""Independent brute-force oracles for the library's fast paths.
 
-They share no generation or canonical labelling code with the library:
-graphs come from every genus tuple, edge multiset and leg placement, types
-from every slope vector on those graphs, and classes are told apart by
-trying every vertex bijection.  The tests compare the library against them.
+The enumeration oracles share no generation or canonical labelling code with
+the library: graphs come from every genus tuple, edge multiset and leg
+placement, types from every slope vector on those graphs, and classes are
+told apart by trying every vertex bijection.  The cone oracles find facets
+by subset enumeration and membership by Caratheodory subsets of rays, and
+the subdivision oracle intersects every pair of cells.  The tests compare
+the library against them.
 """
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
+from tropgeom import linalg as la
 from tropgeom.curves import DualGraph, check_stable_range, genus
+from tropgeom.exactgeom import RationalCone, intersect
 from tropgeom.tropmaps import (
     ContactData,
     RubberMapType,
@@ -122,3 +127,117 @@ def _isomorphic_types(a: RubberMapType, b: RubberMapType) -> bool:
         if need == have:
             return True
     return False
+
+
+def facets_bruteforce(cone: RationalCone):
+    """Facets by subset enumeration over rays (independent of the DD path)."""
+    d = cone.dim
+    if d == 0:
+        return []
+    smat = tuple(cone.span_basis)
+    coords = [la.lattice_coords(cone.span_basis, r) for r in cone.rays]
+    found = set()
+    if d == 1:
+        # single facet: the functional positive on the unique ray direction
+        w = (1,)
+        cands = [w]
+    else:
+        cands = []
+        for sub in combinations(coords, d - 1):
+            if la.rank(sub) != d - 1:
+                continue
+            ker = la.kernel_basis(tuple(sub), d)
+            if len(ker) != 1:
+                continue
+            cands.append(la.primitive(ker[0]))
+    for w in cands:
+        for orient in (w, la.vscale(-1, w)):
+            vals = [la.dot(orient, rc) for rc in coords]
+            if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
+                if la.rank([rc for rc, v in zip(coords, vals) if v == 0]) == d - 1 or d == 1:
+                    found.add(tuple(orient))
+    # lift to canonical ambient covectors exactly as the main path does
+    ann = la.kernel_basis(cone.span_basis, cone.ambient_rank)
+    hnf, pivots = la.hnf_rows(ann)
+    lifted = set()
+    for w in found:
+        c = la.solve_integer(smat, w)
+        lifted.add(tuple(la.reduce_mod_lattice(c, hnf, pivots)))
+    return sorted(lifted)
+
+
+def contains_bruteforce(cone: RationalCone, x) -> bool:
+    """Membership via Caratheodory subsets of rays (independent of facets)."""
+    if all(v == 0 for v in x):
+        return True
+    for size in range(1, cone.dim + 1):
+        for sub in combinations(cone.rays, size):
+            if la.rank(sub) != size:
+                continue
+            m = la.transpose(sub)
+            sol = la.solve(m, x)
+            if sol is None:
+                continue
+            if all(c >= 0 for c in sol):
+                return True
+    return False
+
+
+def verify_subdivision_pairwise(sub):
+    """Check that the refined cells partition every original cone.
+
+    Every pair of cells over each original cone, faces included, is
+    intersected and must meet in a common face; inside each original cone
+    the maximal cells must form a fan whose internal walls are shared by
+    exactly two cells, whose boundary walls lie on the boundary of the cone,
+    and whose dual graph is connected.
+    """
+    out = []
+    for cid in sub.original.ids():
+        cone = sub.original.cones[cid]
+        cells = [c.cone for c in sub.cells_over(cid)]
+        for a in cells:
+            if not cone.contains_cone(a):
+                out.append(f"cell {a.rays} pokes out of cone {cid}")
+        for i, a in enumerate(cells):
+            for b in cells[i + 1 :]:
+                cut = intersect(a, b)
+                if not (cut.is_face_of(a) and cut.is_face_of(b)):
+                    out.append(
+                        f"cells {a.rays} and {b.rays} in {cid} do not meet in a common face"
+                    )
+        if cone.dim == 0:
+            continue
+        maxima = [c for c in cells if c.dim == cone.dim]
+        if not maxima:
+            out.append(f"no maximal cells over cone {cid}")
+            continue
+        walls = {}
+        for idx, m in enumerate(maxima):
+            for f in m.facets:
+                w = m.face_at([f])
+                walls.setdefault(w.rays, []).append(idx)
+        adj = {i: set() for i in range(len(maxima))}
+        for wrays, incident in walls.items():
+            on_boundary = any(
+                all(la.dot(g, r) == 0 for r in wrays) for g in cone.facets
+            )
+            if on_boundary:
+                if len(incident) != 1:
+                    out.append(f"boundary wall {wrays} in {cid} shared by {len(incident)} cells")
+            else:
+                if len(incident) != 2:
+                    out.append(f"internal wall {wrays} in {cid} shared by {len(incident)} cells")
+                else:
+                    adj[incident[0]].add(incident[1])
+                    adj[incident[1]].add(incident[0])
+        seen = {0}
+        stack = [0]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != len(maxima):
+            out.append(f"maximal cells over {cid} are not wall connected")
+    return out

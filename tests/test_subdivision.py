@@ -2,6 +2,7 @@ import random
 
 import pytest
 from conftest import moduli_cached
+from oracles import verify_subdivision_pairwise
 
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
@@ -15,12 +16,14 @@ from tropgeom.complexes import (
     validate_morphism,
 )
 from tropgeom import subdivision
-from tropgeom.pipeline import contact_types
+from tropgeom.curves import build_moduli_complex
+from tropgeom.pipeline import contact_types, single_factor_run
 from tropgeom.subdivision import (
     RayOutside,
     _assemble,
     _glue_fans,
     _unrefined,
+    check_subdivision,
     cones_cover_exactly,
     common_refinement,
     compose_subdivisions,
@@ -188,6 +191,34 @@ class TestPullback:
         assert pb.refined_map.target.cones[tgt].dim == 1
         assert all(r.passed for r in check_weak_semistable(pb.refined_map))
 
+    def test_uncut_target_cones_need_no_preimage(self, orthant3, monkeypatch):
+        cx, top = orthant3
+        ident = ComplexMorphism(
+            cx, cx, {cid: (cid, eg.LinearMap.identity(3)) for cid in cx.ids()}
+        )
+        calls = []
+        preimage = subdivision.preimage_cone
+        monkeypatch.setattr(
+            subdivision, "preimage_cone", lambda *a: calls.append(a) or preimage(*a)
+        )
+        pb = pullback_subdivision(ident, hyperplane_refine(cx, {}))
+        assert pb.subdivision.is_identity() and calls == []
+        # a cut target cone still pulls its cells back
+        pullback_subdivision(ident, stellar_subdivide(cx, top, (1, 1, 1)))
+        assert calls
+
+    def test_morphism_off_an_uncut_target_fails(self, orthant2):
+        cx, top = orthant2
+        ray = eg.cone_from_generators([(1,)], 1)
+        rcx, rids = complex_from_fan([ray], 1)
+        off = eg.LinearMap(((1,), (-1,)), 1, 2)
+        ids = {c.rays: cid for cid, c in cx.cones.items()}
+        phi = ComplexMorphism(
+            rcx, cx, {rids[ray.rays]: (top, off), rids[()]: (ids[()], off)}
+        )
+        with pytest.raises(eg.GeometryError, match="is not in a refined cell"):
+            pullback_subdivision(phi, hyperplane_refine(cx, {}))
+
     def test_sum_map_identity_pullback(self, orthant3):
         cx, top = orthant3
         ray = eg.cone_from_generators([(1,)], 1)
@@ -311,8 +342,9 @@ class TestUnrefined:
             eg.cone_from_generators([(1, 0), (1, 2)]),
             eg.cone_from_generators([(1, 1), (0, 1)]),
         ]
+        sub = _assemble(cx, {top: fan})
         with pytest.raises(eg.GeometryError, match="not well glued"):
-            _assemble(cx, {top: fan})
+            check_subdivision(sub)
 
     def test_built_and_checked_once_per_complex(self, orthant3):
         cx, top = orthant3
@@ -362,3 +394,144 @@ class TestFixpointDiagnostics:
         message = str(info.value)
         assert "in 1 rounds" in message
         assert f"cones ['{face}']" in message
+
+
+def _fan_cases():
+    g = eg.cone_from_generators
+    e1, e2, e3 = la.identity_matrix(3)
+    d = (1, 1, 0)
+    return {
+        # the cells (e1, (1, 2)) and ((1, 1), e2) overlap between their inner rays
+        "overlap": (
+            [(1, 0), (0, 1)],
+            {(): [g([(1, 0), (1, 2)]), g([(1, 1), (0, 1)])]},
+            "lies in cells",
+        ),
+        "gap": (
+            [(1, 0), (0, 1)],
+            {(): [g([(1, 0), (1, 1)]), g([(1, 2), (0, 1)])]},
+            "shared by 1 cells",
+        ),
+        # every wall is in two cells, but the middle cell folds back over
+        # both neighbours: three cells cover the middle of the orthant
+        "one side of a wall": (
+            [(1, 0), (0, 1)],
+            {(): [g([(1, 0), (1, 2)]), g([(2, 1), (1, 2)]), g([(2, 1), (0, 1)])]},
+            "lie on one side of their wall",
+        ),
+        # the wall (d, e3) between x1 >= x2 and x2 >= x1 is split at (1, 1, 1)
+        # on the second side only
+        "T-junction": (
+            [e1, e2, e3],
+            {
+                (): [
+                    g([e1, d, e3]),
+                    g([d, e2, (1, 1, 1)]),
+                    g([(1, 1, 1), e2, e3]),
+                ],
+                (e1, e2): [g([e1, d]), g([d, e2])],
+            },
+            "shared by 1 cells",
+        ),
+    }
+
+
+class TestBrokenFans:
+    @pytest.mark.parametrize("case", list(_fan_cases()))
+    def test_rejected_by_the_certificate_and_the_oracle(self, case):
+        gens, fans_by_face, certificate_finds = _fan_cases()[case]
+        cone = eg.cone_from_generators(gens, len(gens))
+        cx, ids = complex_from_fan([cone], len(gens))
+        # fans are keyed by the face's generators, () standing for the cone
+        fans = {
+            ids[eg.cone_from_generators(face or gens, len(gens)).rays]: fan
+            for face, fan in fans_by_face.items()
+        }
+        sub = _assemble(cx, fans)
+        assert any(certificate_finds in p for p in verify_subdivision(sub))
+        assert verify_subdivision_pairwise(sub) != []
+        with pytest.raises(eg.GeometryError, match="not well glued"):
+            check_subdivision(sub)
+        assert not sub._checked
+
+
+class TestCheckedOnce:
+    def test_a_checked_subdivision_is_not_checked_again(self, orthant3, monkeypatch):
+        cx, top = orthant3
+        step = stellar_subdivide(cx, top, (1, 1, 1))
+        seen = []
+        verify = subdivision.verify_subdivision
+        monkeypatch.setattr(
+            subdivision, "verify_subdivision", lambda s: seen.append(s) or verify(s)
+        )
+        assert check_subdivision(step) is step
+        assert check_subdivision(step) is step
+        assert seen == [step]
+
+    def test_unimodular_run_checks_each_subdivision_once(self, monkeypatch):
+        seen, steps = [], []
+        verify = subdivision.verify_subdivision
+        stellar = subdivision.stellar_subdivide
+        monkeypatch.setattr(
+            subdivision, "verify_subdivision", lambda s: seen.append(s) or verify(s)
+        )
+        monkeypatch.setattr(
+            subdivision,
+            "stellar_subdivide",
+            lambda *a: steps.append(stellar(*a)) or steps[-1],
+        )
+        report = single_factor_run(1, 3, (3, 0, -3), unimodularize=True)
+        assert report.all_passed
+        assert steps, "the run unimodularizes by stellar steps"
+        assert len({id(s) for s in seen}) == len(seen)
+        assert not any(s is t for s in seen for t in steps)
+        assert any(s is report.subdivision_data for s in seen)
+
+
+# contact vectors of degree at most 3 on M_{1,3}, up to permuting the markings
+M13_VECTORS = [
+    (0, 0, 0), (1, 0, -1), (2, 0, -2), (2, -1, -1),
+    (1, 1, -2), (3, 0, -3), (3, -1, -2), (2, 1, -3),
+]
+
+
+class TestCertificateAgainstOracle:
+    """The wall certificate and the all-pairs oracle agree on the checked Γ
+    and pullbacks of the unimodularized runs."""
+
+    def _checked_in(self, monkeypatch, run):
+        checked = []
+        check = subdivision.check_subdivision
+        monkeypatch.setattr(
+            subdivision, "check_subdivision", lambda s: checked.append(s) or check(s)
+        )
+        report = run()
+        assert report.all_passed
+        assert any(s is report.subdivision_data for s in checked)
+        return checked
+
+    def _agree(self, subs):
+        for sub in {id(s): s for s in subs}.values():
+            assert verify_subdivision(sub) == []
+            assert verify_subdivision_pairwise(sub) == []
+
+    def test_genus_two_worked_example(self, monkeypatch):
+        base = build_moduli_complex(2, 2, 3)
+        checked = self._checked_in(
+            monkeypatch,
+            lambda: single_factor_run(
+                2, 2, (3, -3), unimodularize=True, max_edges=3, base=base
+            ),
+        )
+        assert len(checked) == 2  # Γ and the pullback of the map complex
+        self._agree(checked)
+
+    @pytest.mark.parametrize("a", M13_VECTORS)
+    def test_unimodular_m13(self, a, monkeypatch):
+        base = moduli_cached(1, 3)
+        self._agree(
+            self._checked_in(
+                monkeypatch,
+                lambda: single_factor_run(1, 3, a, unimodularize=True, base=base),
+            )
+        )
