@@ -2,8 +2,9 @@
 
 Cones carry both extremal primitive rays and a canonical facet description,
 computed by incremental double description (Motzkin style insertion with a
-combinatorial adjacency test).  All values are immutable after construction
-and all arithmetic is exact.
+combinatorial adjacency test, on integers only: Bareiss, Math. Comp. 22,
+1968; Fukuda-Prodon, LNCS 1120, 1996).  All values are immutable after
+construction and all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -85,11 +86,18 @@ class LinearMap:
         )
 
 
+def _combine(s, x, t, y) -> Vec:
+    """The primitive vector along s*x - t*y (fraction-free elimination)."""
+    return la.primitive([s * p - t * q for p, q in zip(x, y)])
+
+
 def _insert_halfspace(lin, rays, a, index, n_inserted):
     """One double description step: intersect (lin, rays) with {a >= 0}.
 
     lin is a list of lineality basis vectors, rays a list of [vector, zeroset]
-    pairs.  Returns the updated pair.
+    pairs.  Returns the updated pair.  All arithmetic is on integers: a
+    vector x is projected along the pivot direction b onto {a = 0} as the
+    primitive vector of (a.b) x - (a.x) b.
     """
     vals = [la.dot(a, b) for b in lin]
     pivot = next((i for i, v in enumerate(vals) if v != 0), None)
@@ -99,17 +107,12 @@ def _insert_halfspace(lin, rays, a, index, n_inserted):
         if vb < 0:
             b = la.vscale(-1, b)
             vb = -vb
-        new_lin = []
-        for i, l in enumerate(lin):
-            if i == pivot:
-                continue
-            proj = tuple(Fraction(x) - Fraction(vals[i], vb) * y for x, y in zip(l, b))
-            new_lin.append(la.clear_denominators(proj))
+        new_lin = [
+            _combine(vb, l, vals[i], b) for i, l in enumerate(lin) if i != pivot
+        ]
         new_rays = []
         for r, zs in rays:
-            vr = la.dot(a, r)
-            proj = tuple(Fraction(x) - Fraction(vr, vb) * y for x, y in zip(r, b))
-            projv = la.clear_denominators(proj)
+            projv = _combine(vb, r, la.dot(a, r), b)
             if any(projv):
                 new_rays.append([projv, zs | {index}])
         # the pivot lineality direction survives as an extreme ray on the >= 0 side
@@ -140,8 +143,7 @@ def _insert_halfspace(lin, rays, a, index, n_inserted):
         )
         if not adjacent:
             continue
-        comb = la.vsub(la.vscale(vp, rn), la.vscale(vn, rp))
-        comb = la.primitive(comb)
+        comb = _combine(vp, rn, vn, rp)
         if any(comb):
             kept.append([comb, common | {index}])
     # dedupe rays that coincide after combination
@@ -389,12 +391,23 @@ def cone_from_generators(vectors, ambient_rank: int | None = None) -> RationalCo
     return cone
 
 
+_system_cache: dict = {}
+
+
 def cone_from_inequalities(ineqs, eqns, ambient_rank: int) -> RationalCone:
-    """The pointed cone {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqns}."""
-    lin, rays = extreme_rays_of_system(ineqs, eqns, ambient_rank)
-    if lin:
-        raise NotPointed("inequality system has a nontrivial lineality space")
-    return cone_from_generators(rays, ambient_rank)
+    """The pointed cone {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqns}.
+
+    Results are cached under the exact system, in the given order.
+    """
+    key = (ambient_rank, tuple(map(tuple, ineqs)), tuple(map(tuple, eqns)))
+    cone = _system_cache.get(key)
+    if cone is None:
+        lin, rays = extreme_rays_of_system(key[1], key[2], ambient_rank)
+        if lin:
+            raise NotPointed("inequality system has a nontrivial lineality space")
+        cone = cone_from_generators(rays, ambient_rank)
+        _system_cache[key] = cone
+    return cone
 
 
 _intersect_cache: dict = {}
@@ -455,7 +468,7 @@ def lattice_surjective(f: LinearMap, c: RationalCone, target: RationalCone) -> b
         assert coords is not None
         cols.append(coords)
     m = la.transpose(tuple(cols))
-    diag, *_ = la.smith_normal_form(m, len(b1))
+    diag = la.smith_factors(m, len(b1))[0]
     nonzero = [d for d in diag if d != 0]
     return len(nonzero) == len(b2) and all(d == 1 for d in nonzero)
 

@@ -1,14 +1,19 @@
-"""Exact integer and rational linear algebra on tuples.
+"""Exact integer linear algebra on tuples.
 
-Vectors are tuples of ints (or Fractions, for sampled points); matrices are
-tuples of row tuples.  Everything here is arbitrary precision, there is no
-floating point anywhere in the package.
+Vectors are tuples of ints; matrices are tuples of row tuples.  Everything
+here is integer and arbitrary precision: there is no floating point anywhere
+in the package, and no Fraction outside the sampled points of
+`exactgeom.sample_points`.  Each matrix is put in Smith form once: the
+factorisation is kept by `smith_factors`, which `solve_integer`,
+`lattice_coords`, `projection_to_lattice`, `invert_unimodular` and
+`kernel_basis` share.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 Vec = tuple  # tuple of ints (covectors and lattice points alike)
 Mat = tuple  # tuple of row tuples
@@ -29,17 +34,12 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in v)
 
 
-def clear_denominators(v) -> Vec:
-    """Scale a rational vector to a primitive integer vector."""
-    denom = 1
-    for x in v:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    ints = tuple(int(Fraction(x) * denom) for x in v)
-    return primitive(ints)
-
-
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        # a ragged pair raises the ValueError zip(strict=True) raises
+        side = "shorter" if len(v) < len(u) else "longer"
+        raise ValueError(f"zip() argument 2 is {side} than argument 1")
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -69,9 +69,6 @@ def transpose(m: Mat) -> Mat:
     if not m:
         return ()
     return tuple(zip(*m))
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -108,50 +105,32 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q.  Returns (pivot columns, rref rows)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return pivots, [tuple(row) for row in m[:r]]
-
-
 def rank(rows) -> int:
-    if not rows:
+    """Rank over Q, by fraction-free (Bareiss) elimination.
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact.
+    """
+    a = [list(row) for row in rows]
+    if not a:
         return 0
-    return len(_rref(rows)[0])
-
-
-def solve(mat: Mat, target) -> tuple | None:
-    """One rational solution x of mat * x = target, or None."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    if nrows == 0:
-        return (Fraction(0),) * ncols
-    aug = [tuple(row) + (t,) for row, t in zip(mat, target, strict=True)]
-    pivots, red = _rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for pc, row in zip(pivots, red):
-        x[pc] = row[-1]
-    return tuple(x)
+    r = 0
+    prev = 1
+    for c in range(len(a[0])):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        top = a[r]
+        piv = top[c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = piv
+        r += 1
+        if r == len(a):
+            break
+    return r
 
 
 def smith_normal_form(mat: Mat, ncols: int | None = None):
@@ -260,11 +239,22 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
     return diag, to_t(u), to_t(uinv), to_t(v), to_t(vinv)
 
 
+@lru_cache(maxsize=4096)
+def smith_factors(mat: Mat, ncols: int):
+    """The Smith form of a matrix, computed once per matrix.
+
+    Returns (diag, u, v) with u*mat*v diagonal, as `smith_normal_form`
+    gives them; mat must be a tuple of row tuples.
+    """
+    diag, u, _, v, _ = smith_normal_form(mat, ncols)
+    return tuple(diag), u, v
+
+
 def kernel_basis(mat: Mat, ncols: int):
     """Basis of the saturated lattice {x in Z^ncols : mat * x = 0}."""
     if not mat:
         return [tuple(identity_matrix(ncols)[i]) for i in range(ncols)]
-    diag, _, _, v, _ = smith_normal_form(mat)
+    diag, _, v = smith_factors(mat, len(mat[0]))
     r = sum(1 for d in diag if d != 0)
     cols = transpose(v)
     return [tuple(cols[j]) for j in range(r, ncols)]
@@ -285,7 +275,7 @@ def solve_integer(mat: Mat, target):
     ncols = len(mat[0]) if mat else 0
     if nrows == 0:
         return (0,) * ncols
-    diag, u, _, v, _ = smith_normal_form(mat)
+    diag, u, v = smith_factors(mat, ncols)
     c = mat_vec(u, target)
     y = [0] * ncols
     for i in range(nrows):
@@ -374,13 +364,15 @@ def projection_to_lattice(basis_rows, ambient: int) -> Mat:
 
 
 def invert_unimodular(m: Mat) -> Mat:
-    """Inverse of a unimodular integer matrix (integer entries)."""
+    """Inverse of a unimodular integer matrix (integer entries).
+
+    From the Smith form u*m*v = 1 the inverse is v*u.  (For a wide matrix
+    whose diagonal is all ones this is the right inverse v[:, :n]*u.)
+    """
     n = len(m)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        x = solve_integer(m, e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    return transpose(tuple(cols)) if n else ()
+    if n == 0:
+        return ()
+    diag, u, v = smith_factors(m, len(m[0]))
+    if len(diag) != n or any(d != 1 for d in diag):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(tuple(row[:n] for row in v), u)

@@ -17,6 +17,7 @@ worked example.  `stellar_subdivide`, `hyperplane_refine` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from . import linalg as la
@@ -610,6 +611,8 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
         return cx._unrefined
 
     added = {}  # cone id -> covectors added to it in the current round
+    # a fixed face order: which covectors the fixpoint lifts depends on it
+    faces = sorted(cx.faces, key=lambda f: (f.sub, f.sup, f.map.matrix))
 
     def add(cid, w):
         covs[cid].add(w)
@@ -624,7 +627,7 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
                     w2 = _canon_covector(la.mat_vec(gt, w))
                     if _slices(cx.cones[cid], w2) and w2 not in covs[cid]:
                         add(cid, w2)
-        for f in cx.faces:
+        for f in faces:
             mt = la.transpose(f.map.matrix)
             sub_cone = cx.cones[f.sub]
             # restrict covectors of the big cone to the face
@@ -820,24 +823,31 @@ def refine_until_conical(
 
 
 def _parallelepiped_interior_point(cone: RationalCone):
-    """A minimal interior lattice point of the fundamental cell of a simplicial cone."""
-    from fractions import Fraction
-    from itertools import product
+    """A minimal interior lattice point of the fundamental cell of a simplicial cone.
 
+    The lattice points sum(l_i r_i), 0 <= l_i < 1, of the cell are the k
+    elements of Z^d / <rays>, where k is the lattice index.  With the rays'
+    coordinates as the columns of R and u*R*v = diag(d_1, ..., d_d) its Smith
+    form, the class of y (0 <= y_i < d_i) has k*l = v*(y_i*k/d_i) mod k.
+    Returns the point with every l_i > 0 that minimises (k*sum(l), point),
+    or None when there is none.
+    """
     k = cone.lattice_index()
-    d = len(cone.rays)
+    coords = tuple(la.lattice_coords(cone.span_basis, r) for r in cone.rays)
+    diag, _, v = la.smith_factors(la.transpose(coords), len(coords))
     best = None
-    for combo in product(range(1, k), repeat=d):
-        coords = [Fraction(a, k) for a in combo]
+    for y in product(*(range(d) for d in diag)):
+        scaled = tuple(yi * (k // d) for yi, d in zip(y, diag))
+        combo = tuple(x % k for x in la.mat_vec(v, scaled))
+        if 0 in combo:
+            continue
         pt = tuple(
-            sum(c * r[i] for c, r in zip(coords, cone.rays))
+            sum(c * r[i] for c, r in zip(combo, cone.rays)) // k
             for i in range(cone.ambient_rank)
         )
-        if all(x.denominator == 1 for x in pt):
-            ipt = tuple(int(x) for x in pt)
-            key = (sum(combo), ipt)
-            if best is None or key < best:
-                best = key
+        key = (sum(combo), pt)
+        if best is None or key < best:
+            best = key
     return None if best is None else best[1]
 
 

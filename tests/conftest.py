@@ -32,6 +32,6 @@ def moduli_cached(g, n):
     return _base_cache[(g, n)]
 
 
-# subdivisions produced while the acceptance criteria run; criterion 5 replays
-# the support partition property on every one of them
+# subdivisions other tests produce; criterion 5 re-verifies the support
+# partition property on every one of them, beside those of criteria 1 to 3
 produced_subdivisions = []

@@ -5,11 +5,16 @@ the library: graphs come from every genus tuple, edge multiset and leg
 placement, types from every slope vector on those graphs, and classes are
 told apart by trying every vertex bijection.  The cone oracles find facets
 by subset enumeration and membership by Caratheodory subsets of rays, and
-the subdivision oracle intersects every pair of cells.  The tests compare
-the library against them.
+the subdivision oracle intersects every pair of cells.  The exact kernel's
+earlier paths are kept as oracles too: rational elimination, a Smith form
+per solve, column-by-column inversion, double description through Fraction
+projections and the box point scan.  The tests compare the library against
+them.
 """
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import gcd
 
 from tropgeom import linalg as la
 from tropgeom.curves import DualGraph, check_stable_range, genus
@@ -175,7 +180,7 @@ def contains_bruteforce(cone: RationalCone, x) -> bool:
             if la.rank(sub) != size:
                 continue
             m = la.transpose(sub)
-            sol = la.solve(m, x)
+            sol = solve(m, x)
             if sol is None:
                 continue
             if all(c >= 0 for c in sol):
@@ -241,3 +246,204 @@ def verify_subdivision_pairwise(sub):
         if len(seen) != len(maxima):
             out.append(f"maximal cells over {cid} are not wall connected")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel's earlier paths
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q.  Returns (pivot columns, rref rows)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots, [tuple(row) for row in m[:r]]
+
+
+def rank_rational(rows) -> int:
+    """Rank by rational row reduction."""
+    if not rows:
+        return 0
+    return len(_rref(rows)[0])
+
+
+def solve(mat, target):
+    """One rational solution x of mat * x = target, or None."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    if nrows == 0:
+        return (Fraction(0),) * ncols
+    aug = [tuple(row) + (t,) for row, t in zip(mat, target, strict=True)]
+    pivots, red = _rref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for pc, row in zip(pivots, red):
+        x[pc] = row[-1]
+    return tuple(x)
+
+
+def dot_zip(u, v):
+    """The dot product through zip(strict=True)."""
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def solve_integer_fresh(mat, target):
+    """One integer solution x of mat * x = target, or None, from a Smith
+    form computed for this call alone."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    if nrows == 0:
+        return (0,) * ncols
+    diag, u, _, v, _ = la.smith_normal_form(mat)
+    c = la.mat_vec(u, target)
+    y = [0] * ncols
+    for i in range(nrows):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    return la.mat_vec(v, tuple(y))
+
+
+def invert_unimodular_by_columns(m):
+    """Inverse of a unimodular integer matrix, one solve per column."""
+    n = len(m)
+    cols = []
+    for j in range(n):
+        e = tuple(1 if i == j else 0 for i in range(n))
+        x = solve_integer_fresh(m, e)
+        if x is None:
+            raise ValueError("matrix is not unimodular")
+        cols.append(x)
+    return la.transpose(tuple(cols)) if n else ()
+
+
+def clear_denominators(v):
+    """Scale a rational vector to a primitive integer vector."""
+    denom = 1
+    for x in v:
+        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
+    ints = tuple(int(Fraction(x) * denom) for x in v)
+    return la.primitive(ints)
+
+
+def _insert_halfspace_fraction(lin, rays, a, index, n_inserted):
+    """One double description step, projecting the lineality space through
+    Fraction arithmetic."""
+    vals = [la.dot(a, b) for b in lin]
+    pivot = next((i for i, v in enumerate(vals) if v != 0), None)
+    if pivot is not None:
+        b = lin[pivot]
+        vb = vals[pivot]
+        if vb < 0:
+            b = la.vscale(-1, b)
+            vb = -vb
+        new_lin = []
+        for i, l in enumerate(lin):
+            if i == pivot:
+                continue
+            proj = tuple(Fraction(x) - Fraction(vals[i], vb) * y for x, y in zip(l, b))
+            new_lin.append(clear_denominators(proj))
+        new_rays = []
+        for r, zs in rays:
+            vr = la.dot(a, r)
+            proj = tuple(Fraction(x) - Fraction(vr, vb) * y for x, y in zip(r, b))
+            projv = clear_denominators(proj)
+            if any(projv):
+                new_rays.append([projv, zs | {index}])
+        new_rays.append([la.primitive(b), frozenset(range(n_inserted))])
+        return new_lin, new_rays
+
+    pos, zero, neg = [], [], []
+    for r, zs in rays:
+        v = la.dot(a, r)
+        if v > 0:
+            pos.append([r, zs, v])
+        elif v < 0:
+            neg.append([r, zs, v])
+        else:
+            zero.append([r, zs | {index}])
+    if not neg:
+        return lin, [[r, zs] for r, zs, _ in pos] + zero
+    if not pos and not zero and not lin:
+        return lin, []
+    kept = [[r, zs] for r, zs, _ in pos] + zero
+    all_zerosets = [zs for _, zs, _ in pos] + [zs for _, zs in zero] + [
+        zs for _, zs, _ in neg
+    ]
+    for (rp, zp, vp), (rn, zn, vn) in [(p, n) for p in pos for n in neg]:
+        common = zp & zn
+        adjacent = not any(
+            zs >= common for zs in all_zerosets if zs is not zp and zs is not zn
+        )
+        if not adjacent:
+            continue
+        comb = la.primitive(la.vsub(la.vscale(vp, rn), la.vscale(vn, rp)))
+        if any(comb):
+            kept.append([comb, common | {index}])
+    seen = {}
+    for r, zs in kept:
+        if r in seen:
+            seen[r] = seen[r] | zs
+        else:
+            seen[r] = zs
+    return lin, [[r, zs] for r, zs in seen.items()]
+
+
+def extreme_rays_of_system_fraction(ineqs, eqns, rank: int):
+    """`exactgeom.extreme_rays_of_system` on the Fraction insertion step."""
+    lin = [tuple(la.identity_matrix(rank)[i]) for i in range(rank)]
+    rays = []
+    constraints = []
+    for e in eqns:
+        constraints.append(tuple(e))
+        constraints.append(tuple(-x for x in e))
+    constraints.extend(tuple(a) for a in ineqs)
+    inserted = 0
+    for c in constraints:
+        if not any(c):
+            continue
+        lin, rays = _insert_halfspace_fraction(lin, rays, c, inserted, inserted)
+        inserted += 1
+    return lin, [r for r, _ in rays]
+
+
+def parallelepiped_interior_point_scan(cone: RationalCone):
+    """A minimal interior lattice point of the fundamental cell of a
+    simplicial cone, by scanning all (k-1)^d rational combinations."""
+    k = cone.lattice_index()
+    d = len(cone.rays)
+    best = None
+    for combo in product(range(1, k), repeat=d):
+        coords = [Fraction(a, k) for a in combo]
+        pt = tuple(
+            sum(c * r[i] for c, r in zip(coords, cone.rays))
+            for i in range(cone.ambient_rank)
+        )
+        if all(x.denominator == 1 for x in pt):
+            ipt = tuple(int(x) for x in pt)
+            key = (sum(combo), ipt)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1]

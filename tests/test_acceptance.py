@@ -74,6 +74,37 @@ def contact_vectors(n, max_degree):
     return seen
 
 
+# the subdivisions of criteria 1 to 3, by criterion, set when a criterion
+# passes; criterion 5 re-verifies them and builds those that are missing
+criterion_subdivisions = {}
+
+
+def _lemma_suite_runs():
+    """Criterion 2's runs, as (input, report) pairs."""
+    for g, n in STABLE_RANGE:
+        base = moduli_cached(g, n)
+        vectors = contact_vectors(n, 3)
+        for a in vectors:
+            yield (g, n, a), single_factor_run(g, n, a, base=base)
+        # two factor data, total contact degree at most three, up to swap
+        pairs = [
+            (a1, a2)
+            for a1, a2 in combinations_with_replacement(vectors, 2)
+            if sum(x for x in a1 if x > 0) + sum(x for x in a2 if x > 0) <= 3
+        ]
+        for a1, a2 in pairs:
+            yield (g, n, a1, a2), product_run(g, n, a1, a2, base=base)
+
+
+def _nu_runs():
+    """Criterion 3's runs, as (input, report) pairs."""
+    for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (1, 3)]:
+        base = moduli_cached(g, n)
+        vectors = contact_vectors(n, 2)
+        for a1, a2 in combinations_with_replacement(vectors, 2):
+            yield (g, n, a1, a2), product_run(g, n, a1, a2, base=base)
+
+
 def test_criterion_1_figure_one_regression():
     t0 = time.time()
     report = figure1_demo()
@@ -92,55 +123,36 @@ def test_criterion_1_figure_one_regression():
     assert lattice_checks and all(c.passed for c in lattice_checks)
     assert report.all_passed
     assert elapsed < 5.0
-    produced_subdivisions.append(report.subdivision_data)
+    criterion_subdivisions[1] = [report.subdivision_data]
     print(f"\n[criterion 1] PASS figure one regression ({elapsed:.2f}s)")
 
 
 def test_criterion_2_lemma_suite():
     t0 = time.time()
-    runs = 0
-    for g, n in STABLE_RANGE:
-        base = moduli_cached(g, n)
-        vectors = contact_vectors(n, 3)
-        for a in vectors:
-            report = single_factor_run(g, n, a, base=base)
-            assert report.all_passed, (g, n, a)
-            produced_subdivisions.append(report.subdivision_data)
-            runs += 1
-        # two factor data, total contact degree at most three, up to swap
-        pairs = [
-            (a1, a2)
-            for a1, a2 in combinations_with_replacement(vectors, 2)
-            if sum(x for x in a1 if x > 0) + sum(x for x in a2 if x > 0) <= 3
-        ]
-        for a1, a2 in pairs:
-            report = product_run(g, n, a1, a2, base=base)
-            assert report.all_passed, (g, n, a1, a2)
-            produced_subdivisions.append(report.subdivision_data)
-            runs += 1
+    subs = []
+    for key, report in _lemma_suite_runs():
+        assert report.all_passed, key
+        subs.append(report.subdivision_data)
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    print(f"\n[criterion 2] PASS lemma suite ({runs} runs, {elapsed:.1f}s)")
+    criterion_subdivisions[2] = subs
+    print(f"\n[criterion 2] PASS lemma suite ({len(subs)} runs, {elapsed:.1f}s)")
 
 
 def test_criterion_3_nu_subdivision_check():
     t0 = time.time()
-    runs = 0
-    for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (1, 3)]:
-        base = moduli_cached(g, n)
-        vectors = contact_vectors(n, 2)
-        for a1, a2 in combinations_with_replacement(vectors, 2):
-            report = product_run(g, n, a1, a2, base=base)
-            cover = [c for c in report.checks if "cover fiber product" in c.name]
-            disjoint = [c for c in report.checks if "interiors disjoint" in c.name]
-            inside = [c for c in report.checks if "inside fiber product" in c.name]
-            assert all(c.passed for c in cover + disjoint + inside), (g, n, a1, a2)
-            assert report.all_passed, (g, n, a1, a2)
-            produced_subdivisions.append(report.subdivision_data)
-            runs += 1
+    subs = []
+    for key, report in _nu_runs():
+        cover = [c for c in report.checks if "cover fiber product" in c.name]
+        disjoint = [c for c in report.checks if "interiors disjoint" in c.name]
+        inside = [c for c in report.checks if "inside fiber product" in c.name]
+        assert all(c.passed for c in cover + disjoint + inside), key
+        assert report.all_passed, key
+        subs.append(report.subdivision_data)
     elapsed = time.time() - t0
     assert elapsed < 120.0
-    print(f"\n[criterion 3] PASS nu subdivision check ({runs} runs, {elapsed:.1f}s)")
+    criterion_subdivisions[3] = subs
+    print(f"\n[criterion 3] PASS nu subdivision check ({len(subs)} runs, {elapsed:.1f}s)")
 
 
 def test_criterion_4_oracle_equivalence():
@@ -180,7 +192,29 @@ def test_criterion_4_oracle_equivalence():
     )
 
 
-def test_criterion_5_geometry_kernel_properties():
+@pytest.fixture
+def criteria_subdivisions():
+    """Every subdivision criteria 1 to 3 produce, in that order, followed by
+    those other tests left in `produced_subdivisions`.  A criterion that has
+    not passed in this session has its runs made here."""
+    runs = {
+        1: lambda: [((), figure1_demo())],
+        2: _lemma_suite_runs,
+        3: _nu_runs,
+    }
+    for criterion, make in runs.items():
+        if criterion not in criterion_subdivisions:
+            subs = []
+            for key, report in make():
+                assert report.all_passed, key
+                subs.append(report.subdivision_data)
+            criterion_subdivisions[criterion] = subs
+    return [sub for c in (1, 2, 3) for sub in criterion_subdivisions[c]] + list(
+        produced_subdivisions
+    )
+
+
+def test_criterion_5_geometry_kernel_properties(criteria_subdivisions):
     t0 = time.time()
     rng = random.Random(515151)
     # double description against the subset enumeration oracle
@@ -212,12 +246,11 @@ def test_criterion_5_geometry_kernel_properties():
     # support partition property on every subdivision produced above: the
     # wall certificate and the all-pairs oracle once per object (both are
     # deterministic), the sampled check on every run's subdivision
-    assert produced_subdivisions, "criteria 1 to 3 must run before criterion 5"
-    distinct = list({id(sub): sub for sub in produced_subdivisions}.values())
+    distinct = list({id(sub): sub for sub in criteria_subdivisions}.values())
     for sub in distinct:
         assert verify_subdivision(sub) == []
         assert verify_subdivision_pairwise(sub) == []
-    for sub in produced_subdivisions:
+    for sub in criteria_subdivisions:
         soundness_sample(sub, rng, per_cone=4)
     elapsed = time.time() - t0
     print(

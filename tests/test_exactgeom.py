@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cone
-from oracles import contains_bruteforce, facets_bruteforce
+from oracles import (
+    contains_bruteforce,
+    extreme_rays_of_system_fraction,
+    facets_bruteforce,
+)
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 
@@ -219,3 +223,56 @@ def test_duality_property(data):
     assert eg.cone_from_generators(c.rays, rank) == c
     for g in gens:
         assert c.contains(g)
+
+
+@st.composite
+def inequality_systems(draw):
+    rank = draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(*[st.integers(min_value=-3, max_value=3)] * rank)
+    ineqs = draw(st.lists(row, max_size=6))
+    eqns = draw(st.lists(row, max_size=2))
+    return ineqs, eqns, rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(inequality_systems())
+def test_integer_double_description_matches_fraction_projections(system):
+    """The fraction-free insertion step gives the same lineality basis and
+    the same rays, in the same order, as the Fraction one it replaced."""
+    ineqs, eqns, rank = system
+    assert eg.extreme_rays_of_system(ineqs, eqns, rank) == (
+        extreme_rays_of_system_fraction(ineqs, eqns, rank)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(inequality_systems())
+def test_cone_from_inequalities_cache(system):
+    ineqs, eqns, rank = system
+    lin, rays = extreme_rays_of_system_fraction(ineqs, eqns, rank)
+    if lin:
+        for _ in range(2):
+            with pytest.raises(eg.NotPointed):
+                eg.cone_from_inequalities(ineqs, eqns, rank)
+        return
+    want = eg.cone_from_generators(rays, rank)
+    first = eg.cone_from_inequalities(ineqs, eqns, rank)
+    assert first == want
+    assert eg.cone_from_inequalities(iter(ineqs), iter(eqns), rank) is first
+
+
+def test_double_description_builds_no_fraction(monkeypatch):
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    # equations and inequalities, so both the lineality and the ray branch run
+    lin, rays = eg.extreme_rays_of_system(
+        [(1, 2, 0, -1), (0, 1, 3, 1), (2, -1, 1, 0)], [(1, 1, 1, 1)], 4
+    )
+    assert not lin and rays
+    assert made == []

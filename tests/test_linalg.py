@@ -2,8 +2,16 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from oracles import (
+    dot_zip,
+    invert_unimodular_by_columns,
+    rank_rational,
+    solve_integer_fresh,
+)
 from tropgeom import linalg as la
 
 
@@ -82,3 +90,128 @@ def test_det_bareiss():
         n = rng.randint(1, 4)
         m = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
         assert la.det(m) == int(sympy.Matrix([list(r) for r in m]).det())
+
+
+def test_linalg_builds_no_fraction():
+    assert "fractions" not in vars(la)
+    assert "Fraction" not in vars(la)
+
+
+# differential tests: each fast path against the path it replaced
+
+
+def _matrices(max_rows=4, max_cols=4, entries=6):
+    return st.integers(1, max_rows).flatmap(
+        lambda m: st.integers(1, max_cols).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(-entries, entries)] * n),
+                min_size=m,
+                max_size=m,
+            ).map(tuple)
+        )
+    )
+
+
+@st.composite
+def _systems(draw):
+    """A matrix with a target that is solvable over Z, over Q only, or not
+    at all."""
+    mat = draw(_matrices())
+    n = len(mat[0])
+    if draw(st.booleans()):
+        x0 = draw(st.tuples(*[st.integers(-4, 4)] * n))
+        target = la.mat_vec(mat, x0)
+    else:
+        target = draw(st.tuples(*[st.integers(-6, 6)] * len(mat)))
+    return mat, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_solve_integer_matches_a_fresh_smith_form(system):
+    mat, target = system
+    assert la.solve_integer(mat, target) == solve_integer_fresh(mat, target)
+    # ... also when the factorisation is already cached
+    assert la.solve_integer(mat, target) == solve_integer_fresh(mat, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.lists(st.integers(-4, 4), min_size=5, max_size=5), st.booleans())
+def test_lattice_coords_and_projection_match_fresh_solves(mat, coeffs, shift):
+    n = len(mat[0])
+    basis = tuple(la.row_saturation_basis(mat, n))
+    if not basis:
+        return
+    x = la.mat_vec(la.transpose(basis), tuple(coeffs[: len(basis)]))
+    if shift:  # possibly off the lattice
+        x = (x[0] + 1,) + x[1:]
+    assert la.lattice_coords(basis, x) == solve_integer_fresh(la.transpose(basis), x)
+    r = len(basis)
+    want = tuple(
+        solve_integer_fresh(basis, tuple(int(k == i) for k in range(r)))
+        for i in range(r)
+    )
+    assert la.projection_to_lattice(basis, n) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(max_rows=5, max_cols=5))
+def test_rank_matches_rational_elimination(mat):
+    assert la.rank(mat) == rank_rational(mat)
+    assert la.rank(mat) == sympy.Matrix([list(r) for r in mat]).rank()
+
+
+@st.composite
+def _unimodular(draw):
+    """A product of random elementary integer row operations."""
+    n = draw(st.integers(1, 5))
+    m = [list(r) for r in la.identity_matrix(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return tuple(tuple(r) for r in m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unimodular())
+def test_invert_unimodular_matches_column_solves(m):
+    inv = la.invert_unimodular(m)
+    assert inv == invert_unimodular_by_columns(m)
+    assert la.mat_mul(m, inv) == la.identity_matrix(len(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(max_rows=4, max_cols=5, entries=3))
+def test_invert_unimodular_agrees_on_any_matrix(m):
+    """The same inverse, or the same ValueError, on arbitrary matrices
+    (wide ones with a unit Smith form have a right inverse)."""
+    try:
+        want = invert_unimodular_by_columns(m)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            la.invert_unimodular(m)
+    else:
+        assert la.invert_unimodular(m) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.lists(st.integers(-9, 9), max_size=5),
+)
+def test_dot_matches_zip(u, v):
+    u, v = tuple(u), tuple(v)
+    try:
+        want = dot_zip(u, v)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            la.dot(u, v)
+        assert str(got.value) == str(e)
+    else:
+        assert la.dot(u, v) == want
+

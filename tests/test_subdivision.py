@@ -2,7 +2,7 @@ import random
 
 import pytest
 from conftest import moduli_cached
-from oracles import verify_subdivision_pairwise
+from oracles import parallelepiped_interior_point_scan, verify_subdivision_pairwise
 
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
@@ -21,6 +21,7 @@ from tropgeom.pipeline import contact_types, single_factor_run
 from tropgeom.subdivision import (
     RayOutside,
     _assemble,
+    _parallelepiped_interior_point,
     _glue_fans,
     _unrefined,
     check_subdivision,
@@ -535,3 +536,41 @@ class TestCertificateAgainstOracle:
                 lambda: single_factor_run(1, 3, a, unimodularize=True, base=base),
             )
         )
+
+
+class TestBoxPoint:
+    """The box point from one Smith factorisation against the scan of every
+    rational combination."""
+
+    def _random_simplicial(self, rng, max_index):
+        while True:
+            d = rng.randint(1, 3)
+            ambient = rng.randint(d, 4)
+            rays = [tuple(rng.randint(-4, 4) for _ in range(ambient)) for _ in range(d)]
+            if la.rank(rays) < d:
+                continue
+            cone = eg.cone_from_generators(rays, ambient)
+            if cone.is_simplicial() and cone.lattice_index() <= max_index:
+                return cone
+
+    def test_matches_the_scan(self):
+        rng = random.Random(3030)
+        indices = set()
+        for _ in range(60):
+            cone = self._random_simplicial(rng, 30)
+            indices.add(cone.lattice_index())
+            assert _parallelepiped_interior_point(cone) == (
+                parallelepiped_interior_point_scan(cone)
+            )
+        assert max(indices) >= 20 and 1 in indices
+
+    def test_index_thirty_is_fast(self):
+        import time
+
+        cone = eg.cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 2, 30)], 3)
+        assert cone.lattice_index() == 30
+        t0 = time.perf_counter()
+        point = _parallelepiped_interior_point(cone)
+        elapsed = time.perf_counter() - t0
+        assert point == parallelepiped_interior_point_scan(cone)
+        assert elapsed < 0.05
