@@ -230,10 +230,19 @@ def preimage_in_span(m: LinearMap, source_cone: RationalCone, y):
     return x
 
 
+# memo table of pull_back_cone, keyed by the matrix and the two canonical cones
+_pullback_cache: dict = {}
+
+
 def pull_back_cone(m: LinearMap, source_cone: RationalCone, cone: RationalCone):
     """Pull a cone contained in m(source_cone) back through the embedding m."""
-    gens = [preimage_in_span(m, source_cone, r) for r in cone.rays]
-    return cone_from_generators(gens, source_cone.ambient_rank)
+    key = (m.matrix, source_cone.ambient_rank, source_cone.rays, cone.rays)
+    back = _pullback_cache.get(key)
+    if back is None:
+        gens = [preimage_in_span(m, source_cone, r) for r in cone.rays]
+        back = cone_from_generators(gens, source_cone.ambient_rank)
+        _pullback_cache[key] = back
+    return back
 
 
 def complex_from_fan(cones, ambient_rank: int):

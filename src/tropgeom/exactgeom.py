@@ -10,7 +10,7 @@ construction and all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg as la
 from .linalg import Mat, Vec
@@ -60,12 +60,17 @@ class LinearMap:
         return la.mat_vec(self.matrix, v)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
+        """self after other (cached by the two matrices)."""
         if other.target_rank != self.source_rank:
             raise RankMismatch("composition rank mismatch")
-        return LinearMap(
-            la.mat_mul(self.matrix, other.matrix), other.source_rank, self.target_rank
-        )
+        key = (self.matrix, other.matrix, other.source_rank)
+        m = _compose_cache.get(key)
+        if m is None:
+            m = LinearMap(
+                la.mat_mul(self.matrix, other.matrix), other.source_rank, self.target_rank
+            )
+            _compose_cache[key] = m
+        return m
 
     def __call__(self, v):
         return self.apply(v)
@@ -238,7 +243,12 @@ class RationalCone:
         )
 
     def contains_cone(self, other: "RationalCone") -> bool:
-        return all(self.contains(r) for r in other.rays)
+        key = (self.ambient_rank, self.rays, other.rays)
+        inside = _contains_cache.get(key)
+        if inside is None:
+            inside = all(self.contains(r) for r in other.rays)
+            _contains_cache[key] = inside
+        return inside
 
     def relint_point(self) -> Vec:
         """Deterministic integral point of the relative interior (0 for the zero cone)."""
@@ -251,10 +261,15 @@ class RationalCone:
 
     def face_at(self, covectors) -> "RationalCone":
         """The face where the given cone-nonnegative covectors vanish."""
-        kept = [
-            r for r in self.rays if all(la.dot(c, r) == 0 for c in covectors)
-        ]
-        return cone_from_generators(kept, self.ambient_rank)
+        key = (self.ambient_rank, self.rays, tuple(map(tuple, covectors)))
+        face = _face_cache.get(key)
+        if face is None:
+            kept = [
+                r for r in self.rays if all(la.dot(c, r) == 0 for c in key[2])
+            ]
+            face = cone_from_generators(kept, self.ambient_rank)
+            _face_cache[key] = face
+        return face
 
     def minimal_face_containing(self, sub: "RationalCone") -> "RationalCone":
         active = [
@@ -315,6 +330,14 @@ def zero_cone(ambient_rank: int) -> RationalCone:
     span_eqs = tuple(tuple(r) for r in la.identity_matrix(ambient_rank))
     return RationalCone(ambient_rank, (), 0, (), span_eqs, ())
 
+
+# Memo tables of the pure map-and-cone operations.  Cones are canonical (one
+# cone per ambient rank and rays) and maps are their matrices, so every key is
+# canonical data; a call that raises stores nothing.
+_compose_cache: dict = {}  # LinearMap.compose
+_contains_cache: dict = {}  # RationalCone.contains_cone
+_face_cache: dict = {}  # RationalCone.face_at
+_image_cache: dict = {}  # image_cone
 
 _cone_cache: dict = {}
 
@@ -431,7 +454,12 @@ def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
 def image_cone(f: LinearMap, c: RationalCone) -> RationalCone:
     if f.source_rank != c.ambient_rank:
         raise RankMismatch("map source does not match cone ambient")
-    return cone_from_generators([f.apply(r) for r in c.rays], f.target_rank)
+    key = (f.matrix, f.target_rank, c.rays)
+    img = _image_cache.get(key)
+    if img is None:
+        img = cone_from_generators([f.apply(r) for r in c.rays], f.target_rank)
+        _image_cache[key] = img
+    return img
 
 
 def preimage_cone(f: LinearMap, c: RationalCone, domain: RationalCone) -> RationalCone:
@@ -481,16 +509,29 @@ def relints_intersect(a: RationalCone, b: RationalCone) -> bool:
 
 
 def sample_points(cone: RationalCone, count: int, rng):
-    """Deterministic rational sample points of the cone (exact arithmetic)."""
+    """Deterministic integer sample points of the cone.
+
+    Each point is a random combination of the rays with coefficients n/d
+    (0 <= n <= 12, 1 <= d <= 5, in lowest terms), multiplied by the lcm of
+    the d.  Membership and relative interior membership do not change under
+    positive scaling, so the integer point stands for the rational one.
+    """
     pts = []
     if cone.is_zero():
         return [la.zero_vec(cone.ambient_rank)] * min(count, 1)
     for _ in range(count):
-        coeffs = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in cone.rays]
-        if not any(coeffs):
-            coeffs[rng.randrange(len(coeffs))] = Fraction(1)
+        coeffs = []
+        for _ in cone.rays:
+            n = rng.randint(0, 12)
+            d = rng.randint(1, 5)
+            g = gcd(n, d)
+            coeffs.append((n // g, d // g))
+        if not any(n for n, _ in coeffs):
+            coeffs[rng.randrange(len(coeffs))] = (1, 1)
+        scale = lcm(*(d for _, d in coeffs))
+        weights = [n * (scale // d) for n, d in coeffs]
         p = tuple(
-            sum(c * r[i] for c, r in zip(coeffs, cone.rays))
+            sum(w * r[i] for w, r in zip(weights, cone.rays))
             for i in range(cone.ambient_rank)
         )
         pts.append(p)

@@ -1,10 +1,10 @@
 """Exact integer linear algebra on tuples.
 
 Vectors are tuples of ints; matrices are tuples of row tuples.  Everything
-here is integer and arbitrary precision: there is no floating point anywhere
-in the package, and no Fraction outside the sampled points of
-`exactgeom.sample_points`.  Each matrix is put in Smith form once: the
-factorisation is kept by `smith_factors`, which `solve_integer`,
+here is integer and arbitrary precision: there is no floating point and no
+Fraction anywhere in the package (`exactgeom.sample_points` scales its
+rational combinations to integer points).  Each matrix is put in Smith form
+once: the factorisation is kept by `smith_factors`, which `solve_integer`,
 `lattice_coords`, `projection_to_lattice`, `invert_unimodular` and
 `kernel_basis` share.
 """

@@ -188,9 +188,6 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
             for f in c.all_faces():
                 got.add(f)
         cells[cid] = got
-    face_images = {
-        f: image_cone(f.map, cx.cones[f.sub]) for f in cx.faces
-    }
     for _ in range(MAX_FIXPOINT_ROUNDS):
         changed = set()
         for cid in cx.ids():
@@ -201,8 +198,8 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
                         cells[cid].add(img)
                         changed.add(cid)
         for f in cx.faces:
-            fimg = face_images[f]
             sub_cone = cx.cones[f.sub]
+            fimg = image_cone(f.map, sub_cone)
             for c in list(cells[f.sup]):
                 if fimg.contains_cone(c):
                     back = pull_back_cone(f.map, sub_cone, c)

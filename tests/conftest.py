@@ -30,8 +30,3 @@ def moduli_cached(g, n):
     if (g, n) not in _base_cache:
         _base_cache[(g, n)] = build_moduli_complex(g, n)
     return _base_cache[(g, n)]
-
-
-# subdivisions other tests produce; criterion 5 re-verifies the support
-# partition property on every one of them, beside those of criteria 1 to 3
-produced_subdivisions = []

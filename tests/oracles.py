@@ -8,8 +8,8 @@ by subset enumeration and membership by Caratheodory subsets of rays, and
 the subdivision oracle intersects every pair of cells.  The exact kernel's
 earlier paths are kept as oracles too: rational elimination, a Smith form
 per solve, column-by-column inversion, double description through Fraction
-projections and the box point scan.  The tests compare the library against
-them.
+projections, the box point scan and the rational sample points.  The tests
+compare the library against them.
 """
 
 from fractions import Fraction
@@ -447,3 +447,22 @@ def parallelepiped_interior_point_scan(cone: RationalCone):
             if best is None or key < best:
                 best = key
     return None if best is None else best[1]
+
+
+def sample_points_fraction(cone: RationalCone, count: int, rng):
+    """`exactgeom.sample_points` with the rational points it used to return:
+    the same draws, combined with Fraction coefficients and not scaled."""
+    pts = []
+    if cone.is_zero():
+        return [la.zero_vec(cone.ambient_rank)] * min(count, 1)
+    for _ in range(count):
+        coeffs = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in cone.rays]
+        if not any(coeffs):
+            coeffs[rng.randrange(len(coeffs))] = Fraction(1)
+        pts.append(
+            tuple(
+                sum(c * r[i] for c, r in zip(coeffs, cone.rays))
+                for i in range(cone.ambient_rank)
+            )
+        )
+    return pts

@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import moduli_cached, produced_subdivisions, random_cone
+from conftest import moduli_cached, random_cone
 from oracles import (
     enumerate_rubber_types_bruteforce,
     enumerate_stable_graphs_bruteforce,
@@ -194,9 +194,8 @@ def test_criterion_4_oracle_equivalence():
 
 @pytest.fixture
 def criteria_subdivisions():
-    """Every subdivision criteria 1 to 3 produce, in that order, followed by
-    those other tests left in `produced_subdivisions`.  A criterion that has
-    not passed in this session has its runs made here."""
+    """Every subdivision criteria 1 to 3 produce, in that order.  A
+    criterion that has not passed in this session has its runs made here."""
     runs = {
         1: lambda: [((), figure1_demo())],
         2: _lemma_suite_runs,
@@ -209,9 +208,7 @@ def criteria_subdivisions():
                 assert report.all_passed, key
                 subs.append(report.subdivision_data)
             criterion_subdivisions[criterion] = subs
-    return [sub for c in (1, 2, 3) for sub in criterion_subdivisions[c]] + list(
-        produced_subdivisions
-    )
+    return [sub for c in (1, 2, 3) for sub in criterion_subdivisions[c]]
 
 
 def test_criterion_5_geometry_kernel_properties(criteria_subdivisions):

@@ -10,9 +10,12 @@ from oracles import (
     contains_bruteforce,
     extreme_rays_of_system_fraction,
     facets_bruteforce,
+    sample_points_fraction,
 )
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
+from tropgeom.complexes import complex_from_fan
+from tropgeom.subdivision import hyperplane_refine, soundness_sample
 
 
 class TestConeFromGenerators:
@@ -261,7 +264,9 @@ def test_cone_from_inequalities_cache(system):
     assert eg.cone_from_inequalities(iter(ineqs), iter(eqns), rank) is first
 
 
-def test_double_description_builds_no_fraction(monkeypatch):
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """The argument tuples of every Fraction built while the test runs."""
     made = []
     original = Fraction.__new__
 
@@ -270,9 +275,48 @@ def test_double_description_builds_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_double_description_builds_no_fraction(fractions_made):
     # equations and inequalities, so both the lineality and the ray branch run
     lin, rays = eg.extreme_rays_of_system(
         [(1, 2, 0, -1), (0, 1, 3, 1), (2, -1, 1, 0)], [(1, 1, 1, 1)], 4
     )
     assert not lin and rays
-    assert made == []
+    assert fractions_made == []
+
+
+def test_soundness_sample_builds_no_fraction(fractions_made):
+    assert "fractions" not in vars(eg)
+    assert "Fraction" not in vars(eg)
+    orthant = eg.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    cx, ids = complex_from_fan([orthant], 3)
+    sub = hyperplane_refine(cx, {ids[orthant.rays]: [(1, -1, 0), (0, 1, -1)]})
+    assert soundness_sample(sub, random.Random(5), per_cone=12)
+    assert fractions_made == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 5))
+def test_integer_sample_points_scale_the_rational_ones(seed, rank, gens):
+    """The integer points are positive multiples of the rational points the
+    same draws gave, so every membership verdict is unchanged; both versions
+    consume the same random numbers."""
+    cone = random_cone(random.Random(seed), rank, gens)
+    rng_int, rng_frac = random.Random(seed + 1), random.Random(seed + 1)
+    points = eg.sample_points(cone, 6, rng_int)
+    rational = sample_points_fraction(cone, 6, rng_frac)
+    assert rng_int.getstate() == rng_frac.getstate()
+    assert len(points) == len(rational)
+    for p, q in zip(points, rational):
+        assert all(type(x) is int for x in p)
+        i = next((i for i, x in enumerate(q) if x != 0), None)
+        if i is None:
+            assert not any(p)
+            continue
+        scale = p[i] / q[i]
+        assert scale > 0 and scale.denominator == 1
+        assert p == tuple(scale * x for x in q)
+        assert cone.contains(p) and cone.contains(q)
+        assert cone.contains_in_relint(p) == cone.contains_in_relint(q)

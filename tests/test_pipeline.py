@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from conftest import moduli_cached, produced_subdivisions
+from conftest import moduli_cached
+from oracles import verify_subdivision_pairwise
 from tropgeom import exactgeom as eg
 from tropgeom import pipeline
 from tropgeom.complexes import ConicalSubset, is_union_of_cones
@@ -19,8 +21,20 @@ from tropgeom.pipeline import (
     single_factor_run,
     two_factor_types,
 )
-from tropgeom.subdivision import refine_until_conical
+from tropgeom.subdivision import (
+    refine_until_conical,
+    soundness_sample,
+    verify_subdivision,
+)
 from tropgeom.tropmaps import ContactData, build_map_complex, enumerate_rubber_types
+
+
+def _reverify(sub):
+    """Criterion 5's checks of the support partition property: the wall
+    certificate, the all-pairs oracle and the sampled check."""
+    assert verify_subdivision(sub) == []
+    assert verify_subdivision_pairwise(sub) == []
+    assert soundness_sample(sub, random.Random(515151), per_cone=4)
 
 
 class TestGammaSubdivision:
@@ -36,7 +50,7 @@ class TestGammaSubdivision:
         diag = eg.cone_from_generators([(1, 1, 1)], 3)
         fam = ConicalSubset(base.complex, ((tid, diag),))
         sub = build_gamma_subdivision(base, [fam])
-        produced_subdivisions.append(sub)
+        _reverify(sub)
         tr = sub.transport(fam)
         assert is_union_of_cones(sub.refined, tr).ok
         # the ray is now one of the refined cones
@@ -53,7 +67,7 @@ class TestGammaSubdivision:
             mx = build_map_complex(enumerate_rubber_types(contact, i), base)
             fams.append(image_family(mx))
         sub = build_gamma_subdivision(base, fams)
-        produced_subdivisions.append(sub)
+        _reverify(sub)
         for fam in fams:
             assert is_union_of_cones(sub.refined, sub.transport(fam)).ok
 
@@ -144,7 +158,7 @@ class TestDrSupport:
     def test_genus_zero_support_is_everything(self, n):
         a = (1, -1) + (0,) * (n - 2)
         result = dr_support(0, n, a)
-        produced_subdivisions.append(result.subdivision)
+        _reverify(result.subdivision)
         assert result.subdivision.is_identity()
         base = moduli_cached(0, n)
         hosts = {host for host, _ in result.subset.pieces}
@@ -158,7 +172,7 @@ class TestDrSupport:
 
     def test_genus_one_banana_ray(self):
         result = dr_support(1, 2, (2, -2))
-        produced_subdivisions.append(result.subdivision)
+        _reverify(result.subdivision)
         base = moduli_cached(1, 2)
         banana = DualGraph((0, 0), ((0, 1), (0, 1)), (0, 1))
         bid = base.id_of(banana)
