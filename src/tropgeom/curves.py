@@ -9,6 +9,7 @@ face maps and graph automorphisms acting on edge coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from . import linalg as la
@@ -189,14 +190,13 @@ def _candidate_perms(graph: DualGraph):
         yield tuple(vperm)
 
 
-def canonical_with_data(graph: DualGraph, edge_data=None):
-    """Canonical relabeling of a (decorated) graph plus its automorphisms.
+@lru_cache(maxsize=4096)
+def canonical_labelling(graph: DualGraph, edge_data=None):
+    """Canonical relabeling of a (decorated) graph, computed once per input.
 
-    Returns (canonical graph, canonical data, vperm, eperm, aut_pairs) where
-    vperm/eperm translate the input labeling to the canonical one and
-    aut_pairs lists the (vertex perm, edge perm) automorphisms of the
-    canonical object.  Parallel edges with equal decorations contribute all
-    their matchings, so the theta graph has 2 x 3! = 12 pairs.
+    Returns (canonical graph, canonical data, vperm, eperm) where vperm and
+    eperm translate the input labeling to the canonical one.  edge_data is a
+    tuple with one slope tuple per edge; None stands for a bare graph.
     """
     if edge_data is None:
         edge_data = ((),) * graph.num_edges
@@ -207,7 +207,17 @@ def canonical_with_data(graph: DualGraph, edge_data=None):
         if best is None or key < best[0]:
             best = (key, g2, d2, vperm, eperm)
     _, cgraph, cdata, vperm, eperm = best
+    return cgraph, cdata, vperm, eperm
 
+
+@lru_cache(maxsize=4096)
+def automorphism_pairs(cgraph: DualGraph, cdata):
+    """The (vertex perm, edge perm) automorphisms of a canonical decorated
+    graph, as canonical_labelling returns it.
+
+    Parallel edges with equal decorations contribute all their matchings, so
+    the theta graph has 2 x 3! = 12 pairs.
+    """
     aut_pairs = []
     for vp in _candidate_perms(cgraph):
         g2, d2, _ = _relabel(cgraph, cdata, vp)
@@ -234,7 +244,18 @@ def canonical_with_data(graph: DualGraph, edge_data=None):
                 for src, dst in zip(groups[key], targets):
                     eperm2[src] = dst
             aut_pairs.append((vp, tuple(eperm2)))
-    return cgraph, cdata, vperm, eperm, aut_pairs
+    return tuple(aut_pairs)
+
+
+def canonical_with_data(graph: DualGraph, edge_data=None):
+    """Canonical relabeling of a (decorated) graph plus its automorphisms.
+
+    Returns (canonical graph, canonical data, vperm, eperm, aut_pairs): the
+    canonical_labelling of the input and the automorphism_pairs of the
+    canonical object.
+    """
+    cgraph, cdata, vperm, eperm = canonical_labelling(graph, edge_data)
+    return cgraph, cdata, vperm, eperm, automorphism_pairs(cgraph, cdata)
 
 
 def canonical_form(graph: DualGraph):
@@ -324,7 +345,7 @@ def contract_edge(graph: DualGraph, edge_index: int):
     if not 0 <= edge_index < graph.num_edges:
         raise NoSuchEdge(f"edge {edge_index} out of range")
     raw, survivors = contract_subset(graph, [edge_index])
-    cgraph, _, eperm, _ = canonical_form(raw)
+    cgraph, _, _, eperm = canonical_labelling(raw)
     return cgraph, _face_matrix(graph.num_edges, survivors, eperm)
 
 
@@ -338,6 +359,7 @@ def _face_matrix(ne: int, survivors, eperm) -> LinearMap:
     return LinearMap(tuple(tuple(r) for r in rows), nh, ne)
 
 
+@lru_cache(maxsize=4096)
 def stabilize(graph: DualGraph):
     """Remove unmarked genus 0 vertices of valence at most 2.
 
@@ -345,7 +367,8 @@ def stabilize(graph: DualGraph):
     with their edge.  Returns (canonical stable graph, length map, chains)
     where the length map sends original edge lengths to the merged sums and
     chains[j] lists the (original edge, orientation) trail of stable edge j,
-    oriented from the smaller canonical endpoint.
+    oriented from the smaller canonical endpoint.  The result is computed
+    once per graph; a graph that raises Unstable is not remembered.
     """
     genera = list(graph.genera)
     alive = [True] * graph.num_vertices
@@ -414,7 +437,7 @@ def stabilize(graph: DualGraph):
     )
     if not raw.is_stable():
         raise Unstable("graph does not stabilize to a stable graph")
-    cgraph, vperm, eperm, _ = canonical_form(raw)
+    cgraph, _, vperm, eperm = canonical_labelling(raw)
     trails = [None] * cgraph.num_edges
     for pos, (a, b, trail) in enumerate(items):
         na, nb = vperm[a], vperm[b]
@@ -468,7 +491,7 @@ def enumerate_stable_graphs(g: int, n: int):
     found = set(level)
     while level:
         level = {
-            canonical_form(split)[0] for graph in level for split in _splits(graph)
+            canonical_labelling(split)[0] for graph in level for split in _splits(graph)
         }
         found |= level
     result = sorted(found, key=sort_key)
@@ -532,7 +555,7 @@ class CurveModuliComplex:
     def id_of(self, graph: DualGraph) -> str:
         """The id of the graph's cone; the graph may be labelled arbitrarily."""
         if graph not in self._ids:
-            graph = canonical_form(graph)[0]
+            graph = canonical_labelling(graph)[0]
         if graph not in self._ids:
             raise KeyError("graph is not a cone of this complex")
         return self._ids[graph]
@@ -553,17 +576,18 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
     once; that one canonicalization gives the face map and, for a single
     edge, finds new objects.  Contracting several edges at once must land on
     an object found that way.  Cone ids are prefix + rank in sort_key order.
-    Returns (complex, cone id -> object).
+    Automorphisms are computed once per object found.  Returns (complex,
+    cone id -> object).
     """
-    found = {}  # object -> (canonical graph, canonical data, automorphisms)
+    found = {}  # object -> (canonical graph, canonical data)
     contractions = {}  # object -> [(contracted edges, object, face matrix)]
     queue = []
 
     def canonical(graph, data, discover=True):
-        cgraph, cdata, _, eperm, auts = canonical_with_data(graph, data)
+        cgraph, cdata, _, eperm = canonical_labelling(graph, data)
         obj = make(cgraph, cdata)
         if discover and obj not in found:
-            found[obj] = (cgraph, cdata, auts)
+            found[obj] = (cgraph, cdata)
             queue.append(obj)
         return obj, eperm
 
@@ -571,7 +595,7 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
         canonical(graph, data)
     while queue:
         obj = queue.pop()
-        graph, data, _ = found[obj]
+        graph, data = found[obj]
         ne = graph.num_edges
         out = contractions[obj] = []
         for size in range(1, ne + 1):
@@ -595,7 +619,7 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
         cid = ids[obj]
         cone = cones[cid]
         ne = found[obj][0].num_edges
-        mats = edge_perm_matrices(ne, found[obj][2])
+        mats = edge_perm_matrices(ne, automorphism_pairs(*found[obj]))
         auts[cid] = [m for m in mats if image_cone(m, cone) == cone]
         for subset, sub, m in contractions[obj]:
             if sub not in ids:

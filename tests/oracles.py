@@ -5,7 +5,10 @@ the library: graphs come from every genus tuple, edge multiset and leg
 placement, types from every slope vector on those graphs, and classes are
 told apart by trying every vertex bijection.  The cone oracles find facets
 by subset enumeration and membership by Caratheodory subsets of rays, and
-the subdivision oracle intersects every pair of cells.  The exact kernel's
+the subdivision oracle intersects every pair of cells.  The one-pass
+canonical labelling, which computes the automorphisms on every call, is kept
+beside the library's memoized labelling and automorphism tables.  The exact
+kernel's
 earlier paths are kept as oracles too: rational elimination, a Smith form
 per solve, column-by-column inversion, double description through Fraction
 projections, the box point scan and the rational sample points.  The tests
@@ -17,7 +20,14 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import gcd
 
 from tropgeom import linalg as la
-from tropgeom.curves import DualGraph, check_stable_range, genus
+from tropgeom.curves import (
+    DualGraph,
+    _candidate_perms,
+    _flip,
+    _relabel,
+    check_stable_range,
+    genus,
+)
 from tropgeom.exactgeom import RationalCone, intersect
 from tropgeom.tropmaps import (
     ContactData,
@@ -72,6 +82,55 @@ def _isomorphic(a: DualGraph, b: DualGraph) -> bool:
         if tuple(mapped) == b.edges:
             return True
     return False
+
+
+def canonical_with_data_direct(graph: DualGraph, edge_data=None):
+    """Canonical relabeling of a (decorated) graph plus its automorphisms,
+    in one pass and with nothing remembered.
+
+    Returns (canonical graph, canonical data, vperm, eperm, aut_pairs) where
+    vperm/eperm translate the input labeling to the canonical one and
+    aut_pairs lists the (vertex perm, edge perm) automorphisms of the
+    canonical object.  Parallel edges with equal decorations contribute all
+    their matchings, so the theta graph has 2 x 3! = 12 pairs.
+    """
+    if edge_data is None:
+        edge_data = ((),) * graph.num_edges
+    best = None
+    for vperm in _candidate_perms(graph):
+        g2, d2, eperm = _relabel(graph, edge_data, vperm)
+        key = (g2.genera, g2.edges, d2, g2.legs)
+        if best is None or key < best[0]:
+            best = (key, g2, d2, vperm, eperm)
+    _, cgraph, cdata, vperm, eperm = best
+
+    aut_pairs = []
+    for vp in _candidate_perms(cgraph):
+        g2, d2, _ = _relabel(cgraph, cdata, vp)
+        if (g2, d2) != (cgraph, cdata):
+            continue
+        # all matchings within groups of indistinguishable parallel edges
+        groups = {}
+        for i in range(len(cgraph.edges)):
+            u, v = cgraph.edges[i]
+            a, b = vp[u], vp[v]
+            d = cdata[i]
+            if a > b:
+                a, b = b, a
+                d = _flip(d)
+            groups.setdefault((a, b, d), []).append(i)
+        slots = {}
+        for i, (u, v) in enumerate(cgraph.edges):
+            slots.setdefault((u, v, cdata[i]), []).append(i)
+        keys = sorted(groups)
+        choices = [permutations(slots[key]) for key in keys]
+        for assignment in product(*choices):
+            eperm2 = [0] * len(cgraph.edges)
+            for key, targets in zip(keys, assignment):
+                for src, dst in zip(groups[key], targets):
+                    eperm2[src] = dst
+            aut_pairs.append((vp, tuple(eperm2)))
+    return cgraph, cdata, vperm, eperm, aut_pairs
 
 
 def enumerate_rubber_types_bruteforce(contact: ContactData, factor: int = 0):

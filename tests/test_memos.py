@@ -1,9 +1,14 @@
-"""Differential tests for the memo tables of the map-and-cone operations.
+"""Differential tests for the memo tables.
 
 `image_cone`, `LinearMap.compose`, `RationalCone.contains_cone`,
 `RationalCone.face_at` and `complexes.pull_back_cone` keep their results
 under canonical keys.  Each is called twice on random maps and cones and must
 give the direct computation both times; a call that raises must raise again.
+`curves.canonical_labelling`, `curves.automorphism_pairs` and
+`curves.stabilize` keep theirs in bounded LRU tables.  Each is called twice
+on relabelled graphs and decorated types and must give the one-pass oracle,
+or the unmemoized `stabilize`, both times, the second time as the same
+object.
 """
 
 import random
@@ -13,10 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cone
-from tropgeom import complexes
+from oracles import canonical_with_data_direct
+from tropgeom import complexes, curves
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import preimage_in_span, pull_back_cone
+from tropgeom.curves import (
+    DualGraph,
+    Unstable,
+    automorphism_pairs,
+    canonical_labelling,
+    canonical_with_data,
+    enumerate_stable_graphs,
+    stabilize,
+)
+from tropgeom.pipeline import contact_types
 
 seeds = st.integers(0, 2**32)
 
@@ -145,3 +161,120 @@ def test_failed_pull_back_is_not_cached():
         with pytest.raises(eg.GeometryError, match="no lattice preimage"):
             pull_back_cone(m, ray, ray)
     assert (m.matrix, 1, ray.rays, ray.rays) not in complexes._pullback_cache
+
+
+# ---------------------------------------------------------------------------
+# canonical labelling, automorphisms and stabilization
+
+CURVE_TABLES = (canonical_labelling, automorphism_pairs, stabilize)
+
+
+def _relabelled(graph, data, rng):
+    """The graph and edge data under a random vertex permutation, with each
+    class of parallel edges in a random order."""
+    k = graph.num_vertices
+    perm = list(range(k))
+    rng.shuffle(perm)
+    genera = [0] * k
+    for v, g in enumerate(graph.genera):
+        genera[perm[v]] = g
+    rows = []
+    for (u, v), d in zip(graph.edges, data):
+        a, b = perm[u], perm[v]
+        if a > b:
+            a, b, d = b, a, tuple(-x for x in d)
+        rows.append(((a, b), d))
+    rng.shuffle(rows)
+    rows.sort(key=lambda r: r[0])
+    return (
+        DualGraph(tuple(genera), tuple(e for e, _ in rows), tuple(perm[v] for v in graph.legs)),
+        tuple(d for _, d in rows),
+    )
+
+
+def _subdivided(graph, data, j):
+    """Edge j split in two by a new unmarked genus 0 vertex."""
+    u, v = graph.edges[j]
+    w = graph.num_vertices
+    edges = graph.edges[:j] + graph.edges[j + 1 :] + ((u, w), (w, v))
+    data = data[:j] + data[j + 1 :] + (data[j], data[j])
+    return _relabelled(DualGraph(graph.genera + (0,), edges, graph.legs), data, random.Random(j))
+
+
+def _same_twice(call):
+    first = call()
+    assert call() is first
+    return first
+
+
+def _check_labelling(graph, data):
+    cgraph, cdata, vperm, eperm, auts = canonical_with_data_direct(graph, data)
+    labelling = _same_twice(lambda: canonical_labelling(graph, data))
+    assert labelling == (cgraph, cdata, vperm, eperm)
+    assert _same_twice(lambda: automorphism_pairs(cgraph, cdata)) == tuple(auts)
+    assert canonical_with_data(graph, data) == labelling + (tuple(auts),)
+
+
+def _check_stabilize(graph):
+    assert _same_twice(lambda: stabilize(graph)) == stabilize.__wrapped__(graph)
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 3), (2, 2)])
+def test_labelling_and_stabilize_of_relabelled_graphs(g, n):
+    rng = random.Random(g * 10 + n)
+    for graph in enumerate_stable_graphs(g, n):
+        bare = ((),) * graph.num_edges
+        for _ in range(3):
+            shuffled, _ = _relabelled(graph, bare, rng)
+            _check_labelling(shuffled, None)
+            _check_labelling(shuffled, bare)
+            _check_stabilize(shuffled)
+        for j in range(graph.num_edges):
+            _check_stabilize(_subdivided(graph, bare, j)[0])
+
+
+def test_labelling_of_decorated_types():
+    _, types, _ = contact_types(2, 2, [(3, -3), (2, -2)])
+    rng = random.Random(7)
+    loops = parallel = 0
+    aut_counts = {}  # canonical graph -> automorphism counts of its decorations
+    for t in types["X"] + types["Y"] + types["Z"]:
+        data = t.edge_data()
+        edges = t.graph.edges
+        loops += any(u == v for u, v in edges)
+        parallel += any(
+            edges[i] == edges[i - 1] and data[i] == data[i - 1] and any(data[i])
+            for i in range(1, len(edges))
+        )
+        cgraph, cdata, _, _ = canonical_labelling(t.graph, data)
+        aut_counts.setdefault(cgraph, set()).add(len(automorphism_pairs(cgraph, cdata)))
+        for _ in range(3):
+            _check_labelling(*_relabelled(t.graph, data, rng))
+        for j in range(len(edges)):
+            _check_labelling(*_subdivided(t.graph, data, j))
+    # a table keyed by the graph alone would answer for the wrong decoration
+    assert loops and parallel and any(len(c) > 1 for c in aut_counts.values())
+    theta = DualGraph((0, 0), ((0, 1), (0, 1), (0, 1)), ())
+    for data in (None, ((0,),) * 3):
+        cgraph, cdata, _, _ = canonical_labelling(theta, data)
+        assert len(automorphism_pairs(cgraph, cdata)) == 12
+
+
+def test_unstable_graph_is_not_remembered():
+    before = [table.cache_info().currsize for table in CURVE_TABLES]
+    for graph in (DualGraph((0,), (), (0,)), DualGraph((0, 0), ((0, 1),), (0, 1))):
+        for _ in range(2):
+            with pytest.raises(Unstable):
+                stabilize(graph)
+    assert [table.cache_info().currsize for table in CURVE_TABLES] == before
+
+
+def test_curve_tables_are_bounded():
+    # (0, 7) labels more distinct split candidates than one table holds
+    curves._enumeration_cache.pop((0, 7), None)
+    assert len(enumerate_stable_graphs(0, 7)) == 2752
+    for table in CURVE_TABLES:
+        info = table.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    info = canonical_labelling.cache_info()
+    assert info.currsize == info.maxsize
