@@ -14,6 +14,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import linalg as la
 from .exactgeom import (
@@ -157,49 +158,55 @@ def pullback_map_complexes(complexes, sub: SubdivisionOf):
 def two_factor_types(
     contact: ContactData, max_edges: int | None = None, factor_types=None
 ):
-    """Product types for a two factor contact datum, organized by superimpose.
+    """Product types for a contact datum of two or more factors: every tuple
+    of single factor types on one graph, one per factor, superimposed.
 
-    factor_types is the pair of single factor type lists, X and Y, when the
-    caller has already enumerated them with the same max_edges.
+    factor_types lists each factor's single factor types when the caller has
+    already enumerated them with the same max_edges.  The tuples come in the
+    order of nested loops over the factors, the first outermost.
     """
-    if contact.num_factors != 2:
-        raise ValueError("two factor contact data required")
+    if contact.num_factors < 2:
+        raise ValueError("contact data with at least two factors required")
     if factor_types is None:
         factor_types = [
-            enumerate_rubber_types(contact, i, max_edges=max_edges) for i in (0, 1)
+            enumerate_rubber_types(contact, i, max_edges=max_edges)
+            for i in range(contact.num_factors)
         ]
-    txs, tys = factor_types
+    first, *rest = factor_types
+    on_graph = [{} for _ in rest]
+    for by_graph, ts in zip(on_graph, rest):
+        for t in ts:
+            by_graph.setdefault(t.graph, []).append(t)
     products = []
-    for tx in txs:
-        for ty in tys:
-            if tx.graph == ty.graph:
-                products.extend(superimpose(tx, ty))
+    for t in first:
+        for others in product(*(by_graph.get(t.graph, ()) for by_graph in on_graph)):
+            products.extend(superimpose(t, *others))
     return products
 
 
 def contact_types(g: int, n: int, vectors, max_edges: int | None = None):
     """Check the contact vectors and enumerate their map types by factor label.
 
-    Returns (contact, types, products): types maps X (and Y, and the
-    superimposed Z for two vectors) to lists of map types, and products are
-    the superimpose chambers behind Z, or None for one vector.
+    Returns (contact, types, products): types maps each factor's label (X, Y,
+    then X3, X4, ...), and for two or more vectors the superimposed Z, to
+    lists of map types; products are the superimpose chambers behind Z, or
+    None for one vector.
     """
     vectors = tuple(tuple(a) for a in vectors)
     if not vectors:
         raise ValueError("at least one contact vector is required")
-    if len(vectors) > 2:
-        raise ValueError("at most two factors are supported")
     for a in vectors:
         if len(a) != n:
             raise ValueError(f"contact vector {list(a)} must have length n = {n}")
     contact = ContactData(g, vectors)
+    labels = ["XY"[i] if i < 2 else f"X{i + 1}" for i in range(len(vectors))]
     types = {
         label: enumerate_rubber_types(contact, i, max_edges=max_edges)
-        for i, label in enumerate("XY"[: len(vectors)])
+        for i, label in enumerate(labels)
     }
     products = None
-    if len(vectors) == 2:
-        products = two_factor_types(contact, max_edges, (types["X"], types["Y"]))
+    if len(vectors) > 1:
+        products = two_factor_types(contact, max_edges, list(types.values()))
         types["Z"] = [p.map_type for p in products]
     return contact, types, products
 
@@ -228,40 +235,33 @@ def _soundness_into(report: Report, sub: SubdivisionOf, seed: int):
 
 
 def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveModuliComplex):
-    """Compare the two factor chambers with the fiber product, cell by cell.
+    """Compare the product chambers with the fiber product, cell by cell.
 
-    For each pair of single factor types over a shared stable graph and each
+    For each tuple of single factor types over a shared stable graph and each
     refined cell of the base cone, the chamber images must cover the fiber
     piece exactly, with pairwise disjoint relative interiors.
     """
-    by_pair = {}
+    by_factors = {}
     for p in products:
-        key = (
-            p.x_type.graph.genera,
-            p.x_type.graph.edges,
-            p.x_type.graph.legs,
-            p.x_type.slopes,
-            p.y_type.slopes,
-        )
-        by_pair.setdefault(key, []).append(p)
+        graph = p.factors[0].graph
+        key = (graph.genera, graph.edges, graph.legs) + tuple(t.slopes for t in p.factors)
+        by_factors.setdefault(key, []).append(p)
 
     from .tropmaps import fiber_product_cone
     from .curves import stabilize
 
-    for key in sorted(by_pair):
-        group = by_pair[key]
-        tx, ty = group[0].x_type, group[0].y_type
-        stable, mx_map, _ = stabilize(tx.graph)
+    for key in sorted(by_factors):
+        group = by_factors[key]
+        factors = group[0].factors
+        stable, first_map, _ = stabilize(factors[0].graph)
         base_id = base.id_of(stable)
-        fiber = fiber_product_cone(tx, ty)
-        scope = f"{base_id}:{tx.slopes[0]}x{ty.slopes[0]}"
-        # stabilized lengths read off the x side (the fiber condition makes
-        # the y side agree)
+        fiber = fiber_product_cone(*factors)
+        scope = f"{base_id}:" + "x".join(str(row) for t in factors for row in t.slopes)
+        # stabilized lengths read off the first factor (the fiber condition
+        # makes the others agree)
+        pad = la.zero_vec(fiber.ambient_rank - factors[0].graph.num_edges)
         lift = LinearMap(
-            tuple(
-                tuple(row) + la.zero_vec(ty.graph.num_edges)
-                for row in mx_map.matrix
-            ),
+            tuple(tuple(row) + pad for row in first_map.matrix),
             fiber.ambient_rank,
             stable.num_edges,
         )
@@ -302,8 +302,8 @@ def verify_theorem_hypotheses(
 ) -> Report:
     """Run the full hypothesis suite on refined map complexes.
 
-    pullbacks maps factor labels (X, Y, Z) to PullbackResult values; products
-    are the superimpose chambers backing the Z factor when present.
+    pullbacks maps factor labels (X, Y, ..., Z) to PullbackResult values;
+    products are the superimpose chambers backing the Z factor when present.
     """
     report = Report(
         inputs={
@@ -330,8 +330,9 @@ def run_contacts(
     g: int, n: int, vectors, unimodularize: bool = False, seed: int = 0,
     base: CurveModuliComplex | None = None, max_edges: int | None = None,
 ) -> Report:
-    """Subdivide along the image families of one or two contact vectors (and
-    their superimposition) and verify the hypotheses on every factor."""
+    """Subdivide along the image families of the contact vectors (and, for
+    two or more, their superimposition) and verify the hypotheses on every
+    factor."""
     t0 = time.perf_counter()
     contact, types, products = contact_types(g, n, vectors, max_edges)
     base = base or build_moduli_complex(g, n, max_edges)
@@ -344,7 +345,8 @@ def run_contacts(
     )
     for key in sorted(families):
         chk = is_union_of_cones(sub.refined, sub.transport(families[key]))
-        report.add("image family union of cones", key, chk.ok)
+        witness = chk.witnesses[0][2] if chk.witnesses else None
+        report.add("image family union of cones", key, chk.ok, witness)
     if products is None:
         report.inputs["types"] = len(types["X"])
     else:
@@ -403,7 +405,8 @@ def dr_support(g: int, n: int, a, unimodularize: bool = False,
         subdivision=sub.summary(),
     )
     chk = is_union_of_cones(sub.refined, transported)
-    report.add("support is a union of cones", "base", chk.ok)
+    witness = chk.witnesses[0][2] if chk.witnesses else None
+    report.add("support is a union of cones", "base", chk.ok, witness)
     report.elapsed = time.perf_counter() - t0
     return SupportResult(fam, sub, strata, report)
 

@@ -175,6 +175,9 @@ def compose_subdivisions(s1: SubdivisionOf, s2: SubdivisionOf) -> SubdivisionOf:
 # rounds a fixpoint loop (cell closure, covector transport) may take before it
 # is reported as not settling
 MAX_FIXPOINT_ROUNDS = 64
+# stellar steps unimodularization may take before it is reported as not
+# finishing
+MAX_UNIMODULAR_STEPS = 500
 
 
 def _closure_of_fans(cx: ConeComplex, fans: dict):
@@ -849,7 +852,7 @@ def _parallelepiped_interior_point(cone: RationalCone):
 
 
 def _unimodularize(sub: SubdivisionOf) -> SubdivisionOf:
-    for _ in range(500):
+    for taken in range(MAX_UNIMODULAR_STEPS + 1):
         bad = None
         for rid in sorted(
             sub.refined.ids(), key=lambda r: (sub.refined.cones[r].dim, r)
@@ -861,6 +864,15 @@ def _unimodularize(sub: SubdivisionOf) -> SubdivisionOf:
         if bad is None:
             return sub
         cone = sub.refined.cones[bad]
+        if taken == MAX_UNIMODULAR_STEPS:
+            why = "not simplicial"
+            if cone.is_simplicial():
+                why = f"lattice index {cone.lattice_index()}"
+            raise GeometryError(
+                f"unimodularization did not finish in {MAX_UNIMODULAR_STEPS} stellar "
+                f"steps; refined cone {bad} with rays {list(cone.rays)} is still "
+                f"not unimodular ({why})"
+            )
         if not cone.is_simplicial():
             ray = cone.rays[0]
         else:
@@ -868,4 +880,3 @@ def _unimodularize(sub: SubdivisionOf) -> SubdivisionOf:
             assert ray is not None, "minimal non-unimodular cell has an interior box point"
         step = stellar_subdivide(sub.refined, bad, ray)
         sub = compose_subdivisions(sub, step)
-    raise GeometryError("unimodularization did not terminate")

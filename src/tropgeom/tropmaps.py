@@ -102,9 +102,6 @@ class RubberMapType:
         )
         return RubberMapType(graph, slopes, contact)
 
-    def restrict_factor(self, i: int) -> "RubberMapType":
-        return RubberMapType(self.graph, (self.slopes[i],), self.contact.factor(i))
-
     def to_json(self) -> dict:
         data = self.graph.to_json()
         data["slopes"] = {
@@ -389,145 +386,131 @@ def forgetful_image(t: RubberMapType):
 
 
 # ---------------------------------------------------------------------------
-# superimposing two single factor types over a shared stable curve
+# superimposing map types over a shared stable curve
 
 
 @dataclass
 class ProductType:
-    """One chamber of the overlay of two map structures on a common curve."""
+    """One chamber of the overlay of several map structures on a common curve."""
 
-    map_type: RubberMapType  # two factor type on the subdivided graph
+    map_type: RubberMapType  # the factors' slope rows on the subdivided graph
     cone: RationalCone  # its moduli cone, in sub edge coordinates
-    embed: LinearMap  # sub edge lengths -> (x edge lengths, y edge lengths)
-    x_type: RubberMapType
-    y_type: RubberMapType
+    embed: LinearMap  # sub edge lengths -> the factors' edge lengths, in order
+    factors: tuple  # the overlaid map types
 
 
-def _paths(p: int, q: int):
-    """Monotone staircase paths through a p x q grid of piece pairs."""
-    if p == 1 and q == 1:
-        return [[(0, 0)]]
+def _paths(sizes):
+    """Monotone lattice paths through a grid of piece tuples, one axis per
+    trail; each step advances one axis, trying axis 0 first."""
+    last = tuple(s - 1 for s in sizes)
     out = []
 
-    def rec(i, j, acc):
-        if i == p - 1 and j == q - 1:
-            out.append(acc + [(i, j)])
+    def rec(point, acc):
+        acc = acc + [point]
+        if point == last:
+            out.append(acc)
             return
-        if i < p - 1:
-            rec(i + 1, j, acc + [(i, j)])
-        if j < q - 1:
-            rec(i, j + 1, acc + [(i, j)])
+        for axis in range(len(sizes)):
+            if point[axis] < last[axis]:
+                rec(point[:axis] + (point[axis] + 1,) + point[axis + 1 :], acc)
 
-    rec(0, 0, [])
+    rec((0,) * len(sizes), [])
     return out
 
 
-def superimpose(tx: RubberMapType, ty: RubberMapType):
-    """Overlay two single factor structures whose curves share a stabilization.
+def superimpose(*types: RubberMapType):
+    """Overlay map structures whose curves share a stabilization.
 
-    Each stable edge is subdivided at the break points of either side, one
-    product type per interleaving; together their cones cover the fiber
-    product of the two moduli cones over the stable orthant with disjoint
-    interiors.
+    Each stable edge is subdivided at the break points of every input, one
+    product type per monotone lattice path through the inputs' trails; its
+    slope rows and contact vectors are the inputs' concatenated.  Together
+    their cones cover the fiber product of the input moduli cones over the
+    stable orthant with disjoint interiors.
     """
-    if tx.num_factors != 1 or ty.num_factors != 1:
-        raise IncompatibleStabilizations("superimpose expects single factor types")
-    if tx.contact.genus != ty.contact.genus or tx.contact.num_markings != ty.contact.num_markings:
+    genus, n = types[0].contact.genus, types[0].contact.num_markings
+    if any(t.contact.genus != genus or t.contact.num_markings != n for t in types):
         raise IncompatibleStabilizations("contact data do not share genus and markings")
-    sx, mx, trails_x = stabilize(tx.graph)
-    sy, my, trails_y = stabilize(ty.graph)
-    if sx != sy:
-        raise IncompatibleStabilizations("the two types stabilize to different graphs")
-    if sum(len(t) for t in trails_x) != tx.graph.num_edges or sum(
-        len(t) for t in trails_y
-    ) != ty.graph.num_edges:
+    stabs = [stabilize(t.graph) for t in types]
+    stable = stabs[0][0]
+    if any(s != stable for s, _, _ in stabs):
+        raise IncompatibleStabilizations("the types stabilize to different graphs")
+    trails = [tr for _, _, tr in stabs]
+    if any(sum(len(x) for x in tr) != t.graph.num_edges for tr, t in zip(trails, types)):
         raise IncompatibleStabilizations(
             "stabilization dropped edges; only subdivision-type curves can be overlaid"
         )
-    stable = sx
-    contact = ContactData(tx.contact.genus, (tx.contact.slopes[0], ty.contact.slopes[0]))
+    contact = ContactData(genus, tuple(a for t in types for a in t.contact.slopes))
+    rows = [(k, row) for k, t in enumerate(types) for row in t.slopes]
 
-    per_edge_paths = []
-    for j in range(stable.num_edges):
-        p, q = len(trails_x[j]), len(trails_y[j])
-        per_edge_paths.append(_paths(p, q))
-
+    per_edge_paths = [
+        _paths(tuple(len(tr[j]) for tr in trails)) for j in range(stable.num_edges)
+    ]
     results = []
     for choice in product(*per_edge_paths):
         genera = list(stable.genera)
         edges = []
-        sx_slopes = []
-        sy_slopes = []
-        cover_x = []  # per sub edge, the original x edge it covers
-        cover_y = []
+        slopes = [[] for _ in rows]
+        cover = [[] for _ in types]  # per input, the edge each sub edge covers
         for j, path in enumerate(choice):
             u, v = stable.edges[j]
             prev = u
-            for step, (i_x, i_y) in enumerate(path):
-                ex, dx = trails_x[j][i_x]
-                ey, dy = trails_y[j][i_y]
-                last = step == len(path) - 1
-                if last:
+            for step, point in enumerate(path):
+                if step == len(path) - 1:
                     nxt = v
                 else:
                     genera.append(0)
                     nxt = len(genera) - 1
-                a, b = prev, nxt
-                s_x = tx.slopes[0][ex] * dx
-                s_y = ty.slopes[0][ey] * dy
-                edges.append((a, b))
-                sx_slopes.append(s_x if a <= b else -s_x)
-                sy_slopes.append(s_y if a <= b else -s_y)
-                if a > b:
-                    a, b = b, a
-                edges[-1] = (a, b)
-                cover_x.append(ex)
-                cover_y.append(ey)
+                pieces = [trails[k][j][i] for k, i in enumerate(point)]
+                sign = 1 if prev <= nxt else -1
+                for out, (k, row) in zip(slopes, rows):
+                    e, d = pieces[k]
+                    out.append(sign * row[e] * d)
+                for out, (e, _) in zip(cover, pieces):
+                    out.append(e)
+                edges.append((min(prev, nxt), max(prev, nxt)))
                 prev = nxt
         # sort sub edges the way DualGraph will and permute the data along
         order = sorted(range(len(edges)), key=lambda i: edges[i])
         graph = DualGraph(tuple(genera), tuple(edges[i] for i in order), stable.legs)
-        slopes = (
-            tuple(sx_slopes[i] for i in order),
-            tuple(sy_slopes[i] for i in order),
-        )
-        ptype = RubberMapType(graph, slopes, contact)
-        mc = moduli_cone(ptype)
-        nx, ny = tx.graph.num_edges, ty.graph.num_edges
-        rows = []
-        for e in range(nx):
-            rows.append(
-                tuple(1 if cover_x[order[i]] == e else 0 for i in range(len(edges)))
-            )
-        for e in range(ny):
-            rows.append(
-                tuple(1 if cover_y[order[i]] == e else 0 for i in range(len(edges)))
-            )
-        embed = LinearMap(tuple(rows), len(edges), nx + ny)
-        results.append(ProductType(ptype, mc.cone, embed, tx, ty))
+        rows_in_order = tuple(tuple(s[i] for i in order) for s in slopes)
+        ptype = RubberMapType(graph, rows_in_order, contact)
+        embed_rows = [
+            tuple(1 if c[i] == e else 0 for i in order)
+            for c, t in zip(cover, types)
+            for e in range(t.graph.num_edges)
+        ]
+        embed = LinearMap(tuple(embed_rows), len(edges), len(embed_rows))
+        results.append(ProductType(ptype, moduli_cone(ptype).cone, embed, types))
     return results
 
 
-def fiber_product_cone(tx: RubberMapType, ty: RubberMapType) -> RationalCone:
-    """The fiber product of the two moduli cones over the stable orthant.
+def fiber_product_cone(*types: RubberMapType) -> RationalCone:
+    """The fiber product of the moduli cones over the stable orthant.
 
-    Lives in the direct sum of the two edge coordinate spaces; the fiber
-    condition identifies the stabilized lengths.
+    Lives in the direct sum of the edge coordinate spaces; the fiber
+    condition equates each type's stabilized lengths with the first type's.
     """
-    sx, mx, _ = stabilize(tx.graph)
-    sy, my, _ = stabilize(ty.graph)
-    if sx != sy:
-        raise IncompatibleStabilizations("the two types stabilize to different graphs")
-    cx = moduli_cone(tx).cone
-    cy = moduli_cone(ty).cone
-    nx, ny = tx.graph.num_edges, ty.graph.num_edges
-    ineqs = [w + la.zero_vec(ny) for w in cx.facets]
-    ineqs += [la.zero_vec(nx) + w for w in cy.facets]
-    eqns = [w + la.zero_vec(ny) for w in cx.span_eqs]
-    eqns += [la.zero_vec(nx) + w for w in cy.span_eqs]
-    for j in range(sx.num_edges):
-        eqns.append(tuple(mx.matrix[j]) + tuple(-x for x in my.matrix[j]))
-    return cone_from_inequalities(ineqs, eqns, nx + ny)
+    stabs = [stabilize(t.graph) for t in types]
+    if any(s != stabs[0][0] for s, _, _ in stabs):
+        raise IncompatibleStabilizations("the types stabilize to different graphs")
+    sizes = [t.graph.num_edges for t in types]
+    total = sum(sizes)
+
+    def placed(k, w):
+        """w in the coordinates of type k, zero elsewhere."""
+        before = sum(sizes[:k])
+        return la.zero_vec(before) + tuple(w) + la.zero_vec(total - before - sizes[k])
+
+    cones = [moduli_cone(t).cone for t in types]
+    ineqs = [placed(k, w) for k, c in enumerate(cones) for w in c.facets]
+    eqns = [placed(k, w) for k, c in enumerate(cones) for w in c.span_eqs]
+    first = stabs[0][1].matrix
+    for k in range(1, len(types)):
+        for j, row in enumerate(stabs[k][1].matrix):
+            eqns.append(
+                tuple(a - b for a, b in zip(placed(0, first[j]), placed(k, row)))
+            )
+    return cone_from_inequalities(ineqs, eqns, total)
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,9 @@ def test_malformed_inputs_exit_two(capsys):
         (["enumerate-graphs", "-1", "5"], "not in the stable range"),
         (["moduli-complex", "0", "2"], "not in the stable range"),
         (["verify", "0", "2", "1,-1"], "not in the stable range"),
-        (["verify", "1", "2", "2,-2", "2,-2", "1,-1"], "at most two factors"),
+        (["verify", "1", "2", "2,-2", "2,-2", "1,-1"], None),
         (["product-check", "1", "2", "2,-2", "1,0,-1"], "length n"),
-        (["subdivide", "1", "2", "2,-2", "1,-1", "1,-1"], "at most two factors"),
+        (["subdivide", "1", "2", "2,-2", "1,-1", "1,-1"], None),
         (["image", "1", "2", "3,-3", "--unimodularize"], "--unimodularize"),
         (["enumerate-maps", "1", "2", "2,-2", "--unimodularize"], "--unimodularize"),
     ],
@@ -133,11 +133,37 @@ def test_malformed_inputs_exit_two(capsys):
     ],
 )
 def test_exit_codes(capsys, argv, message):
-    assert main(argv) == 2
+    # message None: the input is valid (three vectors are three factors)
+    # and the command exits 0 with its JSON on stdout
+    code = main(argv)
     captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)
+        return
+    assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["0", "4", "1,-1,0,0", "0,1,-1,0", "1,0,0,-1"],
+        ["1", "2", "2,-2", "1,-1", "3,-3"],
+    ],
+    ids=["M04", "M12"],
+)
+def test_verify_three_vectors(capsys, argv):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert sorted(data["inputs"]["types"]) == ["X", "X3", "Y", "Z"]
+    name = "product chambers cover fiber product"
+    covers = [c for c in data["checks"] if c["name"] == name]
+    assert covers and all(c["passed"] for c in covers)
+    assert all(c["scope"].count("x") == 2 for c in covers)
 
 
 def test_product_check_is_verify_with_two_vectors(capsys):

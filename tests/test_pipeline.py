@@ -22,6 +22,7 @@ from tropgeom.pipeline import (
     two_factor_types,
 )
 from tropgeom.subdivision import (
+    identity_subdivision,
     refine_until_conical,
     soundness_sample,
     verify_subdivision,
@@ -134,12 +135,38 @@ class TestRuns:
 
     @pytest.mark.parametrize(
         "vectors, message",
-        [([], "at least one"), ([(2, -2), (1, -1), (1, -1)], "at most two factors")],
+        [([], "at least one"), ([(2, -2), (1, -1), (1, -1)], None)],
         ids=["none", "three"],
     )
     def test_number_of_vectors(self, vectors, message):
-        with pytest.raises(ValueError, match=message):
-            run_contacts(1, 2, vectors)
+        # any positive number of vectors runs; factors past the second are
+        # labelled X3, X4, ...
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                run_contacts(1, 2, vectors)
+            return
+        report = run_contacts(1, 2, vectors)
+        assert report.all_passed
+        assert sorted(report.inputs["types"]) == ["X", "X3", "Y", "Z"]
+        assert any(c.name == "product chambers cover fiber product" for c in report.checks)
+
+    def test_failed_union_check_carries_a_point(self, monkeypatch):
+        # without Gamma the images on M_{1,3} are not unions of base cones
+        # (Gamma normally refines 23 cones into 31)
+        monkeypatch.setattr(
+            pipeline,
+            "build_gamma_subdivision",
+            lambda base, images, unimodularize=False: identity_subdivision(base.complex),
+        )
+        report = single_factor_run(1, 3, (2, 0, -2))
+        union = [c for c in report.checks if c.name == "image family union of cones"]
+        assert [c.passed for c in union] == [False]
+        assert len(union[0].witness) == 3
+        assert report.to_json()["checks"][-1]["witness"] == list(union[0].witness)
+        support = dr_support(1, 3, (2, 0, -2)).report.checks
+        assert [(c.name, c.passed, len(c.witness)) for c in support] == [
+            ("support is a union of cones", False, 3)
+        ]
 
     def test_report_json_shape(self):
         report = single_factor_run(1, 1, (0,))

@@ -397,6 +397,21 @@ class TestFixpointDiagnostics:
         assert f"cones ['{face}']" in message
 
 
+def test_unimodularization_cap_names_the_cone(monkeypatch):
+    # the cone on (1, 0), (1, 3) has index 3; the first stellar step at
+    # (1, 1) leaves the half on (1, 1), (1, 3), of index 2
+    cone = eg.cone_from_generators([(1, 0), (1, 3)], 2)
+    cx, _ = complex_from_fan([cone], 2)
+    # two steps, at (1, 1) and (1, 2), finish it: 4 rays, 3 cells, the apex
+    assert len(subdivision._unimodularize(identity_subdivision(cx)).refined.cones) == 8
+    monkeypatch.setattr(subdivision, "MAX_UNIMODULAR_STEPS", 1)
+    with pytest.raises(eg.GeometryError) as info:
+        subdivision._unimodularize(identity_subdivision(cx))
+    message = str(info.value)
+    assert "did not finish in 1 stellar steps" in message
+    assert "with rays [(1, 1), (1, 3)] is still not unimodular (lattice index 2)" in message
+
+
 def _fan_cases():
     g = eg.cone_from_generators
     e1, e2, e3 = la.identity_matrix(3)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -25,7 +26,9 @@ from tropgeom.tropmaps import (
     is_balanced,
     moduli_cone,
     superimpose,
+    _paths,
 )
+from tropgeom.subdivision import cones_cover_exactly
 
 THETA22 = DualGraph((0, 0), ((0, 1), (0, 1), (0, 1)), (0, 1))
 FIG1 = RubberMapType(THETA22, ((-1, -1, -1),), ContactData(2, ((3, -3),)))
@@ -235,8 +238,6 @@ class TestSuperimpose:
         images = [eg.image_cone(p.embed, p.cone) for p in prods]
         for img in images:
             assert fiber.contains_cone(img)
-        from tropgeom.subdivision import cones_cover_exactly
-
         ok, _ = cones_cover_exactly(fiber, images)
         assert ok
         for i in range(len(images)):
@@ -250,6 +251,78 @@ class TestSuperimpose:
         )
         with pytest.raises(IncompatibleStabilizations):
             superimpose(tx, other)
+
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1), (2, 3), (2, 2, 3), (3, 1, 2, 2)])
+    def test_path_count_is_multinomial(self, sizes):
+        steps = [s - 1 for s in sizes]
+        paths = _paths(sizes)
+        assert len(paths) == factorial(sum(steps)) // prod(map(factorial, steps))
+        assert len({tuple(path) for path in paths}) == len(paths)
+        for path in paths:
+            for a, b in zip(path, path[1:]):
+                assert sorted(y - x for x, y in zip(a, b)) == [0] * (len(sizes) - 1) + [1]
+
+    def test_paths_try_axis_zero_first(self):
+        assert _paths((2, 2)) == [[(0, 0), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]]
+
+    # three types over EDGE whose trails have 2, 2 and 3 pieces
+    CHAIN3 = DualGraph((1, 0, 0, 1), ((0, 1), (1, 2), (2, 3)), (0, 3))
+
+    def _three(self):
+        return (
+            RubberMapType(self.CHAIN, ((-1, -1),), self.A),
+            RubberMapType(self.CHAIN, ((-2, -2),), ContactData(3, ((2, -2),))),
+            RubberMapType(self.CHAIN3, ((0, 0, 0),), self.ZERO),
+        )
+
+    @staticmethod
+    def _direct_sum(*maps):
+        total = sum(m.source_rank for m in maps)
+        rows, before = [], 0
+        for m in maps:
+            pad = total - before - m.source_rank
+            rows += [(0,) * before + tuple(r) + (0,) * pad for r in m.matrix]
+            before += m.source_rank
+        return eg.LinearMap(tuple(rows), total, len(rows))
+
+    def test_superimposition_is_associative(self):
+        # the chamber images in the x + y + w edge coordinates agree whether
+        # (x, y) is overlaid first, (y, w) first, or all three at once
+        x, y, w = self._three()
+        ident = lambda t: eg.LinearMap.identity(t.graph.num_edges)
+        flat = superimpose(x, y, w)
+        left = [
+            (self._direct_sum(p.embed, ident(w)).compose(q.embed), q)
+            for p in superimpose(x, y)
+            for q in superimpose(p.map_type, w)
+        ]
+        right = [
+            (self._direct_sum(ident(x), r.embed).compose(q.embed), q)
+            for r in superimpose(y, w)
+            for q in superimpose(x, r.map_type)
+        ]
+        chambers = {eg.image_cone(p.embed, p.cone) for p in flat}
+        assert len(flat) == len(chambers) == 12
+        for nested in (left, right):
+            assert {eg.image_cone(m, q.cone) for m, q in nested} == chambers
+            assert {q.map_type.contact for _, q in nested} == {flat[0].map_type.contact}
+        assert flat[0].map_type.contact.slopes == ((1, -1), (2, -2), (0, 0))
+        assert all(p.factors == (x, y, w) for p in flat)
+        assert all(is_balanced(q.map_type) for q in flat + [q for _, q in left + right])
+
+    def test_triple_fiber_product_is_tiled(self):
+        x, y, w = self._three()
+        fiber = fiber_product_cone(x, y, w)
+        assert fiber.ambient_rank == 7 and fiber.dim == 5
+        images = [eg.image_cone(p.embed, p.cone) for p in superimpose(x, y, w)]
+        for img in images:
+            assert img.dim == fiber.dim
+            assert fiber.contains_cone(img)
+        ok, witness = cones_cover_exactly(fiber, images)
+        assert ok, witness
+        for i in range(len(images)):
+            for j in range(i + 1, len(images)):
+                assert not eg.relints_intersect(images[i], images[j])
 
 
 class TestMapComplex:
