@@ -14,13 +14,12 @@ import sys
 from .curves import Unstable, build_moduli_complex, check_stable_range, enumerate_stable_graphs
 from .pipeline import (
     build_gamma_subdivision,
+    contact_families,
     contact_types,
     dr_support,
     figure1_demo,
-    image_family,
     run_contacts,
 )
-from .tropmaps import build_map_complex
 
 
 def _parse_contact(text: str):
@@ -96,6 +95,10 @@ def _types(args):
     return types
 
 
+def _families(args):
+    return contact_families(args.g, args.n, _vectors(args), args.max_edges)
+
+
 def cmd_enumerate_maps(args) -> int:
     _no_unimodularize(args)
     types = _types(args)
@@ -111,18 +114,14 @@ def cmd_image(args) -> int:
     if len(args.contacts) != 1:
         raise SystemExit2("image takes a single contact vector")
     _no_unimodularize(args)
-    types = _types(args)["X"]
-    base = build_moduli_complex(args.g, args.n, args.max_edges)
-    fam = image_family(build_map_complex(types, base))
+    fam = _families(args).families["X"]
     _emit(_dump(fam.to_json(), args), args)
     return 0
 
 
 def cmd_subdivide(args) -> int:
-    types = _types(args)
-    base = build_moduli_complex(args.g, args.n, args.max_edges)
-    families = [image_family(build_map_complex(ts, base)) for ts in types.values()]
-    sub = build_gamma_subdivision(base, families, args.unimodularize)
+    cf = _families(args)
+    sub = build_gamma_subdivision(cf.base, list(cf.families.values()), args.unimodularize)
     _emit(_dump(sub.to_json(), args), args)
     return 0
 

@@ -548,6 +548,10 @@ class CurveModuliComplex:
     complex: ConeComplex
     graphs: dict  # cone id -> canonical DualGraph
     _ids: dict = field(init=False, repr=False, compare=False)
+    # the pipeline's per-base table (map types, image families, check
+    # verdicts); the runs of a sweep share a base, so this is the sweep's
+    # memory, and it goes when the base goes
+    _sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ids = {h: cid for cid, h in self.graphs.items()}

@@ -35,6 +35,7 @@ from .curves import CurveModuliComplex, build_moduli_complex
 from .subdivision import (
     PullbackResult,
     SubdivisionOf,
+    UnsoundSample,
     cones_cover_exactly,
     pullback_subdivision,
     refine_until_conical,
@@ -133,6 +134,15 @@ def image_family(mx: MapModuliComplex) -> ConicalSubset:
     return ConicalSubset(mx.target.complex, tuple(pieces.values()))
 
 
+def _merged_pieces(images) -> dict:
+    """The pieces of all the families, each once, by (host, rays)."""
+    merged = {}
+    for fam in images:
+        for host, cone in fam.pieces:
+            merged[(host, cone.rays)] = (host, cone)
+    return merged
+
+
 def build_gamma_subdivision(
     base: CurveModuliComplex, images, unimodularize: bool = False
 ) -> SubdivisionOf:
@@ -142,12 +152,15 @@ def build_gamma_subdivision(
     transport treat each piece on its own, so a conical union makes every
     family conical, which is what the simultaneous statement needs.
     """
-    merged = {}
-    for fam in images:
-        for host, cone in fam.pieces:
-            merged[(host, cone.rays)] = (host, cone)
-    union = ConicalSubset(base.complex, tuple(merged.values()))
+    union = ConicalSubset(base.complex, tuple(_merged_pieces(images).values()))
     return refine_until_conical(base.complex, union, unimodularize=unimodularize)
+
+
+def _gamma_key(images, unimodularize: bool):
+    """What determines Γ over a given base: the merged pieces of the
+    families, sorted, and the unimodularize flag.  The order of the families
+    does not change Γ."""
+    return tuple(sorted(_merged_pieces(images))), unimodularize
 
 
 def pullback_map_complexes(complexes, sub: SubdivisionOf):
@@ -184,6 +197,36 @@ def two_factor_types(
     return products
 
 
+def _contact_data(g: int, n: int, vectors) -> ContactData:
+    vectors = tuple(tuple(a) for a in vectors)
+    if not vectors:
+        raise ValueError("at least one contact vector is required")
+    for a in vectors:
+        if len(a) != n:
+            raise ValueError(f"contact vector {list(a)} must have length n = {n}")
+    return ContactData(g, vectors)
+
+
+def _labelled_types(contact: ContactData, max_edges=None, base=None):
+    """The map types of each factor by label (X, Y, then X3, X4, ...), and
+    for two or more factors the superimposed Z; with the superimpose chambers
+    behind Z, or None for one factor.  With a base, each factor's types are
+    enumerated once per base."""
+    labels = ["XY"[i] if i < 2 else f"X{i + 1}" for i in range(contact.num_factors)]
+    table = {} if base is None else base._sweep
+    types = {}
+    for i, label in enumerate(labels):
+        key = ("types", contact.genus, contact.slopes[i], max_edges)
+        if key not in table:
+            table[key] = enumerate_rubber_types(contact, i, max_edges=max_edges)
+        types[label] = table[key]
+    products = None
+    if contact.num_factors > 1:
+        products = two_factor_types(contact, max_edges, list(types.values()))
+        types["Z"] = [p.map_type for p in products]
+    return types, products
+
+
 def contact_types(g: int, n: int, vectors, max_edges: int | None = None):
     """Check the contact vectors and enumerate their map types by factor label.
 
@@ -192,46 +235,96 @@ def contact_types(g: int, n: int, vectors, max_edges: int | None = None):
     lists of map types; products are the superimpose chambers behind Z, or
     None for one vector.
     """
-    vectors = tuple(tuple(a) for a in vectors)
-    if not vectors:
-        raise ValueError("at least one contact vector is required")
-    for a in vectors:
-        if len(a) != n:
-            raise ValueError(f"contact vector {list(a)} must have length n = {n}")
-    contact = ContactData(g, vectors)
-    labels = ["XY"[i] if i < 2 else f"X{i + 1}" for i in range(len(vectors))]
-    types = {
-        label: enumerate_rubber_types(contact, i, max_edges=max_edges)
-        for i, label in enumerate(labels)
-    }
-    products = None
-    if len(vectors) > 1:
-        products = two_factor_types(contact, max_edges, list(types.values()))
-        types["Z"] = [p.map_type for p in products]
-    return contact, types, products
+    contact = _contact_data(g, n, vectors)
+    return (contact, *_labelled_types(contact, max_edges))
+
+
+@dataclass
+class ContactFamilies:
+    """The map types of some contact vectors over one base, with each factor
+    label's image family and the cone count of its map complex."""
+
+    contact: ContactData
+    base: CurveModuliComplex
+    types: dict  # factor label -> map types
+    products: list | None  # the superimpose chambers behind Z
+    families: dict = field(default_factory=dict)  # factor label -> image family
+    cones: dict = field(default_factory=dict)  # factor label -> map complex cones
+    _built: dict = field(default_factory=dict, repr=False)  # types -> map complex
+
+    def map_complex(self, label: str) -> MapModuliComplex:
+        """The label's map complex, built at most once per call."""
+        key = tuple(self.types[label])
+        if key not in self._built:
+            self._built[key] = build_map_complex(self.types[label], self.base)
+        return self._built[key]
+
+
+def contact_families(
+    g: int, n: int, vectors, max_edges: int | None = None,
+    base: CurveModuliComplex | None = None,
+) -> ContactFamilies:
+    """Check the contact vectors; enumerate their types and image families
+    over base (built here when None).
+
+    The base keeps each factor's types and each tuple of types' family and
+    cone count, so the runs of a sweep over one base make them once.
+    """
+    contact = _contact_data(g, n, vectors)
+    base = base or build_moduli_complex(g, n, max_edges)
+    out = ContactFamilies(contact, base, *_labelled_types(contact, max_edges, base))
+    for label, ts in out.types.items():
+        key = ("family", tuple(ts))
+        if key not in base._sweep:
+            mx = out.map_complex(label)
+            base._sweep[key] = (image_family(mx), len(mx.types))
+        out.families[label], out.cones[label] = base._sweep[key]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the hypothesis checks
 
 
-def _semistability_into(report: Report, label: str, pb: PullbackResult):
-    problems = validate_morphism(pb.refined_map)
-    report.add(f"{label} refined morphism valid", label, not problems)
+def semistability_verdict(pb: PullbackResult) -> tuple:
+    """The checks of one refined map complex without its factor label:
+    (name, scope, passed, witness) rows, the scope None where it is the
+    label."""
+    rows = [("refined morphism valid", None, not validate_morphism(pb.refined_map), None)]
     for r in check_weak_semistable(pb.refined_map):
-        report.add(f"{label} cone onto cone", r.source, r.image_is_cone, r.witness)
-        report.add(f"{label} lattice surjective", r.source, r.lattice_onto)
+        rows.append(("cone onto cone", r.source, r.image_is_cone, r.witness))
+        rows.append(("lattice surjective", r.source, r.lattice_onto, None))
+    return tuple(rows)
 
 
-def _soundness_into(report: Report, sub: SubdivisionOf, seed: int):
-    """The sampled soundness check; a point it finds uncovered, or in two
-    cell interiors, fails the check, and any other error propagates."""
+def _semistability_into(report: Report, label: str, verdict: tuple):
+    for name, scope, passed, witness in verdict:
+        report.add(f"{label} {name}", label if scope is None else scope, passed, witness)
+
+
+def soundness_verdict(sub: SubdivisionOf, seed: int):
+    """The sampled soundness check as (passed, witness).  A point it finds
+    uncovered, or in two cell interiors, fails the check and is its witness;
+    another GeometryError fails it without one, and any other error
+    propagates."""
     try:
         soundness_sample(sub, random.Random(seed), per_cone=6)
-        passed = True
+    except UnsoundSample as exc:
+        return False, exc.point
     except GeometryError:
-        passed = False
-    report.add("subdivision soundness sample", "base", passed)
+        return False, None
+    return True, None
+
+
+def _soundness_into(report: Report, verdict):
+    report.add("subdivision soundness sample", "base", *verdict)
+
+
+def _union_verdict(sub: SubdivisionOf, family: ConicalSubset):
+    """Whether the family is a union of refined cones, with the point of the
+    first witness when it is not."""
+    chk = is_union_of_cones(sub.refined, sub.transport(family))
+    return chk.ok, chk.witnesses[0][2] if chk.witnesses else None
 
 
 def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveModuliComplex):
@@ -292,6 +385,9 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
             report.add("product chamber interiors disjoint", scope, disjoint)
 
 
+_SOUNDNESS = "soundness"  # the key of the sampled check in a recorded dict
+
+
 def verify_theorem_hypotheses(
     pullbacks: dict,
     sub: SubdivisionOf,
@@ -299,12 +395,18 @@ def verify_theorem_hypotheses(
     products=None,
     base: CurveModuliComplex | None = None,
     seed: int = 0,
+    recorded: dict | None = None,
 ) -> Report:
     """Run the full hypothesis suite on refined map complexes.
 
     pullbacks maps factor labels (X, Y, ..., Z) to PullbackResult values;
     products are the superimpose chambers backing the Z factor when present.
+    recorded holds verdicts that earlier runs on the same Γ computed: a
+    factor label's semistability verdict, which stands in for its pullback,
+    and under "soundness" the sampled check's at this seed.  The verdicts
+    computed here are added to it.
     """
+    recorded = {} if recorded is None else recorded
     report = Report(
         inputs={
             "genus": contact.genus,
@@ -313,11 +415,15 @@ def verify_theorem_hypotheses(
         },
         subdivision=sub.summary(),
     )
-    for label in sorted(pullbacks):
-        _semistability_into(report, label, pullbacks[label])
+    for label in sorted(set(pullbacks) | (set(recorded) - {_SOUNDNESS})):
+        if label not in recorded:
+            recorded[label] = semistability_verdict(pullbacks[label])
+        _semistability_into(report, label, recorded[label])
     if products is not None and base is not None:
         _nu_check_pairs(report, products, sub, base)
-    _soundness_into(report, sub, seed)
+    if _SOUNDNESS not in recorded:
+        recorded[_SOUNDNESS] = soundness_verdict(sub, seed)
+    _soundness_into(report, recorded[_SOUNDNESS])
     report.subdivision_data = sub
     return report
 
@@ -332,25 +438,38 @@ def run_contacts(
 ) -> Report:
     """Subdivide along the image families of the contact vectors (and, for
     two or more, their superimposition) and verify the hypotheses on every
-    factor."""
+    factor.
+
+    Γ is built on every run.  The base keeps the verdicts of its runs, keyed
+    by what they depend on: the Γ key and a factor's types, or the Γ key and
+    the seed.  A verdict it lacks is made here, from map complexes pulled
+    back along Γ.
+    """
     t0 = time.perf_counter()
-    contact, types, products = contact_types(g, n, vectors, max_edges)
-    base = base or build_moduli_complex(g, n, max_edges)
-    mxs = {key: build_map_complex(ts, base) for key, ts in types.items()}
-    families = {key: image_family(mx) for key, mx in mxs.items()}
-    sub = build_gamma_subdivision(base, list(families.values()), unimodularize)
-    pbs = pullback_map_complexes(mxs, sub)
-    report = verify_theorem_hypotheses(
-        pbs, sub, contact, products=products, base=base, seed=seed
+    cf = contact_families(g, n, vectors, max_edges, base)
+    table = cf.base._sweep
+    sub = build_gamma_subdivision(cf.base, list(cf.families.values()), unimodularize)
+    gamma = _gamma_key(cf.families.values(), unimodularize)
+    keys = {label: ("semistable", gamma, tuple(ts)) for label, ts in cf.types.items()}
+    keys[_SOUNDNESS] = ("soundness", gamma, seed)
+    recorded = {name: table[key] for name, key in keys.items() if key in table}
+    pbs = pullback_map_complexes(
+        {label: cf.map_complex(label) for label in cf.types if label not in recorded}, sub
     )
-    for key in sorted(families):
-        chk = is_union_of_cones(sub.refined, sub.transport(families[key]))
-        witness = chk.witnesses[0][2] if chk.witnesses else None
-        report.add("image family union of cones", key, chk.ok, witness)
-    if products is None:
-        report.inputs["types"] = len(types["X"])
+    report = verify_theorem_hypotheses(
+        pbs, sub, cf.contact, cf.products, cf.base, seed, recorded
+    )
+    for name, key in keys.items():
+        table[key] = recorded[name]
+    for label in sorted(cf.families):
+        key = ("union", gamma, tuple(cf.types[label]))
+        if key not in table:
+            table[key] = _union_verdict(sub, cf.families[label])
+        report.add("image family union of cones", label, *table[key])
+    if cf.products is None:
+        report.inputs["types"] = len(cf.types["X"])
     else:
-        report.inputs["types"] = {k: len(m.types) for k, m in sorted(mxs.items())}
+        report.inputs["types"] = dict(sorted(cf.cones.items()))
     if max_edges is not None:
         report.inputs["max_edges"] = max_edges
     report.elapsed = time.perf_counter() - t0
@@ -382,12 +501,9 @@ def dr_support(g: int, n: int, a, unimodularize: bool = False,
     with a base subdivision making it a union of cones and a codimension
     table for the transverse intersection diagnostics."""
     t0 = time.perf_counter()
-    _, by_label, _ = contact_types(g, n, (a,), max_edges)
-    types = by_label["X"]
-    base = base or build_moduli_complex(g, n, max_edges)
-    mx = build_map_complex(types, base)
-    fam = image_family(mx)
-    sub = build_gamma_subdivision(base, [fam], unimodularize)
+    cf = contact_families(g, n, (a,), max_edges, base)
+    fam = cf.families["X"]
+    sub = build_gamma_subdivision(cf.base, [fam], unimodularize)
     transported = sub.transport(fam)
     strata = []
     for host, piece in transported.pieces:
@@ -401,7 +517,7 @@ def dr_support(g: int, n: int, a, unimodularize: bool = False,
             }
         )
     report = Report(
-        inputs={"genus": g, "markings": n, "contacts": [list(a)], "types": len(types)},
+        inputs={"genus": g, "markings": n, "contacts": [list(a)], "types": len(cf.types["X"])},
         subdivision=sub.summary(),
     )
     chk = is_union_of_cones(sub.refined, transported)
@@ -466,8 +582,8 @@ def figure1_demo(seed: int = 0) -> Report:
 
     mx = build_map_complex([fig_type], base)
     pb = pullback_subdivision(mx.forgetful, sub)
-    _semistability_into(report, "X", pb)
+    _semistability_into(report, "X", semistability_verdict(pb))
     report.subdivision_data = sub
-    _soundness_into(report, sub, seed)
+    _soundness_into(report, soundness_verdict(sub, seed))
     report.elapsed = time.perf_counter() - t0
     return report

@@ -48,6 +48,16 @@ class RayOutside(GeometryError):
     pass
 
 
+class UnsoundSample(GeometryError):
+    """A sampled point of an original cone that no maximal cell covers, or
+    that lies in the relative interiors of two."""
+
+    def __init__(self, message: str, cone_id: str, point):
+        super().__init__(message)
+        self.cone_id = cone_id
+        self.point = point
+
+
 class CellOver(NamedTuple):
     """A refined cell embedded in an original cone's coordinates."""
 
@@ -484,17 +494,20 @@ def _facet_beneath(a: RationalCone, b: RationalCone):
 
 def soundness_sample(sub: SubdivisionOf, rng, per_cone: int = 12):
     """Sampled exact membership check: every sampled point of an original cone
-    lies in some maximal cell and in the relative interior of at most one."""
+    lies in some maximal cell and in the relative interior of at most one.
+    Raises UnsoundSample, naming the cone and the point, when one does not."""
     for cid in sub.original.ids():
         cone = sub.original.cones[cid]
         maxima = [c.cone for c in sub.max_cells_over(cid)]
         for p in sample_points(cone, per_cone, rng):
             containing = [m for m in maxima if m.contains(p)]
             if not containing:
-                raise GeometryError(f"sampled point {p} of {cid} not covered")
+                raise UnsoundSample(f"sampled point {p} of {cid} not covered", cid, p)
             strict = [m for m in maxima if m.contains_in_relint(p)]
             if len(strict) > 1:
-                raise GeometryError(f"sampled point {p} of {cid} in two cell interiors")
+                raise UnsoundSample(
+                    f"sampled point {p} of {cid} in two cell interiors", cid, p
+                )
     return True
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -30,3 +31,53 @@ def moduli_cached(g, n):
     if (g, n) not in _base_cache:
         _base_cache[(g, n)] = build_moduli_complex(g, n)
     return _base_cache[(g, n)]
+
+
+def _partitions(d):
+    if d == 0:
+        return [()]
+    out = []
+
+    def rec(rest, most, acc):
+        if rest == 0:
+            out.append(tuple(acc))
+            return
+        for part in range(min(rest, most), 0, -1):
+            rec(rest - part, part, acc + [part])
+
+    rec(d, d, [])
+    return out
+
+
+def contact_vectors(n, max_degree):
+    """Canonical contact vectors up to marking permutation, degree bounded."""
+    seen = []
+    for d in range(0, max_degree + 1):
+        if d == 0:
+            seen.append((0,) * n)
+            continue
+        for pos in _partitions(d):
+            for neg in _partitions(d):
+                if len(pos) + len(neg) > n:
+                    continue
+                vec = (
+                    tuple(sorted(pos, reverse=True))
+                    + (0,) * (n - len(pos) - len(neg))
+                    + tuple(sorted((-x for x in neg), reverse=True))
+                )
+                if vec not in seen:
+                    seen.append(vec)
+    return seen
+
+
+def lemma_inputs(n):
+    """Criterion 2's contact data on n markings: each vector of contact
+    degree at most three alone, then each unordered pair of total degree at
+    most three (two factor data up to swapping the factors)."""
+    vectors = contact_vectors(n, 3)
+    degree = lambda a: sum(x for x in a if x > 0)
+    return [(a,) for a in vectors] + [
+        (a1, a2)
+        for a1, a2 in combinations_with_replacement(vectors, 2)
+        if degree(a1) + degree(a2) <= 3
+    ]

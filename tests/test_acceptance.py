@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import moduli_cached, random_cone
+from conftest import contact_vectors, lemma_inputs, moduli_cached, random_cone
 from oracles import (
     enumerate_rubber_types_bruteforce,
     enumerate_stable_graphs_bruteforce,
@@ -23,7 +23,7 @@ from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import is_union_of_cones
 from tropgeom.curves import canonical_form, enumerate_stable_graphs
-from tropgeom.pipeline import figure1_demo, product_run, single_factor_run
+from tropgeom.pipeline import figure1_demo, product_run, run_contacts
 from tropgeom.subdivision import soundness_sample, verify_subdivision
 from tropgeom.tropmaps import (
     ContactData,
@@ -37,43 +37,6 @@ from tropgeom.tropmaps import (
 STABLE_RANGE = [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0)]
 
 
-def _partitions(d):
-    if d == 0:
-        return [()]
-    out = []
-
-    def rec(rest, most, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(rest, most), 0, -1):
-            rec(rest - part, part, acc + [part])
-
-    rec(d, d, [])
-    return out
-
-
-def contact_vectors(n, max_degree):
-    """Canonical contact vectors up to marking permutation, degree bounded."""
-    seen = []
-    for d in range(0, max_degree + 1):
-        if d == 0:
-            seen.append((0,) * n)
-            continue
-        for pos in _partitions(d):
-            for neg in _partitions(d):
-                if len(pos) + len(neg) > n:
-                    continue
-                vec = (
-                    tuple(sorted(pos, reverse=True))
-                    + (0,) * (n - len(pos) - len(neg))
-                    + tuple(sorted((-x for x in neg), reverse=True))
-                )
-                if vec not in seen:
-                    seen.append(vec)
-    return seen
-
-
 # the subdivisions of criteria 1 to 3, by criterion, set when a criterion
 # passes; criterion 5 re-verifies them and builds those that are missing
 criterion_subdivisions = {}
@@ -83,17 +46,8 @@ def _lemma_suite_runs():
     """Criterion 2's runs, as (input, report) pairs."""
     for g, n in STABLE_RANGE:
         base = moduli_cached(g, n)
-        vectors = contact_vectors(n, 3)
-        for a in vectors:
-            yield (g, n, a), single_factor_run(g, n, a, base=base)
-        # two factor data, total contact degree at most three, up to swap
-        pairs = [
-            (a1, a2)
-            for a1, a2 in combinations_with_replacement(vectors, 2)
-            if sum(x for x in a1 if x > 0) + sum(x for x in a2 if x > 0) <= 3
-        ]
-        for a1, a2 in pairs:
-            yield (g, n, a1, a2), product_run(g, n, a1, a2, base=base)
+        for vectors in lemma_inputs(n):
+            yield (g, n, *vectors), run_contacts(g, n, vectors, base=base)
 
 
 def _nu_runs():

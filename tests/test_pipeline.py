@@ -3,16 +3,17 @@ import random
 
 import pytest
 
-from conftest import moduli_cached
+from conftest import lemma_inputs, moduli_cached
 from oracles import verify_subdivision_pairwise
 from tropgeom import exactgeom as eg
 from tropgeom import pipeline
 from tropgeom.complexes import ConicalSubset, is_union_of_cones
-from tropgeom.curves import DualGraph, build_complex_from_graphs
+from tropgeom.curves import DualGraph, build_complex_from_graphs, build_moduli_complex
 from tropgeom.pipeline import (
     BOUNDARY_NOTE,
     Report,
     build_gamma_subdivision,
+    contact_families,
     dr_support,
     figure1_demo,
     image_family,
@@ -24,6 +25,7 @@ from tropgeom.pipeline import (
 from tropgeom.subdivision import (
     identity_subdivision,
     refine_until_conical,
+    UnsoundSample,
     soundness_sample,
     verify_subdivision,
 )
@@ -254,3 +256,88 @@ class TestSoundnessCheck:
         monkeypatch.setattr(pipeline, "soundness_sample", crash)
         with pytest.raises(ZeroDivisionError):
             run()
+
+
+def _bytes(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _recomputed(*args, **kwargs):
+    raise AssertionError("a piece in the base's table was made again")
+
+
+class TestSweepTable:
+    """A base keeps the types, image families and check verdicts of the runs
+    made on it; the runs of a sweep share the base, so each piece is made
+    once per sweep."""
+
+    @pytest.mark.parametrize("g, n", [(0, 4), (1, 2)])
+    def test_shared_base_gives_the_bytes_of_fresh_bases(self, g, n, monkeypatch):
+        # criterion 2's inputs, each also unimodularized
+        inputs = [(vectors, uni) for vectors in lemma_inputs(n) for uni in (False, True)]
+        fresh = {i: _bytes(run_contacts(g, n, i[0], i[1])) for i in inputs}
+        base = build_moduli_complex(g, n)
+        first, second = (random.Random(s).sample(inputs, len(inputs)) for s in (1, 2))
+        for i in first:
+            assert _bytes(run_contacts(g, n, *i, base=base)) == fresh[i]
+        # the second order finds every piece in the table
+        monkeypatch.setattr(pipeline, "enumerate_rubber_types", _recomputed)
+        monkeypatch.setattr(pipeline, "build_map_complex", _recomputed)
+        for i in second:
+            assert _bytes(run_contacts(g, n, *i, base=base)) == fresh[i]
+
+    def test_gamma_does_not_depend_on_the_family_order(self):
+        # so the sorted merged pieces can stand for Γ in the table's keys
+        cf = contact_families(1, 3, [(2, 0, -2), (1, -1, 0)], base=moduli_cached(1, 3))
+        families = list(cf.families.values())
+        subs = [
+            build_gamma_subdivision(cf.base, order)
+            for order in (families, families[::-1], families[1:] + families[:1])
+        ]
+        assert len(subs[0].refined.cones) > len(cf.base.complex.cones)
+        assert all(sub.to_json() == subs[0].to_json() for sub in subs)
+
+    def test_failed_verdicts_replay_with_their_witnesses(self, monkeypatch):
+        # without Γ the union check fails with a point, and an injected
+        # sample fault fails the soundness check with its point
+        monkeypatch.setattr(
+            pipeline,
+            "build_gamma_subdivision",
+            lambda base, images, unimodularize=False: identity_subdivision(base.complex),
+        )
+
+        def unsound(sub, rng, per_cone):
+            raise UnsoundSample("injected", "G0", (1, 2, 3))
+
+        monkeypatch.setattr(pipeline, "soundness_sample", unsound)
+        base = build_moduli_complex(1, 3)
+        first = single_factor_run(1, 3, (2, 0, -2), base=base)
+        witnesses = {c.name: c.witness for c in first.checks if not c.passed}
+        assert witnesses["subdivision soundness sample"] == (1, 2, 3)
+        assert len(witnesses["image family union of cones"]) == 3
+
+        def no_pullbacks(complexes, sub):
+            assert not complexes, "a recorded verdict was computed again"
+            return {}
+
+        monkeypatch.setattr(pipeline, "soundness_sample", _recomputed)
+        monkeypatch.setattr(pipeline, "is_union_of_cones", _recomputed)
+        monkeypatch.setattr(pipeline, "pullback_map_complexes", no_pullbacks)
+        second = single_factor_run(1, 3, (2, 0, -2), base=base)
+        assert _bytes(second) == _bytes(first)
+        assert {
+            "name": "subdivision soundness sample", "scope": "base", "passed": False,
+            "witness": [1, 2, 3],
+        } in second.to_json()["checks"]
+
+    def test_bases_do_not_share_a_table(self, monkeypatch):
+        assert single_factor_run(1, 2, (2, -2), base=moduli_cached(1, 2)).all_passed
+
+        def unsound(sub, rng, per_cone):
+            raise UnsoundSample("injected", "G0", (1, 1))
+
+        monkeypatch.setattr(pipeline, "soundness_sample", unsound)
+        for base in (None, build_moduli_complex(1, 2)):
+            report = single_factor_run(1, 2, (2, -2), base=base)
+            soundness = [c for c in report.checks if c.name == "subdivision soundness sample"]
+            assert [(c.passed, c.witness) for c in soundness] == [(False, (1, 1))]

@@ -17,9 +17,10 @@ from tropgeom.complexes import (
 )
 from tropgeom import subdivision
 from tropgeom.curves import build_moduli_complex
-from tropgeom.pipeline import contact_types, single_factor_run
+from tropgeom.pipeline import contact_types, single_factor_run, soundness_verdict
 from tropgeom.subdivision import (
     RayOutside,
+    UnsoundSample,
     _assemble,
     _parallelepiped_interior_point,
     _glue_fans,
@@ -288,6 +289,31 @@ class TestSoundness:
         assert verify_subdivision(total) == []
         assert soundness_sample(total, rng, per_cone=10)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("missing cell", "not covered"), ("overlapping cell", "two cell interiors")],
+    )
+    def test_a_faulty_cell_names_its_cone_and_point(self, orthant3, fault, message):
+        cx, top = orthant3
+        s = stellar_subdivide(cx, top, (1, 1, 1))
+        cells = s.cells_over(top)
+        first = s.max_cells_over(top)[0]
+        if fault == "missing cell":
+            s._cells_cache[top] = [c for c in cells if c is not first]
+        else:
+            s._cells_cache[top] = cells + [first._replace(cone=cx.cones[top])]
+        with pytest.raises(UnsoundSample, match=message) as caught:
+            soundness_sample(s, random.Random(0), per_cone=6)
+        cone_id, point = caught.value.cone_id, caught.value.point
+        assert cone_id == top
+        holding = [c.cone for c in s.max_cells_over(top) if c.cone.contains(point)]
+        if fault == "missing cell":
+            assert holding == [] and first.cone.contains(point)
+        else:
+            assert sum(c.contains_in_relint(point) for c in holding) == 2
+        # the report's check carries the point as its witness
+        assert soundness_verdict(s, 0) == (False, point)
+
     def test_cover_checker(self):
         target = eg.cone_from_generators([(1, 0), (0, 1)])
         a = eg.cone_from_generators([(1, 0), (1, 1)])
@@ -544,7 +570,9 @@ class TestCertificateAgainstOracle:
 
     @pytest.mark.parametrize("a", M13_VECTORS)
     def test_unimodular_m13(self, a, monkeypatch):
-        base = moduli_cached(1, 3)
+        # a fresh base, so the run pulls its map complex back instead of
+        # replaying verdicts that earlier tests left in a shared base's table
+        base = build_moduli_complex(1, 3)
         self._agree(
             self._checked_in(
                 monkeypatch,
