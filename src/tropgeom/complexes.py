@@ -54,6 +54,7 @@ class ConeComplex:
             full_auts[cid] = tuple(sorted(mats.values(), key=lambda g: g.matrix))
         self.auts = full_auts
         self._embeddings = {}
+        self._faces_into = None  # face maps by target cone, built on first use
         # the subdivision that cuts nothing, built on first use by
         # subdivision.hyperplane_refine and so checked once per complex
         self._unrefined = None
@@ -62,9 +63,15 @@ class ConeComplex:
         return sorted(self.cones)
 
     def face_maps_into(self, cid: str):
-        return sorted(
-            (f for f in self.faces if f.sup == cid), key=lambda f: (f.sub, f.map.matrix)
-        )
+        """The face maps into the cone cid, sorted by source and matrix."""
+        if self._faces_into is None:
+            into = {}
+            for f in self.faces:
+                into.setdefault(f.sup, []).append(f)
+            for fs in into.values():
+                fs.sort(key=lambda f: (f.sub, f.map.matrix))
+            self._faces_into = into
+        return list(self._faces_into.get(cid, ()))
 
     def embeddings_into(self, cid: str):
         """All embedded copies of complex cones inside the cone cid.

@@ -10,6 +10,7 @@ construction and all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg as la
@@ -480,8 +481,13 @@ def is_unimodular(c: RationalCone) -> bool:
     return c.lattice_index() == 1
 
 
+@lru_cache(maxsize=4096)
 def lattice_surjective(f: LinearMap, c: RationalCone, target: RationalCone) -> bool:
-    """Whether f maps lattice points of span(c) onto lattice points of span(f(c))."""
+    """Whether f maps lattice points of span(c) onto lattice points of span(f(c)).
+
+    The answers are kept in an LRU table of 4096 entries, like
+    `linalg.smith_factors`; a call that raises stores nothing.
+    """
     for r in c.rays:
         if not target.contains(f.apply(r)):
             raise GeometryError("map does not send the cone into the target")

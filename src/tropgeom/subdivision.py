@@ -6,6 +6,13 @@ assembler that resolves cell ownership across face gluings, collapses
 automorphism orbits, and rebuilds a glued complex together with the
 projection morphism.
 
+The work is local.  The assembler glues only the touched cones: the cones
+whose fan is not the cone alone, and their faces.  It copies every other
+cone unchanged.  A stellar step looks for copies of its ray only in the star
+of the ray's host cone, so a step costs the star and its faces plus a copy
+of the rest of the complex (De Loera, Rambau and Santos, *Triangulations*,
+Springer 2010: a stellar step changes only the star of its ray).
+
 The assembler does not check what it builds.  `check_subdivision` does, once
 per subdivision object, where a subdivision leaves the engine: on the result
 of `refine_until_conical` (after unimodularization), on the source
@@ -17,6 +24,7 @@ worked example.  `stellar_subdivide`, `hyperplane_refine` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -39,6 +47,7 @@ from .complexes import (
     ConicalSubset,
     FaceMap,
     is_union_of_cones,
+    preimage_in_span,
     pull_back_cone,
     validate_complex,
 )
@@ -191,26 +200,43 @@ MAX_UNIMODULAR_STEPS = 500
 
 
 def _closure_of_fans(cx: ConeComplex, fans: dict):
-    """Face-close the given cells, then close under automorphisms and
-    pullback along face maps until stable."""
+    """The cells of the touched cones, closed under faces, automorphisms and
+    pullback along face maps.
+
+    A cone is cut when its fan is not the cone alone, and touched when it is
+    cut or a face of a cut cone; the touched cones are found by walking the
+    face maps downwards from the cut ones.  The given cells are face-closed
+    (a touched cone without a fan starts from its own faces), then closed
+    under automorphisms and pullback along the face maps out of touched cones
+    until stable.  Returns the cells keyed by the touched cones.  An untouched
+    cone's cells are its own faces: pullback from an untouched cone adds only
+    faces of a cone, which a subdivision already holds (see `_unrefined`).
+    """
+    touched = set()
+    stack = [cid for cid, fan in fans.items() if list(fan) != [cx.cones[cid]]]
+    while stack:
+        cid = stack.pop()
+        if cid not in touched:
+            touched.add(cid)
+            stack.extend(f.sub for f in cx.face_maps_into(cid))
+    touched = sorted(touched)
+    face_maps = [f for cid in touched for f in cx.face_maps_into(cid)]
     cells = {}
-    for cid, cone in cx.cones.items():
-        given = list(fans[cid]) if cid in fans else [cone]
+    for cid in touched:
         got = set()
-        for c in given:
-            for f in c.all_faces():
-                got.add(f)
+        for c in fans.get(cid, (cx.cones[cid],)):
+            got.update(c.all_faces())
         cells[cid] = got
     for _ in range(MAX_FIXPOINT_ROUNDS):
         changed = set()
-        for cid in cx.ids():
+        for cid in touched:
             for g in cx.auts[cid]:
                 for c in list(cells[cid]):
                     img = image_cone(g, c)
                     if img not in cells[cid]:
                         cells[cid].add(img)
                         changed.add(cid)
-        for f in cx.faces:
+        for f in face_maps:
             sub_cone = cx.cones[f.sub]
             fimg = image_cone(f.map, sub_cone)
             for c in list(cells[f.sup]):
@@ -227,86 +253,29 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
     )
 
 
+@lru_cache(maxsize=4096)
+def _inverse(h: LinearMap) -> LinearMap:
+    return LinearMap(la.invert_unimodular(h.matrix), h.source_rank, h.target_rank)
+
+
 def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
     """Build the refined complex from per-cone fans of cells (unchecked).
 
-    A cone without a fan, or whose fan is the cone alone, is not cut; when
-    no cone is cut the unrefined subdivision is built directly.
-    """
-    if all(list(fans.get(cid, (cone,))) == [cone] for cid, cone in cx.cones.items()):
-        return _unrefined(cx)
-    return _glue_fans(cx, fans)
-
-
-def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
-    """Check a subdivision once and return it.
-
-    Runs the shallow complex invariants of the refined complex and
-    `verify_subdivision`, and raises a GeometryError naming every problem.
-    A subdivision that passed is marked, so checking it again does nothing.
-    """
-    if sub._checked:
-        return sub
-    problems = validate_complex(sub.refined, deep=False)
-    problems += verify_subdivision(sub)
-    if problems:
-        raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
-    sub._checked = True
-    return sub
-
-
-def _unrefined(cx: ConeComplex) -> SubdivisionOf:
-    """The subdivision that cuts nothing: cone cid becomes the cone cid.0.
-
-    Each proper face is glued along the first embedding onto it, composed
-    with the inverse of the first automorphism of its source, which is the
-    face map `_glue_fans` picks for the same cells.
-    """
-    first_inverse = {}
-    for cid in cx.ids():
-        h = cx.auts[cid][0]
-        first_inverse[cid] = LinearMap(
-            la.invert_unimodular(h.matrix), h.source_rank, h.target_rank
-        )
-    new_cones = {}
-    new_auts = {}
-    new_faces = set()
-    assignments = {}
-    for cid in cx.ids():
-        cone = cx.cones[cid]
-        nid = f"{cid}.0"
-        new_cones[nid] = cone
-        new_auts[nid] = [g for g in cx.auts[cid] if image_cone(g, cone) == cone]
-        assignments[nid] = (cid, LinearMap.identity(cone.ambient_rank))
-        onto = {}
-        for emb in cx.embeddings_into(cid):
-            onto.setdefault(emb.cone.rays, emb)
-        for face in cone.proper_faces():
-            emb = onto.get(face.rays)
-            if emb is None:
-                raise GeometryError(
-                    f"face {face.rays} of cone {cid} is not represented; "
-                    "cannot resolve cell ownership"
-                )
-            new_faces.add(
-                FaceMap(f"{emb.src}.0", nid, emb.map.compose(first_inverse[emb.src]))
-            )
-    refined = ConeComplex(new_cones, new_faces, new_auts)
-    return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
-
-
-def _glue_fans(cx: ConeComplex, fans: dict) -> SubdivisionOf:
-    """Glue per-cone fans of cells into a refined complex (unverified).
-
-    Cells whose relative interior meets the relative interior of their host
-    cone are owned by that host; every other cell is pulled back to the face
-    that owns it.  One cone is stored per automorphism orbit of owned cells.
+    Only the touched cones, those a fan cuts and their faces, are glued (see
+    `_closure_of_fans`).  A cell whose relative interior meets the relative
+    interior of its host cone is owned by that host; every other cell is
+    pulled back to the face that owns it.  One cone is stored per
+    automorphism orbit of owned cells, and the cells owned by cone cid get
+    the ids cid.0, cid.1, ... in (dimension, rays) order.  Every untouched
+    cone cid is copied as the single cone cid.0 (see `_unrefined`), so a
+    step that cuts no cone copies the complex.  The ids, face maps,
+    automorphisms and projection are those that gluing every cone gives.
     """
     cells = _closure_of_fans(cx, fans)
 
     cell_info = {}
-    owned = {cid: {} for cid in cx.cones}
-    for cid in cx.ids():
+    owned = {cid: {} for cid in cells}
+    for cid in cells:
         cone = cx.cones[cid]
         for c in sorted(cells[cid], key=lambda c: (c.dim, c.rays)):
             mf = cone.minimal_face_containing(c)
@@ -327,16 +296,16 @@ def _glue_fans(cx: ConeComplex, fans: dict) -> SubdivisionOf:
                 ((image_cone(h, c_owner), h) for h in cx.auts[owner]),
                 key=lambda t: t[0].rays,
             )
-            hinv = LinearMap(
-                la.invert_unimodular(h.matrix), h.source_rank, h.target_rank
-            )
-            cell_info[(cid, c.rays)] = (owner, rep, emb_map.compose(hinv))
+            cell_info[(cid, c.rays)] = (owner, rep, emb_map.compose(_inverse(h)))
             owned[owner][rep.rays] = rep
 
     ids = {}
     new_cones = {}
     for owner in cx.ids():
-        reps = sorted(owned[owner].values(), key=lambda c: (c.dim, c.rays))
+        if owner in owned:
+            reps = sorted(owned[owner].values(), key=lambda c: (c.dim, c.rays))
+        else:
+            reps = [cx.cones[owner]]
         for k, rep in enumerate(reps):
             nid = f"{owner}.{k}"
             ids[(owner, rep.rays)] = nid
@@ -354,6 +323,9 @@ def _glue_fans(cx: ConeComplex, fans: dict) -> SubdivisionOf:
             owner,
             LinearMap.identity(cx.cones[owner].ambient_rank),
         )
+        if owner not in owned:
+            new_faces.update(_unrefined(cx, owner, ids))
+            continue
         for face in rep.proper_faces():
             sub_owner, sub_rep, sub_map = cell_info[(owner, face.rays)]
             sub_id = ids[(sub_owner, sub_rep.rays)]
@@ -361,6 +333,56 @@ def _glue_fans(cx: ConeComplex, fans: dict) -> SubdivisionOf:
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
     return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
+
+
+def _unrefined(cx: ConeComplex, cid: str, ids: dict):
+    """The face maps into cid.0, the copy of an untouched cone cid.
+
+    Gluing the untouched cone would give the same cone and face maps.  Its
+    cells are its own faces (`_closure_of_fans`), and the only one whose
+    minimal face is the cone is the cone itself, so it owns one cell, cid.0.
+    A proper face F is its own minimal face.  So F is owned by the source s of
+    the first embedding onto F (in `embeddings_into` order), and it pulls back
+    to the whole cone of s.  Every automorphism of s fixes that cone, so the
+    orbit minimum is taken at the first automorphism h of s, and the face map
+    is the embedding composed with the inverse of h.  Its source is the id
+    of the whole cone of s: s.0 when s is untouched too.  A touched s holds
+    that cell whenever its subdivision glues to the uncut cone cid; when it
+    does not, the face cannot be glued.
+    """
+    onto = {}
+    for emb in cx.embeddings_into(cid):
+        onto.setdefault(emb.cone.rays, emb)
+    for face in cx.cones[cid].proper_faces():
+        emb = onto.get(face.rays)
+        if emb is None:
+            raise GeometryError(
+                f"face {face.rays} of cone {cid} is not represented; "
+                "cannot resolve cell ownership"
+            )
+        sub_id = ids.get((emb.src, cx.cones[emb.src].rays))
+        if sub_id is None:
+            raise GeometryError(
+                f"face {face.rays} of cone {cid} is cut, but cone {cid} is not"
+            )
+        yield FaceMap(sub_id, f"{cid}.0", emb.map.compose(_inverse(cx.auts[emb.src][0])))
+
+
+def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
+    """Check a subdivision once and return it.
+
+    Runs the shallow complex invariants of the refined complex and
+    `verify_subdivision`, and raises a GeometryError naming every problem.
+    A subdivision that passed is marked, so checking it again does nothing.
+    """
+    if sub._checked:
+        return sub
+    problems = validate_complex(sub.refined, deep=False)
+    problems += verify_subdivision(sub)
+    if problems:
+        raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
+    sub._checked = True
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +553,12 @@ def _stellar_fan(cells, ray):
 def stellar_subdivide(cx: ConeComplex, cone_id: str, ray) -> SubdivisionOf:
     """Stellar subdivision at a ray given in the named cone's coordinates.
 
-    The ray is inserted together with its automorphism orbit, and the
-    insertion is propagated to every cone that shares the face of the ray.
+    The ray is inserted together with its automorphism orbit into the star
+    of its host, the cone s owning the minimal face that holds the ray: s
+    itself and every cone that a face map out of s reaches.  Those are the
+    cones whose `embeddings_into` has an entry from s, so no other cone holds
+    a copy of the ray and no other cone is visited.  `_assemble` then glues
+    the star and the faces of its cones, and copies the rest of the complex.
     The result is a step, not checked; see `check_subdivision`.
     """
     cone = cx.cones[cone_id]
@@ -541,23 +567,20 @@ def stellar_subdivide(cx: ConeComplex, cone_id: str, ray) -> SubdivisionOf:
         raise RayOutside(f"ray {ray} is not in the support of cone {cone_id}")
     host_face = cone.minimal_face_containing(cone_from_generators([ray], cone.ambient_rank))
     emb = next(e for e in cx.embeddings_into(cone_id) if e.cone == host_face)
-    from .complexes import preimage_in_span
-
     ray_owner = preimage_in_span(emb.map, cx.cones[emb.src], ray)
     orbit = sorted(
         {la.primitive(g.apply(ray_owner)) for g in cx.auts[emb.src]}
     )
 
+    star = {emb.src} | {f.sup for f in cx.faces if f.sub == emb.src}
     fans = {}
-    for cid in cx.ids():
+    for cid in sorted(star):
         copies = set()
         for e in cx.embeddings_into(cid):
             if e.src != emb.src:
                 continue
             for r in orbit:
                 copies.add(la.primitive(e.map.apply(r)))
-        if not copies:
-            continue
         cells = cx.cones[cid].all_faces()
         for r in sorted(copies):
             cells = _stellar_fan(cells, r)

@@ -5,11 +5,12 @@ the library: graphs come from every genus tuple, edge multiset and leg
 placement, types from every slope vector on those graphs, and classes are
 told apart by trying every vertex bijection.  The cone oracles find facets
 by subset enumeration and membership by Caratheodory subsets of rays, and
-the subdivision oracle intersects every pair of cells.  The one-pass
-canonical labelling, which computes the automorphisms on every call, is kept
-beside the library's memoized labelling and automorphism tables.  The exact
-kernel's
-earlier paths are kept as oracles too: rational elimination, a Smith form
+the subdivision oracle intersects every pair of cells.  The whole-complex
+assembler glues every cone, where the library glues only the cones a step
+touches and copies the rest.  The one-pass canonical labelling, which
+computes the automorphisms on every call, is kept beside the library's
+memoized labelling and automorphism tables.  The exact kernel's earlier
+paths are kept as oracles too: rational elimination, a Smith form
 per solve, column-by-column inversion, double description through Fraction
 projections, the box point scan and the rational sample points.  The tests
 compare the library against them.
@@ -28,7 +29,20 @@ from tropgeom.curves import (
     check_stable_range,
     genus,
 )
-from tropgeom.exactgeom import RationalCone, intersect
+from tropgeom.complexes import (
+    ComplexMorphism,
+    ConeComplex,
+    FaceMap,
+    pull_back_cone,
+)
+from tropgeom.exactgeom import (
+    GeometryError,
+    LinearMap,
+    RationalCone,
+    image_cone,
+    intersect,
+)
+from tropgeom.subdivision import MAX_FIXPOINT_ROUNDS, SubdivisionOf
 from tropgeom.tropmaps import (
     ContactData,
     RubberMapType,
@@ -305,6 +319,115 @@ def verify_subdivision_pairwise(sub):
         if len(seen) != len(maxima):
             out.append(f"maximal cells over {cid} are not wall connected")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the whole-complex assembler
+
+
+def closure_of_fans_whole(cx: ConeComplex, fans: dict):
+    """Face-close the given cells, then close under automorphisms and
+    pullback along face maps until stable."""
+    cells = {}
+    for cid, cone in cx.cones.items():
+        given = list(fans[cid]) if cid in fans else [cone]
+        got = set()
+        for c in given:
+            for f in c.all_faces():
+                got.add(f)
+        cells[cid] = got
+    for _ in range(MAX_FIXPOINT_ROUNDS):
+        changed = set()
+        for cid in cx.ids():
+            for g in cx.auts[cid]:
+                for c in list(cells[cid]):
+                    img = image_cone(g, c)
+                    if img not in cells[cid]:
+                        cells[cid].add(img)
+                        changed.add(cid)
+        for f in cx.faces:
+            sub_cone = cx.cones[f.sub]
+            fimg = image_cone(f.map, sub_cone)
+            for c in list(cells[f.sup]):
+                if fimg.contains_cone(c):
+                    back = pull_back_cone(f.map, sub_cone, c)
+                    if back not in cells[f.sub]:
+                        cells[f.sub].add(back)
+                        changed.add(f.sub)
+        if not changed:
+            return cells
+    raise GeometryError(
+        f"cell closure did not stabilize in {MAX_FIXPOINT_ROUNDS} rounds; "
+        f"cells of cones {sorted(changed)} still changed in the last round"
+    )
+
+
+def glue_fans_whole(cx: ConeComplex, fans: dict) -> SubdivisionOf:
+    """Glue per-cone fans of cells into a refined complex (unverified).
+
+    Cells whose relative interior meets the relative interior of their host
+    cone are owned by that host; every other cell is pulled back to the face
+    that owns it.  One cone is stored per automorphism orbit of owned cells.
+    """
+    cells = closure_of_fans_whole(cx, fans)
+
+    cell_info = {}
+    owned = {cid: {} for cid in cx.cones}
+    for cid in cx.ids():
+        cone = cx.cones[cid]
+        for c in sorted(cells[cid], key=lambda c: (c.dim, c.rays)):
+            mf = cone.minimal_face_containing(c)
+            if mf == cone:
+                owner, emb_map, c_owner = cid, LinearMap.identity(cone.ambient_rank), c
+            else:
+                emb = next(
+                    (e for e in cx.embeddings_into(cid) if e.cone == mf), None
+                )
+                if emb is None:
+                    raise GeometryError(
+                        f"face {mf.rays} of cone {cid} is not represented; "
+                        "cannot resolve cell ownership"
+                    )
+                owner, emb_map = emb.src, emb.map
+                c_owner = pull_back_cone(emb_map, cx.cones[owner], c)
+            rep, h = min(
+                ((image_cone(h, c_owner), h) for h in cx.auts[owner]),
+                key=lambda t: t[0].rays,
+            )
+            hinv = LinearMap(
+                la.invert_unimodular(h.matrix), h.source_rank, h.target_rank
+            )
+            cell_info[(cid, c.rays)] = (owner, rep, emb_map.compose(hinv))
+            owned[owner][rep.rays] = rep
+
+    ids = {}
+    new_cones = {}
+    for owner in cx.ids():
+        reps = sorted(owned[owner].values(), key=lambda c: (c.dim, c.rays))
+        for k, rep in enumerate(reps):
+            nid = f"{owner}.{k}"
+            ids[(owner, rep.rays)] = nid
+            new_cones[nid] = rep
+
+    new_auts = {}
+    new_faces = set()
+    assignments = {}
+    for (owner, rays), nid in ids.items():
+        rep = new_cones[nid]
+        new_auts[nid] = [
+            g for g in cx.auts[owner] if image_cone(g, rep) == rep
+        ]
+        assignments[nid] = (
+            owner,
+            LinearMap.identity(cx.cones[owner].ambient_rank),
+        )
+        for face in rep.proper_faces():
+            sub_owner, sub_rep, sub_map = cell_info[(owner, face.rays)]
+            sub_id = ids[(sub_owner, sub_rep.rays)]
+            new_faces.add(FaceMap(sub_id, nid, sub_map))
+
+    refined = ConeComplex(new_cones, new_faces, new_auts)
+    return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 `image_cone`, `LinearMap.compose`, `RationalCone.contains_cone`,
 `RationalCone.face_at` and `complexes.pull_back_cone` keep their results
-under canonical keys.  Each is called twice on random maps and cones and must
-give the direct computation both times; a call that raises must raise again.
+under canonical keys, and `exactgeom.lattice_surjective` in a bounded LRU
+table.  Each is called twice on random maps and cones and must give the
+direct computation both times; a call that raises must raise again.
 `curves.canonical_labelling`, `curves.automorphism_pairs` and
 `curves.stabilize` keep theirs in bounded LRU tables.  Each is called twice
 on relabelled graphs and decorated types and must give the one-pass oracle,
@@ -161,6 +162,37 @@ def test_failed_pull_back_is_not_cached():
         with pytest.raises(eg.GeometryError, match="no lattice preimage"):
             pull_back_cone(m, ray, ray)
     assert (m.matrix, 1, ray.rays, ray.rays) not in complexes._pullback_cache
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_lattice_surjective(seed):
+    rng = random.Random(seed)
+    rank, target = rng.randint(1, 3), rng.randint(1, 3)
+    for f in _maps(rng, rank, target, 2):
+        for c in _faces(rng, rank):
+            try:
+                image = eg.image_cone(f, c)
+            except eg.NotPointed:
+                continue
+            # the image, a face of it (a ray leaving it raises) and others
+            for t in [image] + image.proper_faces()[-1:] + _faces(rng, target, 1):
+                want = _outcome(lambda: eg.lattice_surjective.__wrapped__(f, c, t))
+                _twice(lambda: eg.lattice_surjective(f, c, t), want)
+
+
+def test_failed_lattice_surjective_is_not_remembered():
+    f = eg.LinearMap(((1,),), 1, 1)
+    ray = eg.cone_from_generators([(1,)], 1)
+    opposite = eg.cone_from_generators([(-1,)], 1)
+    before = eg.lattice_surjective.cache_info()
+    for _ in range(2):
+        with pytest.raises(eg.GeometryError, match="does not send the cone"):
+            eg.lattice_surjective(f, ray, opposite)
+    after = eg.lattice_surjective.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+    assert eg.lattice_surjective(f, ray, ray) is True
+    assert eg.lattice_surjective.cache_info().maxsize == 4096
 
 
 # ---------------------------------------------------------------------------

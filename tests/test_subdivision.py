@@ -1,13 +1,19 @@
 import random
+from itertools import combinations
 
 import pytest
-from conftest import moduli_cached
-from oracles import parallelepiped_interior_point_scan, verify_subdivision_pairwise
+from conftest import lemma_inputs, moduli_cached
+from oracles import (
+    glue_fans_whole,
+    parallelepiped_interior_point_scan,
+    verify_subdivision_pairwise,
+)
 
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import (
     ComplexMorphism,
+    ConeComplex,
     ConicalSubset,
     check_weak_semistable,
     complex_from_fan,
@@ -17,14 +23,17 @@ from tropgeom.complexes import (
 )
 from tropgeom import subdivision
 from tropgeom.curves import build_moduli_complex
-from tropgeom.pipeline import contact_types, single_factor_run, soundness_verdict
+from tropgeom.pipeline import (
+    contact_types,
+    run_contacts,
+    single_factor_run,
+    soundness_verdict,
+)
 from tropgeom.subdivision import (
     RayOutside,
     UnsoundSample,
     _assemble,
     _parallelepiped_interior_point,
-    _glue_fans,
-    _unrefined,
     check_subdivision,
     cones_cover_exactly,
     common_refinement,
@@ -337,7 +346,7 @@ class TestUnrefined:
     )
     def test_direct_builder_matches_general_path_on_bases(self, g, n):
         cx = moduli_cached(g, n).complex
-        assert _same_subdivision(_unrefined(cx), _glue_fans(cx, {}))
+        assert _same_subdivision(_assemble(cx, {}), glue_fans_whole(cx, {}))
 
     @pytest.mark.parametrize(
         "g, n, vectors",
@@ -355,12 +364,12 @@ class TestUnrefined:
             _, types, _ = contact_types(g, n, vectors[:k])
             for ts in types.values():
                 cx = build_map_complex(ts, base).complex
-                assert _same_subdivision(_unrefined(cx), _glue_fans(cx, {}))
+                assert _same_subdivision(_assemble(cx, {}), glue_fans_whole(cx, {}))
 
     def test_uncut_fans_take_the_direct_builder(self, orthant3):
         cx, top = orthant3
         direct = _assemble(cx, {top: [cx.cones[top]]})
-        assert _same_subdivision(direct, _glue_fans(cx, {}))
+        assert _same_subdivision(direct, glue_fans_whole(cx, {}))
         assert direct.is_identity()
 
     def test_overlapping_cells_are_rejected(self, orthant2):
@@ -490,6 +499,7 @@ class TestBrokenFans:
             for face, fan in fans_by_face.items()
         }
         sub = _assemble(cx, fans)
+        assert _same_subdivision(sub, glue_fans_whole(cx, fans))
         assert any(certificate_finds in p for p in verify_subdivision(sub))
         assert verify_subdivision_pairwise(sub) != []
         with pytest.raises(eg.GeometryError, match="not well glued"):
@@ -579,6 +589,195 @@ class TestCertificateAgainstOracle:
                 lambda: single_factor_run(1, 3, a, unimodularize=True, base=base),
             )
         )
+
+
+def _orthant_quotient(maximal, group):
+    """The coordinate subsets of the given maximal sets, as orthant cones,
+    modulo a group of coordinate permutations (each a tuple, i -> p[i]).
+
+    One cone per orbit, named by its smallest subset; automorphisms and
+    face maps are the permutations that carry one subset into another.
+    """
+    subsets = {
+        sub for top in maximal for k in range(len(top) + 1)
+        for sub in combinations(top, k)
+    }
+    reps = sorted({min(tuple(sorted(p[i] for i in s)) for p in group) for s in subsets})
+    name = lambda s: "s" + "".join(map(str, s))
+
+    def inclusion(p, small, big):
+        rows = [[0] * len(small) for _ in big]
+        for j, i in enumerate(small):
+            rows[big.index(p[i])][j] = 1
+        return eg.LinearMap(tuple(map(tuple, rows)), len(small), len(big))
+
+    cones, auts, faces = {}, {}, set()
+    for big in reps:
+        cones[name(big)] = eg.cone_from_generators(
+            la.identity_matrix(len(big)), len(big)
+        )
+        for small in reps:
+            for p in group:
+                if not set(p[i] for i in small) <= set(big):
+                    continue
+                m = inclusion(p, small, big)
+                if small == big:
+                    auts.setdefault(name(big), []).append(m)
+                else:
+                    faces.add((name(small), name(big), m))
+    return ConeComplex(cones, faces, auts)
+
+
+class TestLocalAssembler:
+    """The assembler, which glues only the touched cones, against the
+    whole-complex glue of the oracle on every call a run makes."""
+
+    def _calls(self, monkeypatch, run):
+        calls = []
+        assemble = subdivision._assemble
+
+        def recorded(cx, fans):
+            calls.append((cx, fans, assemble(cx, fans)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(subdivision, "_assemble", recorded)
+        run()
+        assert calls
+        return calls
+
+    def _agree(self, calls):
+        local = 0
+        for cx, fans, sub in calls:
+            assert _same_subdivision(sub, glue_fans_whole(cx, fans))
+            local += len(subdivision._closure_of_fans(cx, fans)) < len(cx.cones)
+        return local
+
+    def test_genus_two_worked_example(self, monkeypatch):
+        base = build_moduli_complex(2, 2, 3)
+        calls = self._calls(
+            monkeypatch,
+            lambda: single_factor_run(
+                2, 2, (3, -3), unimodularize=True, max_edges=3, base=base
+            ),
+        )
+        # most stellar steps leave cones of the complex untouched
+        assert self._agree(calls) > len(calls) // 2
+
+    @pytest.mark.parametrize("a", M13_VECTORS)
+    def test_unimodular_m13(self, a, monkeypatch):
+        base = build_moduli_complex(1, 3)
+        self._agree(
+            self._calls(
+                monkeypatch,
+                lambda: single_factor_run(1, 3, a, unimodularize=True, base=base),
+            )
+        )
+
+    def test_criterion_two_m13(self, monkeypatch):
+        # Γ and the pullbacks of criterion 2's inputs on M_{1,3}
+        base = build_moduli_complex(1, 3)
+        calls = self._calls(
+            monkeypatch,
+            lambda: [
+                run_contacts(1, 3, vectors, base=base) for vectors in lemma_inputs(3)
+            ],
+        )
+        self._agree(calls)
+
+    def test_copies_beside_a_face_with_a_cyclic_group(self, monkeypatch):
+        # two orthant cones on coordinates 0123 and 0124 modulo rotating
+        # 0 -> 1 -> 2 -> 0: the face s012 has the automorphisms of Z/3, and
+        # the first of them is a rotation, which is not its own inverse
+        cycle = [(0, 1, 2, 3, 4), (1, 2, 0, 3, 4), (2, 0, 1, 3, 4)]
+        cx = _orthant_quotient([(0, 1, 2, 3), (0, 1, 2, 4)], cycle)
+        assert validate_complex(cx) == []
+        first = cx.auts["s012"][0]
+        assert first.compose(first) != eg.LinearMap.identity(3)
+        assert _same_subdivision(_assemble(cx, {}), glue_fans_whole(cx, {}))
+        # a stellar step at the centre of s0123 cuts s0123 alone; its face
+        # s012 is touched, and s0124, which has the face s012, is copied
+        fans_given = []
+        assemble = subdivision._assemble
+        monkeypatch.setattr(
+            subdivision,
+            "_assemble",
+            lambda cx, fans: fans_given.append(fans) or assemble(cx, fans),
+        )
+        step = stellar_subdivide(cx, "s0123", (1, 1, 1, 1))
+        touched = subdivision._closure_of_fans(cx, fans_given[0])
+        assert "s012" in touched and "s0124" not in touched
+        assert _same_subdivision(step, glue_fans_whole(cx, fans_given[0]))
+        assert check_subdivision(step) is step
+
+    def test_automorphisms_complete_a_fan(self):
+        # the orthant modulo swapping its coordinates, given one half
+        cx = _orthant_quotient([(0, 1)], [(0, 1), (1, 0)])
+        fans = {"s01": [eg.cone_from_generators([(1, 0), (1, 1)])]}
+        sub = _assemble(cx, fans)
+        assert _same_subdivision(sub, glue_fans_whole(cx, fans))
+        assert len(check_subdivision(sub).max_cells_over("s01")) == 2
+
+    def test_a_cut_face_of_an_uncut_cone_is_refused(self):
+        g = eg.cone_from_generators
+        cone = g(la.identity_matrix(3), 3)
+        face = g([(1, 0, 0), (0, 1, 0)], 3)
+        cx, ids = complex_from_fan([cone], 3)
+        halves = [g([(1, 0, 0), (1, 1, 0)], 3), g([(1, 1, 0), (0, 1, 0)], 3)]
+        with pytest.raises(eg.GeometryError, match="is cut, but cone"):
+            _assemble(cx, {ids[face.rays]: halves})
+        # gluing every cone builds it, and the check refuses it
+        with pytest.raises(eg.GeometryError, match="not well glued"):
+            check_subdivision(glue_fans_whole(cx, {ids[face.rays]: halves}))
+
+    def test_stellar_step_visits_only_the_star(self, monkeypatch):
+        # three quadrants of the plane: the ray (1, 1) lies inside the first,
+        # the second shares the ray (0, 1) with it and the third only the apex
+        g = eg.cone_from_generators
+        near, beside, far = (
+            g([(1, 0), (0, 1)]), g([(0, 1), (-1, 0)]), g([(-1, 0), (0, -1)])
+        )
+        cx, ids = complex_from_fan([near, beside, far], 2)
+        star_faces = {ids[c.rays] for c in near.all_faces()}
+        searched, fans_given, pulled, closed = [], [], [], []
+        embeddings_into = ConeComplex.embeddings_into
+        assemble = subdivision._assemble
+        pull = subdivision.pull_back_cone
+        closure = subdivision._closure_of_fans
+
+        def search(cx, cid):
+            if not fans_given:
+                searched.append(cid)
+            return embeddings_into(cx, cid)
+
+        monkeypatch.setattr(ConeComplex, "embeddings_into", search)
+        monkeypatch.setattr(
+            subdivision,
+            "_assemble",
+            lambda cx, fans: fans_given.append(fans) or assemble(cx, fans),
+        )
+        monkeypatch.setattr(
+            subdivision,
+            "pull_back_cone",
+            lambda m, src, c: pulled.append(src) or pull(m, src, c),
+        )
+        monkeypatch.setattr(
+            subdivision,
+            "_closure_of_fans",
+            lambda cx, fans: closed.append(closure(cx, fans)) or closed[-1],
+        )
+        step = stellar_subdivide(cx, ids[near.rays], (1, 1))
+        # copies of the ray are looked for in the star of its host alone
+        assert set(searched) == {ids[near.rays]}
+        assert list(fans_given[0]) == [ids[near.rays]]
+        # closure and ownership work on the star and its faces only
+        assert set(closed[0]) == star_faces
+        assert pulled and set(pulled) <= {cx.cones[c] for c in star_faces}
+        # the other cones are copied
+        assert step.refined.cones[ids[beside.rays] + ".0"] == beside
+        assert step.refined.cones[ids[far.rays] + ".0"] == far
+        assert len(step.max_cells_over(ids[near.rays])) == 2
+        assert _same_subdivision(step, glue_fans_whole(cx, fans_given[0]))
+        assert check_subdivision(step) is step
 
 
 class TestBoxPoint:
