@@ -44,7 +44,15 @@ class ConeComplex:
 
     def __init__(self, cones: dict, faces, auts: dict | None = None):
         self.cones = dict(cones)
-        self.faces = frozenset(FaceMap(*f) for f in faces)
+        # one canonical order, (sub, sup, matrix): serialisation and the
+        # covector fixpoint of hyperplane_refine read the faces in it
+        faces = {FaceMap(*f) for f in faces}
+        self.faces = tuple(sorted(faces, key=lambda f: (f.sub, f.sup, f.map.matrix)))
+        self._faces_into = {}
+        self._faces_out_of = {}
+        for f in self.faces:
+            self._faces_into.setdefault(f.sup, []).append(f)
+            self._faces_out_of.setdefault(f.sub, []).append(f)
         full_auts = {}
         for cid, cone in self.cones.items():
             group = list((auts or {}).get(cid, ()))
@@ -54,7 +62,7 @@ class ConeComplex:
             full_auts[cid] = tuple(sorted(mats.values(), key=lambda g: g.matrix))
         self.auts = full_auts
         self._embeddings = {}
-        self._faces_into = None  # face maps by target cone, built on first use
+        self._onto = {}  # per cone: the first embedding onto each image
         # the subdivision that cuts nothing, built on first use by
         # subdivision.hyperplane_refine and so checked once per complex
         self._unrefined = None
@@ -64,14 +72,11 @@ class ConeComplex:
 
     def face_maps_into(self, cid: str):
         """The face maps into the cone cid, sorted by source and matrix."""
-        if self._faces_into is None:
-            into = {}
-            for f in self.faces:
-                into.setdefault(f.sup, []).append(f)
-            for fs in into.values():
-                fs.sort(key=lambda f: (f.sub, f.map.matrix))
-            self._faces_into = into
-        return list(self._faces_into.get(cid, ()))
+        return tuple(self._faces_into.get(cid, ()))
+
+    def face_maps_out_of(self, cid: str):
+        """The face maps out of the cone cid, sorted by target and matrix."""
+        return tuple(self._faces_out_of.get(cid, ()))
 
     def embeddings_into(self, cid: str):
         """All embedded copies of complex cones inside the cone cid.
@@ -98,20 +103,34 @@ class ConeComplex:
         self._embeddings[cid] = result
         return result
 
+    def _first_onto(self, cid: str):
+        if cid not in self._onto:
+            onto = {}
+            for emb in self.embeddings_into(cid):
+                onto.setdefault(emb.cone.rays, emb)
+            self._onto[cid] = onto
+        return self._onto[cid]
+
+    def embedding_onto(self, cid: str, face: RationalCone):
+        """The embedding that stands for a face of the cone cid, or None.
+
+        It is the first entry of `embeddings_into(cid)` whose image is the
+        face; the ids and face maps of every subdivision follow this rule.
+        """
+        return self._first_onto(cid).get(face.rays)
+
     def cells_inside(self, cid: str):
         """Distinct cones of the complex embedded in cid (deduplicated by image)."""
-        seen = {}
-        for emb in self.embeddings_into(cid):
-            if emb.cone.rays not in seen:
-                seen[emb.cone.rays] = emb
-        return sorted(seen.values(), key=lambda e: (e.cone.dim, e.cone.rays))
+        return sorted(
+            self._first_onto(cid).values(), key=lambda e: (e.cone.dim, e.cone.rays)
+        )
 
     def to_json(self) -> dict:
         return {
             "cones": {cid: self.cones[cid].to_json() for cid in self.ids()},
             "faces": [
                 [f.sub, f.sup, [list(r) for r in f.map.matrix]]
-                for f in sorted(self.faces, key=lambda f: (f.sub, f.sup, f.map.matrix))
+                for f in self.faces
             ],
             "auts": {
                 cid: [[list(r) for r in g.matrix] for g in self.auts[cid]]
@@ -147,10 +166,6 @@ class ComplexMorphism:
     source: ConeComplex
     target: ConeComplex
     assignments: dict  # source id -> (target id, LinearMap)
-
-    def image_of(self, cid: str) -> RationalCone:
-        tgt, m = self.assignments[cid]
-        return image_cone(m, self.source.cones[cid])
 
     def compose_subdivision(self, other: "ComplexMorphism") -> "ComplexMorphism":
         """self after other (other.target must be self.source)."""
@@ -296,6 +311,19 @@ def maps_agree_on(cone: RationalCone, m1: LinearMap, m2: LinearMap) -> bool:
     return all(m1.apply(b) == m2.apply(b) for b in cone.span_basis)
 
 
+def _represented(cx: ConeComplex, sub: str, sup: str, cone, want, pre) -> bool:
+    """Whether `want` agrees on the span of `cone` with e∘h∘pre for some
+    entry e of `embeddings_into(sup)` from `sub` and some automorphism h of
+    `sub`.  For a proper face the entries from `sub` are g∘f for the
+    automorphisms g of `sup` and the face maps f from `sub` to `sup`."""
+    return any(
+        maps_agree_on(cone, emb.map.compose(h).compose(pre), want)
+        for emb in cx.embeddings_into(sup)
+        if emb.src == sub
+        for h in cx.auts[sub]
+    )
+
+
 def validate_complex(cx: ConeComplex, deep: bool = True):
     """Check the complex invariants, returning a list of violation strings."""
     out = []
@@ -335,56 +363,36 @@ def validate_complex(cx: ConeComplex, deep: bool = True):
                     break
 
     for cid, cone in sorted(cx.cones.items()):
-        images = {e.cone.rays for e in cx.embeddings_into(cid)}
         for face in cone.proper_faces():
-            if face.rays not in images:
+            if cx.embedding_onto(cid, face) is None:
                 out.append(f"face {face.rays} of cone {cid} is not represented")
 
     if not deep:
         return out
 
     # composites of face maps are face maps, up to automorphisms on both sides
-    by_sub = {}
-    for f in cx.faces:
-        by_sub.setdefault(f.sub, []).append(f)
     for f1 in cx.faces:
-        for f2 in by_sub.get(f1.sup, []):
+        sub_cone = cx.cones[f1.sub]
+        ident = LinearMap.identity(sub_cone.ambient_rank)
+        for f2 in cx.face_maps_out_of(f1.sup):
             comp = f2.map.compose(f1.map)
-            sub_cone = cx.cones[f1.sub]
-            ok = False
-            for f3 in cx.faces:
-                if f3.sub != f1.sub or f3.sup != f2.sup:
-                    continue
-                for g in cx.auts[f2.sup]:
-                    for h in cx.auts[f1.sub]:
-                        if maps_agree_on(sub_cone, g.compose(f3.map).compose(h), comp):
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if ok:
-                    break
-            if not ok:
+            if not _represented(cx, f1.sub, f2.sup, sub_cone, comp, ident):
                 out.append(
                     f"composite face map {f1.sub}->{f1.sup}->{f2.sup} is not represented"
                 )
 
-    # automorphisms permute the face embeddings
+    # automorphisms permute the face embeddings; the embeddings already
+    # absorb the automorphisms of f.sup, so this test reads the face maps
     for f in cx.faces:
         sub_cone = cx.cones[f.sub]
+        peers = [f2 for f2 in cx.face_maps_into(f.sup) if f2.sub == f.sub]
         for g in cx.auts[f.sup]:
             moved = g.compose(f.map)
-            ok = False
-            for f2 in cx.faces:
-                if f2.sub != f.sub or f2.sup != f.sup:
-                    continue
-                for h in cx.auts[f.sub]:
-                    if maps_agree_on(sub_cone, f2.map.compose(h), moved):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+            if not any(
+                maps_agree_on(sub_cone, f2.map.compose(h), moved)
+                for f2 in peers
+                for h in cx.auts[f.sub]
+            ):
                 out.append(
                     f"automorphism of {f.sup} moves face map from {f.sub} outside the face set"
                 )
@@ -415,18 +423,7 @@ def validate_morphism(phi: ComplexMorphism):
         ta, ma = phi.assignments[f.sub]
         tb, mb = phi.assignments[f.sup]
         want = mb.compose(f.map)
-        sub_cone = phi.source.cones[f.sub]
-        ok = False
-        for emb in phi.target.embeddings_into(tb):
-            if emb.src != ta:
-                continue
-            for h in phi.target.auts[ta]:
-                if maps_agree_on(sub_cone, emb.map.compose(h).compose(ma), want):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
+        if not _represented(phi.target, ta, tb, phi.source.cones[f.sub], want, ma):
             out.append(
                 f"morphism is incompatible with the face map {f.sub}->{f.sup}"
             )

@@ -113,16 +113,26 @@ class DualGraph:
         )
 
     def to_dot(self, name: str = "graph0") -> str:
-        lines = [f"graph {name} {{"]
-        for v, g in enumerate(self.genera):
-            lines.append(f'  v{v} [label="g={g}"];')
-        for i, (u, v) in enumerate(self.edges):
-            lines.append(f'  v{u} -- v{v} [label="e{i}"];')
-        for i, v in enumerate(self.legs):
-            lines.append(f'  leg{i + 1} [shape=none, label="{i + 1}"];')
-            lines.append(f"  v{v} -- leg{i + 1} [style=dashed];")
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot(
+            self,
+            name,
+            [f"e{i}" for i in range(self.num_edges)],
+            [str(j + 1) for j in range(len(self.legs))],
+        )
+
+
+def _dot(graph: DualGraph, name: str, edge_labels, leg_labels) -> str:
+    """The DOT drawing of a graph: vertices by genus, labelled edges and legs."""
+    lines = [f"graph {name} {{"]
+    for v, g in enumerate(graph.genera):
+        lines.append(f'  v{v} [label="g={g}"];')
+    for (u, v), label in zip(graph.edges, edge_labels):
+        lines.append(f'  v{u} -- v{v} [label="{label}"];')
+    for j, (v, label) in enumerate(zip(graph.legs, leg_labels)):
+        lines.append(f'  leg{j + 1} [shape=none, label="{label}"];')
+        lines.append(f"  v{v} -- leg{j + 1} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def genus(graph: DualGraph) -> int:

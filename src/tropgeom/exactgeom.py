@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg as la
 from .linalg import Mat, Vec
@@ -49,11 +49,6 @@ class LinearMap:
     @staticmethod
     def identity(n: int) -> "LinearMap":
         return LinearMap(la.identity_matrix(n), n, n)
-
-    @staticmethod
-    def from_rows(rows, source_rank: int) -> "LinearMap":
-        rows = tuple(tuple(r) for r in rows)
-        return LinearMap(rows, source_rank, len(rows))
 
     def apply(self, v) -> Vec:
         if len(v) != self.source_rank:
@@ -312,10 +307,10 @@ class RationalCone:
         """Index of the ray lattice inside the saturated span lattice (simplicial only)."""
         if not self.is_simplicial():
             raise GeometryError("lattice index is defined for simplicial cones")
-        if self.dim == 0:
-            return 1
-        coords = [la.lattice_coords(self._span_basis, r) for r in self.rays]
-        return abs(la.det(tuple(coords)))
+        coords = tuple(la.lattice_coords(self._span_basis, r) for r in self.rays)
+        # |det|: the Smith diagonal is nonnegative and u, v are unimodular; the
+        # zero cone has an empty diagonal and index 1
+        return prod(la.smith_factors(coords, self.dim)[0])
 
     def to_json(self) -> dict:
         return {"rank": self.ambient_rank, "rays": [list(r) for r in self.rays]}

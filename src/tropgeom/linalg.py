@@ -5,8 +5,8 @@ here is integer and arbitrary precision: there is no floating point and no
 Fraction anywhere in the package (`exactgeom.sample_points` scales its
 rational combinations to integer points).  Each matrix is put in Smith form
 once: the factorisation is kept by `smith_factors`, which `solve_integer`,
-`lattice_coords`, `projection_to_lattice`, `invert_unimodular` and
-`kernel_basis` share.
+`lattice_coords`, `projection_to_lattice`, `invert_unimodular`,
+`kernel_basis` and the lattice index of a cone share.
 """
 
 from __future__ import annotations
@@ -78,31 +78,6 @@ def identity_matrix(n: int) -> Mat:
 
 def zero_vec(n: int) -> Vec:
     return (0,) * n
-
-
-def det(m: Mat) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def rank(rows) -> int:

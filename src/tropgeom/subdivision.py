@@ -87,22 +87,17 @@ class SubdivisionOf:
         self._cells_cache = {}
         # set by check_subdivision once the subdivision has passed its checks
         self._checked = False
-
-    def owned_by(self):
-        out = {}
+        self._owned = {}  # original cone id -> the refined ids over it
         for rid in self.refined.ids():
-            tgt, _ = self.projection.assignments[rid]
-            out.setdefault(tgt, []).append(rid)
-        return out
+            self._owned.setdefault(self.projection.assignments[rid][0], []).append(rid)
 
     def cells_over(self, cid: str):
         """All embedded refined cells inside the original cone cid (orbit expanded)."""
         if cid in self._cells_cache:
             return list(self._cells_cache[cid])
-        owned = self.owned_by()
         out = {}
         for emb in self.original.embeddings_into(cid):
-            for rid in owned.get(emb.src, ()):
+            for rid in self._owned.get(emb.src, ()):
                 _, pm = self.projection.assignments[rid]
                 rep = self.refined.cones[rid]
                 for h in self.original.auts[emb.src]:
@@ -282,9 +277,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
             if mf == cone:
                 owner, emb_map, c_owner = cid, LinearMap.identity(cone.ambient_rank), c
             else:
-                emb = next(
-                    (e for e in cx.embeddings_into(cid) if e.cone == mf), None
-                )
+                emb = cx.embedding_onto(cid, mf)
                 if emb is None:
                     raise GeometryError(
                         f"face {mf.rays} of cone {cid} is not represented; "
@@ -342,19 +335,17 @@ def _unrefined(cx: ConeComplex, cid: str, ids: dict):
     cells are its own faces (`_closure_of_fans`), and the only one whose
     minimal face is the cone is the cone itself, so it owns one cell, cid.0.
     A proper face F is its own minimal face.  So F is owned by the source s of
-    the first embedding onto F (in `embeddings_into` order), and it pulls back
-    to the whole cone of s.  Every automorphism of s fixes that cone, so the
-    orbit minimum is taken at the first automorphism h of s, and the face map
-    is the embedding composed with the inverse of h.  Its source is the id
-    of the whole cone of s: s.0 when s is untouched too.  A touched s holds
+    the embedding that stands for F (`ConeComplex.embedding_onto`: the first
+    one onto F in `embeddings_into` order), and it pulls back to the whole
+    cone of s.  Every automorphism of s fixes that cone, so the orbit minimum
+    is taken at the first automorphism h of s, and the face map is the
+    embedding composed with the inverse of h.  Its source is the id of the
+    whole cone of s: s.0 when s is untouched too.  A touched s holds
     that cell whenever its subdivision glues to the uncut cone cid; when it
     does not, the face cannot be glued.
     """
-    onto = {}
-    for emb in cx.embeddings_into(cid):
-        onto.setdefault(emb.cone.rays, emb)
     for face in cx.cones[cid].proper_faces():
-        emb = onto.get(face.rays)
+        emb = cx.embedding_onto(cid, face)
         if emb is None:
             raise GeometryError(
                 f"face {face.rays} of cone {cid} is not represented; "
@@ -554,8 +545,9 @@ def stellar_subdivide(cx: ConeComplex, cone_id: str, ray) -> SubdivisionOf:
     """Stellar subdivision at a ray given in the named cone's coordinates.
 
     The ray is inserted together with its automorphism orbit into the star
-    of its host, the cone s owning the minimal face that holds the ray: s
-    itself and every cone that a face map out of s reaches.  Those are the
+    of its host, the cone s owning the minimal face that holds the ray
+    (`ConeComplex.embedding_onto`): s itself and every cone that a face map
+    out of s reaches (`ConeComplex.face_maps_out_of`).  Those are the
     cones whose `embeddings_into` has an entry from s, so no other cone holds
     a copy of the ray and no other cone is visited.  `_assemble` then glues
     the star and the faces of its cones, and copies the rest of the complex.
@@ -566,13 +558,13 @@ def stellar_subdivide(cx: ConeComplex, cone_id: str, ray) -> SubdivisionOf:
     if not any(ray) or not cone.contains(ray):
         raise RayOutside(f"ray {ray} is not in the support of cone {cone_id}")
     host_face = cone.minimal_face_containing(cone_from_generators([ray], cone.ambient_rank))
-    emb = next(e for e in cx.embeddings_into(cone_id) if e.cone == host_face)
+    emb = cx.embedding_onto(cone_id, host_face)
     ray_owner = preimage_in_span(emb.map, cx.cones[emb.src], ray)
     orbit = sorted(
         {la.primitive(g.apply(ray_owner)) for g in cx.auts[emb.src]}
     )
 
-    star = {emb.src} | {f.sup for f in cx.faces if f.sub == emb.src}
+    star = {emb.src} | {f.sup for f in cx.face_maps_out_of(emb.src)}
     fans = {}
     for cid in sorted(star):
         copies = set()
@@ -647,8 +639,6 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
         return cx._unrefined
 
     added = {}  # cone id -> covectors added to it in the current round
-    # a fixed face order: which covectors the fixpoint lifts depends on it
-    faces = sorted(cx.faces, key=lambda f: (f.sub, f.sup, f.map.matrix))
 
     def add(cid, w):
         covs[cid].add(w)
@@ -663,7 +653,9 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
                     w2 = _canon_covector(la.mat_vec(gt, w))
                     if _slices(cx.cones[cid], w2) and w2 not in covs[cid]:
                         add(cid, w2)
-        for f in faces:
+        # the faces in their canonical order: which covectors the fixpoint
+        # lifts depends on the order
+        for f in cx.faces:
             mt = la.transpose(f.map.matrix)
             sub_cone = cx.cones[f.sub]
             # restrict covectors of the big cone to the face

@@ -19,6 +19,7 @@ from .curves import (
     CurveModuliComplex,
     DualGraph,
     _contraction_complex,
+    _dot,
     canonical_with_data,
     enumerate_stable_graphs,
     sort_key,
@@ -117,20 +118,13 @@ class RubberMapType:
         return data
 
     def to_dot(self, name: str = "maptype0") -> str:
-        lines = [f"graph {name} {{"]
-        for v, g in enumerate(self.graph.genera):
-            lines.append(f'  v{v} [label="g={g}"];')
-        for i, (u, v) in enumerate(self.graph.edges):
-            slopes = ",".join(str(self.slopes[f][i]) for f in range(self.num_factors))
-            lines.append(f'  v{u} -- v{v} [label="{slopes}"];')
-        for j, v in enumerate(self.graph.legs):
-            slopes = ",".join(
-                str(self.contact.slopes[f][j]) for f in range(self.num_factors)
-            )
-            lines.append(f'  leg{j + 1} [shape=none, label="{j + 1}:{slopes}"];')
-            lines.append(f"  v{v} -- leg{j + 1} [style=dashed];")
-        lines.append("}")
-        return "\n".join(lines)
+        legs = zip(*self.contact.slopes)
+        return _dot(
+            self.graph,
+            name,
+            [",".join(map(str, d)) for d in self.edge_data()],
+            [f"{j + 1}:" + ",".join(map(str, d)) for j, d in enumerate(legs)],
+        )
 
     @staticmethod
     def from_json(data: dict, genus: int) -> "RubberMapType":

@@ -7,7 +7,10 @@ told apart by trying every vertex bijection.  The cone oracles find facets
 by subset enumeration and membership by Caratheodory subsets of rays, and
 the subdivision oracle intersects every pair of cells.  The whole-complex
 assembler glues every cone, where the library glues only the cones a step
-touches and copies the rest.  The one-pass canonical labelling, which
+touches and copies the rest.  The face lookups that a complex indexes
+(the embedding that stands for a face, the face maps into and out of a cone)
+are scans here, and both validators keep their nested loops over every face
+map and embedding.  The one-pass canonical labelling, which
 computes the automorphisms on every call, is kept beside the library's
 memoized labelling and automorphism tables.  The exact kernel's earlier
 paths are kept as oracles too: rational elimination, a Smith form
@@ -33,6 +36,8 @@ from tropgeom.complexes import (
     ComplexMorphism,
     ConeComplex,
     FaceMap,
+    _is_lattice_embedding,
+    maps_agree_on,
     pull_back_cone,
 )
 from tropgeom.exactgeom import (
@@ -428,6 +433,167 @@ def glue_fans_whole(cx: ConeComplex, fans: dict) -> SubdivisionOf:
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
     return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
+
+
+# ---------------------------------------------------------------------------
+# the face lookups and validators as scans of the face maps and embeddings
+
+
+def embedding_onto_scan(cx: ConeComplex, cid: str, face: RationalCone):
+    """The first entry of `embeddings_into(cid)` whose image is the face."""
+    return next((e for e in cx.embeddings_into(cid) if e.cone == face), None)
+
+
+def face_maps_into_scan(cx: ConeComplex, cid: str):
+    return sorted(
+        (f for f in cx.faces if f.sup == cid), key=lambda f: (f.sub, f.map.matrix)
+    )
+
+
+def face_maps_out_of_scan(cx: ConeComplex, cid: str):
+    return sorted(
+        (f for f in cx.faces if f.sub == cid), key=lambda f: (f.sup, f.map.matrix)
+    )
+
+
+def validate_complex_loops(cx: ConeComplex, deep: bool = True):
+    """`validate_complex` with the representation test as a set of images per
+    cone and the deep tests as nested loops over every face map."""
+    out = []
+    for f in cx.faces:
+        if f.sub not in cx.cones or f.sup not in cx.cones:
+            out.append(f"face map {f.sub}->{f.sup} references unknown cones")
+            continue
+        sub, sup = cx.cones[f.sub], cx.cones[f.sup]
+        if f.map.source_rank != sub.ambient_rank or f.map.target_rank != sup.ambient_rank:
+            out.append(f"face map {f.sub}->{f.sup} has wrong matrix shape")
+            continue
+        img = image_cone(f.map, sub)
+        if not img.is_face_of(sup):
+            out.append(f"face map {f.sub}->{f.sup} does not land on a face")
+            continue
+        if not _is_lattice_embedding(f.map, sub, img):
+            out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
+
+    for cid, cone in sorted(cx.cones.items()):
+        group = cx.auts[cid]
+        mats = {g.matrix for g in group}
+        for g in group:
+            try:
+                ginv = LinearMap(
+                    la.invert_unimodular(g.matrix), cone.ambient_rank, cone.ambient_rank
+                )
+            except ValueError:
+                out.append(f"automorphism of {cid} is not invertible over the lattice")
+                continue
+            if image_cone(g, cone) != cone:
+                out.append(f"automorphism of {cid} does not preserve the cone")
+            if ginv.matrix not in mats:
+                out.append(f"automorphism group of {cid} is not closed under inverse")
+            for h in group:
+                if g.compose(h).matrix not in mats:
+                    out.append(f"automorphism group of {cid} is not closed under composition")
+                    break
+
+    for cid, cone in sorted(cx.cones.items()):
+        images = {e.cone.rays for e in cx.embeddings_into(cid)}
+        for face in cone.proper_faces():
+            if face.rays not in images:
+                out.append(f"face {face.rays} of cone {cid} is not represented")
+
+    if not deep:
+        return out
+
+    # composites of face maps are face maps, up to automorphisms on both sides
+    by_sub = {}
+    for f in cx.faces:
+        by_sub.setdefault(f.sub, []).append(f)
+    for f1 in cx.faces:
+        for f2 in by_sub.get(f1.sup, []):
+            comp = f2.map.compose(f1.map)
+            sub_cone = cx.cones[f1.sub]
+            ok = False
+            for f3 in cx.faces:
+                if f3.sub != f1.sub or f3.sup != f2.sup:
+                    continue
+                for g in cx.auts[f2.sup]:
+                    for h in cx.auts[f1.sub]:
+                        if maps_agree_on(sub_cone, g.compose(f3.map).compose(h), comp):
+                            ok = True
+                            break
+                    if ok:
+                        break
+                if ok:
+                    break
+            if not ok:
+                out.append(
+                    f"composite face map {f1.sub}->{f1.sup}->{f2.sup} is not represented"
+                )
+
+    # automorphisms permute the face embeddings
+    for f in cx.faces:
+        sub_cone = cx.cones[f.sub]
+        for g in cx.auts[f.sup]:
+            moved = g.compose(f.map)
+            ok = False
+            for f2 in cx.faces:
+                if f2.sub != f.sub or f2.sup != f.sup:
+                    continue
+                for h in cx.auts[f.sub]:
+                    if maps_agree_on(sub_cone, f2.map.compose(h), moved):
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                out.append(
+                    f"automorphism of {f.sup} moves face map from {f.sub} outside the face set"
+                )
+    return sorted(set(out))
+
+
+def validate_morphism_loops(phi: ComplexMorphism):
+    """`validate_morphism` with the compatibility test as nested loops over
+    the embeddings and automorphisms of the target."""
+    out = []
+    for cid in phi.source.ids():
+        if cid not in phi.assignments:
+            out.append(f"no assignment for source cone {cid}")
+            continue
+        tgt, m = phi.assignments[cid]
+        if tgt not in phi.target.cones:
+            out.append(f"assignment of {cid} targets unknown cone {tgt}")
+            continue
+        src_cone = phi.source.cones[cid]
+        tgt_cone = phi.target.cones[tgt]
+        if m.source_rank != src_cone.ambient_rank or m.target_rank != tgt_cone.ambient_rank:
+            out.append(f"assignment of {cid} has wrong matrix shape")
+            continue
+        if not all(tgt_cone.contains(m.apply(r)) for r in src_cone.rays):
+            out.append(f"assignment of {cid} does not map the cone into {tgt}")
+
+    for f in phi.source.faces:
+        if f.sub not in phi.assignments or f.sup not in phi.assignments:
+            continue
+        ta, ma = phi.assignments[f.sub]
+        tb, mb = phi.assignments[f.sup]
+        want = mb.compose(f.map)
+        sub_cone = phi.source.cones[f.sub]
+        ok = False
+        for emb in phi.target.embeddings_into(tb):
+            if emb.src != ta:
+                continue
+            for h in phi.target.auts[ta]:
+                if maps_agree_on(sub_cone, emb.map.compose(h).compose(ma), want):
+                    ok = True
+                    break
+            if ok:
+                break
+        if not ok:
+            out.append(
+                f"morphism is incompatible with the face map {f.sub}->{f.sup}"
+            )
+    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,12 @@
 import pytest
+from conftest import lemma_inputs, moduli_cached
+from oracles import (
+    embedding_onto_scan,
+    face_maps_into_scan,
+    face_maps_out_of_scan,
+    validate_complex_loops,
+    validate_morphism_loops,
+)
 
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
@@ -12,6 +20,8 @@ from tropgeom.complexes import (
     validate_complex,
     validate_morphism,
 )
+from tropgeom.curves import build_moduli_complex
+from tropgeom.pipeline import run_contacts, single_factor_run
 
 
 @pytest.fixture
@@ -153,3 +163,126 @@ def test_subset_closure_and_validation(orthant3):
         cx, ((top, eg.cone_from_generators([(2, 1, 1)], 3)),)
     )
     assert off.validate() == []
+
+
+# ---------------------------------------------------------------------------
+# the face indexes and validators against the scans and loops they replaced
+
+STABLE_RANGE = [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0)]
+M13_VECTORS = [
+    (0, 0, 0), (1, 0, -1), (2, 0, -2), (2, -1, -1),
+    (1, 1, -2), (3, 0, -3), (3, -1, -2), (2, 1, -3),
+]
+
+
+@pytest.fixture(scope="module")
+def criterion_two_complexes():
+    """The criterion 2 bases, their Γ and the unimodularized M_{1,3}
+    refinements: (complexes, subdivisions)."""
+    subs = {}
+    for g, n in STABLE_RANGE:
+        for vectors in lemma_inputs(n):
+            sub = run_contacts(g, n, vectors, base=moduli_cached(g, n)).subdivision_data
+            subs[id(sub)] = sub
+    base = build_moduli_complex(1, 3)
+    for a in M13_VECTORS:
+        sub = single_factor_run(1, 3, a, unimodularize=True, base=base).subdivision_data
+        subs[id(sub)] = sub
+    subs = list(subs.values())
+    complexes = [moduli_cached(g, n).complex for g, n in STABLE_RANGE]
+    return complexes + [s.refined for s in subs], subs
+
+
+def test_embedding_onto_is_the_first_scanned_embedding(criterion_two_complexes):
+    complexes, _ = criterion_two_complexes
+    for cx in complexes:
+        for cid, cone in cx.cones.items():
+            for face in cone.all_faces():
+                assert cx.embedding_onto(cid, face) == embedding_onto_scan(cx, cid, face)
+            assert cx.cells_inside(cid) == sorted(
+                (e for e in cx.embeddings_into(cid)
+                 if embedding_onto_scan(cx, cid, e.cone) == e),
+                key=lambda e: (e.cone.dim, e.cone.rays),
+            )
+
+
+def test_face_map_indexes_match_the_scans(criterion_two_complexes):
+    complexes, _ = criterion_two_complexes
+    key = lambda f: (f.sub, f.sup, f.map.matrix)
+    for cx in complexes:
+        assert len(set(cx.faces)) == len(cx.faces)
+        assert list(cx.faces) == sorted(cx.faces, key=key)
+        assert cx.to_json()["faces"] == [
+            [f.sub, f.sup, [list(r) for r in f.map.matrix]]
+            for f in sorted(cx.faces, key=key)
+        ]
+        for cid in cx.ids():
+            assert list(cx.face_maps_into(cid)) == face_maps_into_scan(cx, cid)
+            assert list(cx.face_maps_out_of(cid)) == face_maps_out_of_scan(cx, cid)
+
+
+def test_validators_match_the_loops(criterion_two_complexes):
+    complexes, subs = criterion_two_complexes
+    for cx in complexes:
+        assert validate_complex(cx) == validate_complex_loops(cx) == []
+        assert validate_complex(cx, deep=False) == validate_complex_loops(cx, deep=False)
+    for sub in subs:
+        phi = sub.projection
+        assert validate_morphism(phi) == validate_morphism_loops(phi) == []
+
+
+def _without_a_composite():
+    # the orthant of the plane without the face map from the apex to the top
+    top = eg.cone_from_generators([(1, 0), (0, 1)])
+    cx, ids = complex_from_fan([top], 2)
+    faces = [f for f in cx.faces if (f.sub, f.sup) != (ids[()], ids[top.rays])]
+    return ConeComplex(cx.cones, faces, cx.auts), None
+
+
+def _an_automorphism_moves_a_face_map():
+    # the swap of the orthant's rays, with a face map onto one ray only
+    swap = eg.LinearMap(((0, 1), (1, 0)), 2, 2)
+    cx = ConeComplex(
+        {
+            "top": eg.cone_from_generators([(1, 0), (0, 1)]),
+            "ray": eg.cone_from_generators([(1,)], 1),
+            "zero": eg.zero_cone(0),
+        },
+        [
+            ("ray", "top", eg.LinearMap(((1,), (0,)), 1, 2)),
+            ("zero", "top", eg.LinearMap(((), ()), 0, 2)),
+            ("zero", "ray", eg.LinearMap(((),), 0, 1)),
+        ],
+        {"top": [swap]},
+    )
+    return cx, None
+
+
+def _a_morphism_breaks_a_face_map():
+    # the identity of the plane's orthant, except that the swap sends one ray
+    # onto the other, where the top cone's identity keeps it
+    top = eg.cone_from_generators([(1, 0), (0, 1)])
+    cx, ids = complex_from_fan([top], 2)
+    ident, swap = eg.LinearMap.identity(2), eg.LinearMap(((0, 1), (1, 0)), 2, 2)
+    assignments = {cid: (cid, ident) for cid in cx.ids()}
+    assignments[ids[((1, 0),)]] = (ids[((0, 1),)], swap)
+    return cx, ComplexMorphism(cx, cx, assignments)
+
+
+@pytest.mark.parametrize(
+    "make, problem",
+    [
+        (_without_a_composite, "composite face map"),
+        (_an_automorphism_moves_a_face_map, "outside the face set"),
+        (_a_morphism_breaks_a_face_map, "incompatible with the face map"),
+    ],
+    ids=["missing composite", "automorphism moves a face map", "incompatible morphism"],
+)
+def test_broken_complexes_are_flagged_by_both(make, problem):
+    cx, phi = make()
+    if phi is None:
+        found, loops = validate_complex(cx), validate_complex_loops(cx)
+    else:
+        found, loops = validate_morphism(phi), validate_morphism_loops(phi)
+    assert any(problem in p for p in found)
+    assert found == loops

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,7 +158,9 @@ class TestUnimodular:
             c = random_cone(rng, n, n)
             if len(c.rays) != n or c.dim != n:
                 continue
-            assert eg.is_unimodular(c) == (abs(la.det(c.rays)) == 1)
+            index = abs(int(sympy.Matrix([list(r) for r in c.rays]).det()))
+            assert c.lattice_index() == index
+            assert eg.is_unimodular(c) == (index == 1)
 
 
 class TestLatticeSurjective:

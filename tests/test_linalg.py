@@ -82,16 +82,6 @@ def test_invert_unimodular():
         la.invert_unimodular(((2, 0), (0, 1)))
 
 
-def test_det_bareiss():
-    assert la.det(((1, 2), (3, 4))) == -2
-    assert la.det(()) == 1
-    rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        m = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
-        assert la.det(m) == int(sympy.Matrix([list(r) for r in m]).det())
-
-
 def test_linalg_builds_no_fraction():
     assert "fractions" not in vars(la)
     assert "Fraction" not in vars(la)
