@@ -327,6 +327,7 @@ def _represented(cx: ConeComplex, sub: str, sup: str, cone, want, pre) -> bool:
 def validate_complex(cx: ConeComplex, deep: bool = True):
     """Check the complex invariants, returning a list of violation strings."""
     out = []
+    well_formed = []
     for f in cx.faces:
         if f.sub not in cx.cones or f.sup not in cx.cones:
             out.append(f"face map {f.sub}->{f.sup} references unknown cones")
@@ -335,12 +336,18 @@ def validate_complex(cx: ConeComplex, deep: bool = True):
         if f.map.source_rank != sub.ambient_rank or f.map.target_rank != sup.ambient_rank:
             out.append(f"face map {f.sub}->{f.sup} has wrong matrix shape")
             continue
+        well_formed.append(f)
         img = image_cone(f.map, sub)
         if not img.is_face_of(sup):
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
         if not _is_lattice_embedding(f.map, sub, img):
             out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
+    if len(well_formed) < len(cx.faces):
+        # the checks below embed and compose along every face map, so they
+        # run on the complex without the maps that reference unknown cones
+        # or have the wrong shape
+        cx = ConeComplex(cx.cones, well_formed, cx.auts)
 
     for cid, cone in sorted(cx.cones.items()):
         group = cx.auts[cid]

@@ -558,9 +558,9 @@ class CurveModuliComplex:
     complex: ConeComplex
     graphs: dict  # cone id -> canonical DualGraph
     _ids: dict = field(init=False, repr=False, compare=False)
-    # the pipeline's per-base table (map types, image families, check
-    # verdicts); the runs of a sweep share a base, so this is the sweep's
-    # memory, and it goes when the base goes
+    # the pipeline's per-base table (map types, the factors' map complexes,
+    # image families, check verdicts); the runs of a sweep share a base, so
+    # this is the sweep's memory, and it goes when the base goes
     _sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -586,32 +586,32 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
 
     seeds are (graph, edge data) pairs.  make(graph, data) builds the object
     that stands for a canonical pair, and cone_of(object) its cone in edge
-    length coordinates.  Every subset of every object's edges is contracted
-    once; that one canonicalization gives the face map and, for a single
-    edge, finds new objects.  Contracting several edges at once must land on
-    an object found that way.  Cone ids are prefix + rank in sort_key order.
-    Automorphisms are computed once per object found.  Returns (complex,
-    cone id -> object).
+    length coordinates.  The canonical pair is the key: make runs once per
+    new pair.  Every subset of every pair's edges is contracted once; that
+    one canonicalization gives the face map and, for a single edge, finds
+    new pairs.  Contracting several edges at once must land on a pair found
+    that way.  Cone ids are prefix + rank in sort_key order.  Automorphisms
+    are computed once per pair found.  Returns (complex, cone id -> object).
     """
-    found = {}  # object -> (canonical graph, canonical data)
-    contractions = {}  # object -> [(contracted edges, object, face matrix)]
+    found = {}  # canonical (graph, data) -> object
+    contractions = {}  # canonical pair -> [(contracted edges, pair, face matrix)]
     queue = []
 
     def canonical(graph, data, discover=True):
         cgraph, cdata, _, eperm = canonical_labelling(graph, data)
-        obj = make(cgraph, cdata)
-        if discover and obj not in found:
-            found[obj] = (cgraph, cdata)
-            queue.append(obj)
-        return obj, eperm
+        pair = (cgraph, cdata)
+        if discover and pair not in found:
+            found[pair] = make(cgraph, cdata)
+            queue.append(pair)
+        return pair, eperm
 
     for graph, data in seeds:
         canonical(graph, data)
     while queue:
-        obj = queue.pop()
-        graph, data = found[obj]
+        pair = queue.pop()
+        graph, data = pair
         ne = graph.num_edges
-        out = contractions[obj] = []
+        out = contractions[pair] = []
         for size in range(1, ne + 1):
             for subset in combinations(range(ne), size):
                 raw, survivors = contract_subset(graph, subset)
@@ -622,20 +622,18 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
                 out.append((subset, sub, _face_matrix(ne, survivors, eperm)))
 
     # sort_key takes per-factor slope rows, the transpose of the edge data
-    ordered = sorted(
-        found, key=lambda o: sort_key(found[o][0], tuple(zip(*found[o][1])))
-    )
-    ids = {obj: f"{prefix}{k}" for k, obj in enumerate(ordered)}
-    cones = {ids[obj]: cone_of(obj) for obj in ordered}
+    ordered = sorted(found, key=lambda p: sort_key(p[0], tuple(zip(*p[1]))))
+    ids = {pair: f"{prefix}{k}" for k, pair in enumerate(ordered)}
+    cones = {ids[pair]: cone_of(found[pair]) for pair in ordered}
     auts = {}
     faces = set()
-    for obj in ordered:
-        cid = ids[obj]
+    for pair in ordered:
+        cid = ids[pair]
         cone = cones[cid]
-        ne = found[obj][0].num_edges
-        mats = edge_perm_matrices(ne, automorphism_pairs(*found[obj]))
+        ne = pair[0].num_edges
+        mats = edge_perm_matrices(ne, automorphism_pairs(*pair))
         auts[cid] = [m for m in mats if image_cone(m, cone) == cone]
-        for subset, sub, m in contractions[obj]:
+        for subset, sub, m in contractions[pair]:
             if sub not in ids:
                 raise AssertionError(
                     f"contracting edges {subset} of {cid} at once reaches a "
@@ -649,7 +647,7 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
                     "contracted cone does not match the length zero face"
                 )
             faces.add(FaceMap(ids[sub], cid, m))
-    return ConeComplex(cones, faces, auts), {cid: obj for obj, cid in ids.items()}
+    return ConeComplex(cones, faces, auts), {cid: found[pair] for pair, cid in ids.items()}
 
 
 def build_complex_from_graphs(seed_graphs) -> CurveModuliComplex:

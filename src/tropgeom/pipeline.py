@@ -250,14 +250,18 @@ class ContactFamilies:
     products: list | None  # the superimpose chambers behind Z
     families: dict = field(default_factory=dict)  # factor label -> image family
     cones: dict = field(default_factory=dict)  # factor label -> map complex cones
-    _built: dict = field(default_factory=dict, repr=False)  # types -> map complex
+    _built: dict = field(default_factory=dict, repr=False)  # Z's map complex
 
     def map_complex(self, label: str) -> MapModuliComplex:
-        """The label's map complex, built at most once per call."""
-        key = tuple(self.types[label])
-        if key not in self._built:
-            self._built[key] = build_map_complex(self.types[label], self.base)
-        return self._built[key]
+        """The label's map complex.  A factor's (X, Y, X3, ...) is built once
+        per base and kept in the base's table beside its types.  The
+        superimposed Z's serves only the runs of these vectors, so it is
+        built at most once per call and kept here."""
+        table = self._built if label == "Z" else self.base._sweep
+        key = ("complex", tuple(self.types[label]))
+        if key not in table:
+            table[key] = build_map_complex(self.types[label], self.base)
+        return table[key]
 
 
 def contact_families(
@@ -267,8 +271,9 @@ def contact_families(
     """Check the contact vectors; enumerate their types and image families
     over base (built here when None).
 
-    The base keeps each factor's types and each tuple of types' family and
-    cone count, so the runs of a sweep over one base make them once.
+    The base keeps each factor's types and map complex, and each tuple of
+    types' family and cone count, so the runs of a sweep over one base make
+    them once.  The superimposed Z's map complex is kept for this call only.
     """
     contact = _contact_data(g, n, vectors)
     base = base or build_moduli_complex(g, n, max_edges)

@@ -5,12 +5,14 @@ the library: graphs come from every genus tuple, edge multiset and leg
 placement, types from every slope vector on those graphs, and classes are
 told apart by trying every vertex bijection.  The cone oracles find facets
 by subset enumeration and membership by Caratheodory subsets of rays, and
-the subdivision oracle intersects every pair of cells.  The whole-complex
-assembler glues every cone, where the library glues only the cones a step
-touches and copies the rest.  The face lookups that a complex indexes
-(the embedding that stands for a face, the face maps into and out of a cone)
-are scans here, and both validators keep their nested loops over every face
-map and embedding.  The one-pass canonical labelling, which
+the subdivision oracle intersects every pair of cells.  The contraction
+closure builder that makes and hashes an object for every contracted edge
+subset is kept beside the library's, which keys by the canonical pair.  The
+whole-complex assembler glues every cone, where the library glues only the
+cones a step touches and copies the rest.  The face lookups that a complex
+indexes (the embedding that stands for a face, the face maps into and out of
+a cone) are scans here, and both validators keep their nested loops over
+every face map and embedding.  The one-pass canonical labelling, which
 computes the automorphisms on every call, is kept beside the library's
 memoized labelling and automorphism tables.  The exact kernel's earlier
 paths are kept as oracles too: rational elimination, a Smith form
@@ -27,10 +29,16 @@ from tropgeom import linalg as la
 from tropgeom.curves import (
     DualGraph,
     _candidate_perms,
+    _face_matrix,
     _flip,
     _relabel,
+    automorphism_pairs,
+    canonical_labelling,
     check_stable_range,
+    contract_subset,
+    edge_perm_matrices,
     genus,
+    sort_key,
 )
 from tropgeom.complexes import (
     ComplexMorphism,
@@ -327,6 +335,83 @@ def verify_subdivision_pairwise(sub):
 
 
 # ---------------------------------------------------------------------------
+# the contraction-closure builder keyed by object
+
+
+def contraction_complex_by_object(seeds, prefix: str, make, cone_of):
+    """The cone complex of decorated graphs closed under edge contraction,
+    keyed by the object that make builds for each canonical pair: make runs,
+    and its object is hashed, for every contracted edge subset.
+
+    seeds are (graph, edge data) pairs.  make(graph, data) builds the object
+    that stands for a canonical pair, and cone_of(object) its cone in edge
+    length coordinates.  Every subset of every object's edges is contracted
+    once; that one canonicalization gives the face map and, for a single
+    edge, finds new objects.  Contracting several edges at once must land on
+    an object found that way.  Cone ids are prefix + rank in sort_key order.
+    Automorphisms are computed once per object found.  Returns (complex,
+    cone id -> object).
+    """
+    found = {}  # object -> (canonical graph, canonical data)
+    contractions = {}  # object -> [(contracted edges, object, face matrix)]
+    queue = []
+
+    def canonical(graph, data, discover=True):
+        cgraph, cdata, _, eperm = canonical_labelling(graph, data)
+        obj = make(cgraph, cdata)
+        if discover and obj not in found:
+            found[obj] = (cgraph, cdata)
+            queue.append(obj)
+        return obj, eperm
+
+    for graph, data in seeds:
+        canonical(graph, data)
+    while queue:
+        obj = queue.pop()
+        graph, data = found[obj]
+        ne = graph.num_edges
+        out = contractions[obj] = []
+        for size in range(1, ne + 1):
+            for subset in combinations(range(ne), size):
+                raw, survivors = contract_subset(graph, subset)
+                raw_data = tuple(
+                    data[i] if sign > 0 else _flip(data[i]) for i, sign in survivors
+                )
+                sub, eperm = canonical(raw, raw_data, size == 1)
+                out.append((subset, sub, _face_matrix(ne, survivors, eperm)))
+
+    # sort_key takes per-factor slope rows, the transpose of the edge data
+    ordered = sorted(
+        found, key=lambda o: sort_key(found[o][0], tuple(zip(*found[o][1])))
+    )
+    ids = {obj: f"{prefix}{k}" for k, obj in enumerate(ordered)}
+    cones = {ids[obj]: cone_of(obj) for obj in ordered}
+    auts = {}
+    faces = set()
+    for obj in ordered:
+        cid = ids[obj]
+        cone = cones[cid]
+        ne = found[obj][0].num_edges
+        mats = edge_perm_matrices(ne, automorphism_pairs(*found[obj]))
+        auts[cid] = [m for m in mats if image_cone(m, cone) == cone]
+        for subset, sub, m in contractions[obj]:
+            if sub not in ids:
+                raise AssertionError(
+                    f"contracting edges {subset} of {cid} at once reaches a "
+                    "cone that single edge contractions do not"
+                )
+            face = cone.face_at(
+                [tuple(1 if i == e else 0 for i in range(ne)) for e in subset]
+            )
+            if image_cone(m, cones[ids[sub]]) != face:
+                raise AssertionError(
+                    "contracted cone does not match the length zero face"
+                )
+            faces.add(FaceMap(ids[sub], cid, m))
+    return ConeComplex(cones, faces, auts), {cid: obj for obj, cid in ids.items()}
+
+
+# ---------------------------------------------------------------------------
 # the whole-complex assembler
 
 
@@ -460,6 +545,7 @@ def validate_complex_loops(cx: ConeComplex, deep: bool = True):
     """`validate_complex` with the representation test as a set of images per
     cone and the deep tests as nested loops over every face map."""
     out = []
+    well_formed = []
     for f in cx.faces:
         if f.sub not in cx.cones or f.sup not in cx.cones:
             out.append(f"face map {f.sub}->{f.sup} references unknown cones")
@@ -468,12 +554,14 @@ def validate_complex_loops(cx: ConeComplex, deep: bool = True):
         if f.map.source_rank != sub.ambient_rank or f.map.target_rank != sup.ambient_rank:
             out.append(f"face map {f.sub}->{f.sup} has wrong matrix shape")
             continue
+        well_formed.append(f)
         img = image_cone(f.map, sub)
         if not img.is_face_of(sup):
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
         if not _is_lattice_embedding(f.map, sub, img):
             out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
+    cx = ConeComplex(cx.cones, well_formed, cx.auts)
 
     for cid, cone in sorted(cx.cones.items()):
         group = cx.auts[cid]

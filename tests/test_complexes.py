@@ -258,6 +258,28 @@ def _an_automorphism_moves_a_face_map():
     return cx, None
 
 
+def _a_face_map_from_an_unknown_cone():
+    # a ray and its apex, with one more face map into the ray from an id that
+    # is not a cone of the complex
+    zero = eg.LinearMap(((),), 0, 1)
+    cx = ConeComplex(
+        {"a": eg.cone_from_generators([(1,)], 1), "z": eg.zero_cone(0)},
+        [("z", "a", zero), ("q", "a", zero)],
+    )
+    return cx, None
+
+
+def _a_face_map_of_the_wrong_shape():
+    # a ray and its apex, with one more map from the ray into itself that
+    # lands in the plane
+    into_plane = eg.LinearMap(((1,), (0,)), 1, 2)
+    cx = ConeComplex(
+        {"a": eg.cone_from_generators([(1,)], 1), "z": eg.zero_cone(0)},
+        [("z", "a", eg.LinearMap(((),), 0, 1)), ("a", "a", into_plane)],
+    )
+    return cx, None
+
+
 def _a_morphism_breaks_a_face_map():
     # the identity of the plane's orthant, except that the swap sends one ray
     # onto the other, where the top cone's identity keeps it
@@ -274,15 +296,38 @@ def _a_morphism_breaks_a_face_map():
     [
         (_without_a_composite, "composite face map"),
         (_an_automorphism_moves_a_face_map, "outside the face set"),
+        (_a_face_map_from_an_unknown_cone, "references unknown cones"),
+        (_a_face_map_of_the_wrong_shape, "wrong matrix shape"),
         (_a_morphism_breaks_a_face_map, "incompatible with the face map"),
     ],
-    ids=["missing composite", "automorphism moves a face map", "incompatible morphism"],
+    ids=[
+        "missing composite",
+        "automorphism moves a face map",
+        "unknown cone",
+        "wrong shape",
+        "incompatible morphism",
+    ],
 )
 def test_broken_complexes_are_flagged_by_both(make, problem):
     cx, phi = make()
     if phi is None:
         found, loops = validate_complex(cx), validate_complex_loops(cx)
+        assert validate_complex(cx, deep=False) == validate_complex_loops(cx, deep=False)
     else:
         found, loops = validate_morphism(phi), validate_morphism_loops(phi)
     assert any(problem in p for p in found)
     assert found == loops
+
+
+@pytest.mark.parametrize(
+    "make, problem",
+    [
+        (_a_face_map_from_an_unknown_cone, "face map q->a references unknown cones"),
+        (_a_face_map_of_the_wrong_shape, "face map a->a has wrong matrix shape"),
+    ],
+    ids=["unknown cone", "wrong shape"],
+)
+def test_a_malformed_face_map_is_reported_at_both_depths(make, problem):
+    cx, _ = make()
+    for deep in (True, False):
+        assert validate_complex(cx, deep=deep) == [problem]

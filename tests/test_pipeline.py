@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from tropgeom.pipeline import (
     Report,
     build_gamma_subdivision,
     contact_families,
+    contact_types,
     dr_support,
     figure1_demo,
     image_family,
@@ -267,19 +269,40 @@ def _recomputed(*args, **kwargs):
 
 
 class TestSweepTable:
-    """A base keeps the types, image families and check verdicts of the runs
-    made on it; the runs of a sweep share the base, so each piece is made
-    once per sweep."""
+    """A base keeps the types, the factors' map complexes, the image
+    families and the check verdicts of the runs made on it; the runs of a
+    sweep share the base, so each piece is made once per sweep."""
 
-    @pytest.mark.parametrize("g, n", [(0, 4), (1, 2)])
-    def test_shared_base_gives_the_bytes_of_fresh_bases(self, g, n, monkeypatch):
-        # criterion 2's inputs, each also unimodularized
-        inputs = [(vectors, uni) for vectors in lemma_inputs(n) for uni in (False, True)]
+    @pytest.mark.parametrize(
+        "g, n, unimodularize, builds",
+        [(0, 4, (False, True), 46), (1, 2, (False, True), 16), (1, 3, (False,), 20)],
+        ids=["0-4", "1-2", "1-3"],
+    )
+    def test_shared_base_gives_the_bytes_of_fresh_bases(
+        self, g, n, unimodularize, builds, monkeypatch
+    ):
+        # criterion 2's inputs, on the smaller bases each also unimodularized
+        inputs = [(vectors, uni) for vectors in lemma_inputs(n) for uni in unimodularize]
         fresh = {i: _bytes(run_contacts(g, n, i[0], i[1])) for i in inputs}
         base = build_moduli_complex(g, n)
         first, second = (random.Random(s).sample(inputs, len(inputs)) for s in (1, 2))
+        built = []
+
+        def counted(types, target):
+            built.append(tuple(types))
+            return build_map_complex(types, target)
+
+        monkeypatch.setattr(pipeline, "build_map_complex", counted)
         for i in first:
             assert _bytes(run_contacts(g, n, *i, base=base)) == fresh[i]
+        # a factor's map complex is built once per base, the superimposed
+        # Z's once per run that checks it
+        expected = Counter()
+        for vectors, _ in inputs:
+            for label, ts in contact_types(g, n, vectors)[1].items():
+                expected[tuple(ts)] = expected[tuple(ts)] + 1 if label == "Z" else 1
+        assert Counter(built) == expected
+        assert len(built) == builds
         # the second order finds every piece in the table
         monkeypatch.setattr(pipeline, "enumerate_rubber_types", _recomputed)
         monkeypatch.setattr(pipeline, "build_map_complex", _recomputed)

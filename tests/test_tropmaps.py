@@ -6,12 +6,19 @@ from math import factorial, prod
 
 import pytest
 
-from conftest import moduli_cached
-from oracles import enumerate_rubber_types_bruteforce
+from conftest import lemma_inputs, moduli_cached
+from oracles import contraction_complex_by_object, enumerate_rubber_types_bruteforce
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import validate_complex, validate_morphism
-from tropgeom.curves import DualGraph, contract_subset
+from tropgeom.curves import (
+    DualGraph,
+    _orthant,
+    build_moduli_complex,
+    contract_subset,
+    enumerate_stable_graphs,
+)
+from tropgeom.pipeline import contact_types
 from tropgeom.tropmaps import (
     ContactData,
     IncompatibleStabilizations,
@@ -408,3 +415,47 @@ class TestMapComplex:
         with pytest.raises(AssertionError, match="single edge contractions"):
             build_map_complex(types, moduli_cached(2, 2))
 
+
+class TestContractionBuilder:
+    """The builder keyed by canonical pair against the one that makes and
+    hashes an object for every contracted edge subset: the same complex and
+    the same object behind each cone id."""
+
+    @pytest.mark.parametrize(
+        "g, n", [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0)]
+    )
+    def test_map_complexes_of_criterion_two(self, g, n):
+        base = moduli_cached(g, n)
+        type_lists = {}
+        for vectors in lemma_inputs(n):
+            for ts in contact_types(g, n, vectors)[1].values():
+                type_lists[tuple(ts)] = ts
+        for ts in type_lists.values():
+            mx = build_map_complex(ts, base)
+            contact = ts[0].contact
+            cx, types = contraction_complex_by_object(
+                [(t.graph, t.edge_data()) for t in ts],
+                "T",
+                lambda graph, data: RubberMapType.from_edge_data(graph, data, contact),
+                lambda t: moduli_cone(t).cone,
+            )
+            assert mx.complex.to_json() == cx.to_json()
+            assert mx.types == types
+
+    @pytest.mark.parametrize(
+        "g, n, max_edges", [(0, 5, None), (1, 3, None), (0, 6, None), (2, 2, 3)]
+    )
+    def test_moduli_complexes(self, g, n, max_edges):
+        base = build_moduli_complex(g, n, max_edges)
+        seeds = [
+            h for h in enumerate_stable_graphs(g, n)
+            if max_edges is None or h.num_edges <= max_edges
+        ]
+        cx, graphs = contraction_complex_by_object(
+            [(h, ((),) * h.num_edges) for h in seeds],
+            "G",
+            lambda graph, _: graph,
+            lambda graph: _orthant(graph.num_edges),
+        )
+        assert base.complex.to_json() == cx.to_json()
+        assert base.graphs == graphs
