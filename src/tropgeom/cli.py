@@ -2,7 +2,8 @@
 reflecting check outcomes.
 
 Exit codes: 0 all checks in scope passed, 1 a verification failed (the
-report is still written), 2 malformed input.
+report is still written), 2 malformed input, an option the command does
+not take, or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ def _check_range(args):
         check_stable_range(args.g, args.n)
     except Unstable as exc:
         raise SystemExit2(str(exc))
+
+
+def _check_options(args):
+    if args.format not in args.formats:
+        raise SystemExit2(f"{args.command} does not take --format {args.format}")
+    if getattr(args, "max_edges", None) is not None and args.max_edges < 0:
+        raise SystemExit2(f"--max-edges must be at least 0, not {args.max_edges}")
 
 
 def _dump(data, args) -> str:
@@ -174,28 +182,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats, **kwargs):
+        # formats: the --format values the command renders
         p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, formats=formats)
         return p
 
-    p = add("enumerate-graphs", cmd_enumerate_graphs, help="stable dual graphs")
+    p = add("enumerate-graphs", cmd_enumerate_graphs, ("json", "dot"), help="stable dual graphs")
     p.add_argument("g", type=int)
     p.add_argument("n", type=int)
 
-    p = add("moduli-complex", cmd_moduli_complex, help="the curve moduli complex")
+    p = add("moduli-complex", cmd_moduli_complex, ("json",), help="the curve moduli complex")
     p.add_argument("g", type=int)
     p.add_argument("n", type=int)
 
-    for name, fn, nargs, hint in [
-        ("enumerate-maps", cmd_enumerate_maps, "+", "rubber map types"),
-        ("image", cmd_image, "+", "forgetful image family"),
-        ("subdivide", cmd_subdivide, "+", "subdivision making images conical"),
-        ("verify", cmd_verify, "+", "hypothesis checks for the given contacts"),
-        ("product-check", cmd_verify, 2, "two factor hypothesis run"),
-        ("dr-support", cmd_dr_support, 1, "ramification support and codims"),
+    for name, fn, formats, nargs, hint in [
+        ("enumerate-maps", cmd_enumerate_maps, ("json", "dot"), "+", "rubber map types"),
+        ("image", cmd_image, ("json",), "+", "forgetful image family"),
+        ("subdivide", cmd_subdivide, ("json",), "+", "subdivision making images conical"),
+        ("verify", cmd_verify, ("json", "text"), "+", "hypothesis checks for the given contacts"),
+        ("product-check", cmd_verify, ("json", "text"), 2, "two factor hypothesis run"),
+        ("dr-support", cmd_dr_support, ("json", "text"), 1, "ramification support and codims"),
     ]:
-        p = add(name, fn, help=hint)
+        p = add(name, fn, formats, help=hint)
         p.add_argument("g", type=int)
         p.add_argument("n", type=int)
         p.add_argument("contacts", nargs=nargs, help='contact vectors like 2,-2, or "" for n = 0')
@@ -205,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="truncate to graphs with at most this many edges",
         )
 
-    add("figure1", cmd_figure1, help="the worked genus 2 degree 3 example")
+    add("figure1", cmd_figure1, ("json", "text"), help="the worked genus 2 degree 3 example")
     return parser
 
 
@@ -213,14 +222,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         if hasattr(args, "g"):
             _check_range(args)
         return args.fn(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

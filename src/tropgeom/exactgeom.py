@@ -429,22 +429,13 @@ def cone_from_inequalities(ineqs, eqns, ambient_rank: int) -> RationalCone:
     return cone
 
 
-_intersect_cache: dict = {}
-
-
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
+    """a meet b; a repeat hits the system table of `cone_from_inequalities`."""
     if a.ambient_rank != b.ambient_rank:
         raise RankMismatch("cones live in different ambient ranks")
-    key = (a.ambient_rank, a.rays, b.rays) if a.rays <= b.rays else (
-        a.ambient_rank, b.rays, a.rays
+    return cone_from_inequalities(
+        a.facets + b.facets, a.span_eqs + b.span_eqs, a.ambient_rank
     )
-    cached = _intersect_cache.get(key)
-    if cached is None:
-        ineqs = list(a.facets) + list(b.facets)
-        eqns = list(a.span_eqs) + list(b.span_eqs)
-        cached = cone_from_inequalities(ineqs, eqns, a.ambient_rank)
-        _intersect_cache[key] = cached
-    return cached
 
 
 def image_cone(f: LinearMap, c: RationalCone) -> RationalCone:

@@ -111,7 +111,7 @@ def rank(rows) -> int:
 def smith_normal_form(mat: Mat, ncols: int | None = None):
     """Smith normal form with transforms.
 
-    Returns (diag, u, uinv, v, vinv) where u*mat*v = d, d diagonal with
+    Returns (diag, u, v, vinv) where u*mat*v = d, d diagonal with
     d[i] | d[i+1], and u, v unimodular.  diag is the list of diagonal
     entries (nonnegative).  ncols is only needed when mat has no rows.
     """
@@ -120,28 +120,21 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
         ncols = len(mat[0]) if mat else 0
     a = [list(row) for row in mat]
     u = [list(row) for row in identity_matrix(nrows)]
-    uinv = [list(row) for row in identity_matrix(nrows)]
     v = [list(row) for row in identity_matrix(ncols)]
     vinv = [list(row) for row in identity_matrix(ncols)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
         # row i += c * row j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in uinv:
-            r[j] -= c * r[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
 
     def col_swap(i, j):
         for r in a:
@@ -157,13 +150,6 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
         for r in v:
             r[i] += c * r[j]
         vinv[j] = [x - c * y for x, y in zip(vinv[j], vinv[i])]
-
-    def col_neg(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        vinv[i] = [-x for x in vinv[i]]
 
     t = 0
     while t < min(nrows, ncols):
@@ -211,7 +197,7 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
         t += 1
     diag = [a[i][i] for i in range(min(nrows, ncols))]
     to_t = lambda m: tuple(tuple(r) for r in m)
-    return diag, to_t(u), to_t(uinv), to_t(v), to_t(vinv)
+    return diag, to_t(u), to_t(v), to_t(vinv)
 
 
 @lru_cache(maxsize=4096)
@@ -221,7 +207,7 @@ def smith_factors(mat: Mat, ncols: int):
     Returns (diag, u, v) with u*mat*v diagonal, as `smith_normal_form`
     gives them; mat must be a tuple of row tuples.
     """
-    diag, u, _, v, _ = smith_normal_form(mat, ncols)
+    diag, u, v, _ = smith_normal_form(mat, ncols)
     return tuple(diag), u, v
 
 
@@ -239,7 +225,7 @@ def row_saturation_basis(rows, ncols: int):
     """Basis of (Q-span of rows) intersected with Z^ncols."""
     if not rows:
         return []
-    diag, _, _, _, vinv = smith_normal_form(tuple(rows))
+    diag, _, _, vinv = smith_normal_form(tuple(rows))
     r = sum(1 for d in diag if d != 0)
     return [tuple(vinv[i]) for i in range(r)]
 

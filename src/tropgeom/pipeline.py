@@ -207,6 +207,13 @@ def _contact_data(g: int, n: int, vectors) -> ContactData:
     return ContactData(g, vectors)
 
 
+def _kept(table: dict, key, make):
+    """table[key], made by make() and kept there when it is missing."""
+    if key not in table:
+        table[key] = make()
+    return table[key]
+
+
 def _labelled_types(contact: ContactData, max_edges=None, base=None):
     """The map types of each factor by label (X, Y, then X3, X4, ...), and
     for two or more factors the superimposed Z; with the superimpose chambers
@@ -216,10 +223,10 @@ def _labelled_types(contact: ContactData, max_edges=None, base=None):
     table = {} if base is None else base._sweep
     types = {}
     for i, label in enumerate(labels):
-        key = ("types", contact.genus, contact.slopes[i], max_edges)
-        if key not in table:
-            table[key] = enumerate_rubber_types(contact, i, max_edges=max_edges)
-        types[label] = table[key]
+        types[label] = _kept(
+            table, ("types", contact.genus, contact.slopes[i], max_edges),
+            lambda: enumerate_rubber_types(contact, i, max_edges=max_edges),
+        )
     products = None
     if contact.num_factors > 1:
         products = two_factor_types(contact, max_edges, list(types.values()))
@@ -257,11 +264,11 @@ class ContactFamilies:
         per base and kept in the base's table beside its types.  The
         superimposed Z's serves only the runs of these vectors, so it is
         built at most once per call and kept here."""
-        table = self._built if label == "Z" else self.base._sweep
-        key = ("complex", tuple(self.types[label]))
-        if key not in table:
-            table[key] = build_map_complex(self.types[label], self.base)
-        return table[key]
+        return _kept(
+            self._built if label == "Z" else self.base._sweep,
+            ("complex", tuple(self.types[label])),
+            lambda: build_map_complex(self.types[label], self.base),
+        )
 
 
 def contact_families(
@@ -279,11 +286,10 @@ def contact_families(
     base = base or build_moduli_complex(g, n, max_edges)
     out = ContactFamilies(contact, base, *_labelled_types(contact, max_edges, base))
     for label, ts in out.types.items():
-        key = ("family", tuple(ts))
-        if key not in base._sweep:
-            mx = out.map_complex(label)
-            base._sweep[key] = (image_family(mx), len(mx.types))
-        out.families[label], out.cones[label] = base._sweep[key]
+        out.families[label], out.cones[label] = _kept(
+            base._sweep, ("family", tuple(ts)),
+            lambda: (image_family(mx := out.map_complex(label)), len(mx.types)),
+        )
     return out
 
 
@@ -390,28 +396,21 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
             report.add("product chamber interiors disjoint", scope, disjoint)
 
 
-_SOUNDNESS = "soundness"  # the key of the sampled check in a recorded dict
-
-
 def verify_theorem_hypotheses(
-    pullbacks: dict,
+    verdicts: dict,
+    soundness: tuple,
     sub: SubdivisionOf,
     contact: ContactData,
     products=None,
     base: CurveModuliComplex | None = None,
-    seed: int = 0,
-    recorded: dict | None = None,
 ) -> Report:
-    """Run the full hypothesis suite on refined map complexes.
+    """The report of the hypothesis suite on Γ.
 
-    pullbacks maps factor labels (X, Y, ..., Z) to PullbackResult values;
-    products are the superimpose chambers backing the Z factor when present.
-    recorded holds verdicts that earlier runs on the same Γ computed: a
-    factor label's semistability verdict, which stands in for its pullback,
-    and under "soundness" the sampled check's at this seed.  The verdicts
-    computed here are added to it.
+    verdicts maps factor labels (X, Y, ..., Z) to their semistability
+    verdicts, soundness is the sampled check's (passed, witness); products
+    are the superimpose chambers backing the Z factor, compared here with
+    the fiber product when they and the base are given.
     """
-    recorded = {} if recorded is None else recorded
     report = Report(
         inputs={
             "genus": contact.genus,
@@ -420,15 +419,11 @@ def verify_theorem_hypotheses(
         },
         subdivision=sub.summary(),
     )
-    for label in sorted(set(pullbacks) | (set(recorded) - {_SOUNDNESS})):
-        if label not in recorded:
-            recorded[label] = semistability_verdict(pullbacks[label])
-        _semistability_into(report, label, recorded[label])
+    for label in sorted(verdicts):
+        _semistability_into(report, label, verdicts[label])
     if products is not None and base is not None:
         _nu_check_pairs(report, products, sub, base)
-    if _SOUNDNESS not in recorded:
-        recorded[_SOUNDNESS] = soundness_verdict(sub, seed)
-    _soundness_into(report, recorded[_SOUNDNESS])
+    _soundness_into(report, soundness)
     report.subdivision_data = sub
     return report
 
@@ -448,7 +443,7 @@ def run_contacts(
     Γ is built on every run.  The base keeps the verdicts of its runs, keyed
     by what they depend on: the Γ key and a factor's types, or the Γ key and
     the seed.  A verdict it lacks is made here, from map complexes pulled
-    back along Γ.
+    back along Γ, and the report is assembled from the verdicts.
     """
     t0 = time.perf_counter()
     cf = contact_families(g, n, vectors, max_edges, base)
@@ -456,21 +451,19 @@ def run_contacts(
     sub = build_gamma_subdivision(cf.base, list(cf.families.values()), unimodularize)
     gamma = _gamma_key(cf.families.values(), unimodularize)
     keys = {label: ("semistable", gamma, tuple(ts)) for label, ts in cf.types.items()}
-    keys[_SOUNDNESS] = ("soundness", gamma, seed)
-    recorded = {name: table[key] for name, key in keys.items() if key in table}
-    pbs = pullback_map_complexes(
-        {label: cf.map_complex(label) for label in cf.types if label not in recorded}, sub
-    )
+    missing = {label: cf.map_complex(label) for label, key in keys.items() if key not in table}
+    for label, pb in pullback_map_complexes(missing, sub).items():
+        table[keys[label]] = semistability_verdict(pb)
     report = verify_theorem_hypotheses(
-        pbs, sub, cf.contact, cf.products, cf.base, seed, recorded
+        {label: table[key] for label, key in keys.items()},
+        _kept(table, ("soundness", gamma, seed), lambda: soundness_verdict(sub, seed)),
+        sub, cf.contact, cf.products, cf.base,
     )
-    for name, key in keys.items():
-        table[key] = recorded[name]
     for label in sorted(cf.families):
-        key = ("union", gamma, tuple(cf.types[label]))
-        if key not in table:
-            table[key] = _union_verdict(sub, cf.families[label])
-        report.add("image family union of cones", label, *table[key])
+        report.add("image family union of cones", label, *_kept(
+            table, ("union", gamma, tuple(cf.types[label])),
+            lambda: _union_verdict(sub, cf.families[label]),
+        ))
     if cf.products is None:
         report.inputs["types"] = len(cf.types["X"])
     else:

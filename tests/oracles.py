@@ -747,7 +747,7 @@ def solve_integer_fresh(mat, target):
     ncols = len(mat[0]) if mat else 0
     if nrows == 0:
         return (0,) * ncols
-    diag, u, _, v, _ = la.smith_normal_form(mat)
+    diag, u, v, _ = la.smith_normal_form(mat)
     c = la.mat_vec(u, target)
     y = [0] * ncols
     for i in range(nrows):

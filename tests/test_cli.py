@@ -146,11 +146,22 @@ def test_malformed_inputs_exit_two(capsys):
         (["subdivide", "1", "2", "2,-2", "1,-1", "1,-1"], None),
         (["image", "1", "2", "3,-3", "--unimodularize"], "--unimodularize"),
         (["enumerate-maps", "1", "2", "2,-2", "--unimodularize"], "--unimodularize"),
+        (["verify", "1", "2", "2,-2", "--max-edges", "-1"], "--max-edges"),
+        (["enumerate-maps", "1", "2", "2,-2", "--max-edges", "-1"], "--max-edges"),
+        (["verify", "1", "2", "2,-2", "--max-edges", "0"], None),
+        (["moduli-complex", "1", "1", "--format", "dot"], "does not take --format dot"),
+        (["verify", "1", "2", "2,-2", "--format", "dot"], "does not take --format dot"),
+        (["enumerate-graphs", "1", "1", "--format", "text"], "does not take --format text"),
+        (["image", "1", "2", "2,-2", "--format", "text"], "does not take --format text"),
+        (["figure1", "--format", "dot"], "does not take --format dot"),
+        (["verify", "1", "2", "2,-2", "--out", "/nonexistent/x.json"], "/nonexistent/x.json"),
     ],
     ids=[
         "unstable", "negative-genus", "moduli-unstable", "verify-unstable", "three-factors",
         "product-check-ragged", "subdivide-three-factors", "image-unimodularize",
-        "enumerate-maps-unimodularize",
+        "enumerate-maps-unimodularize", "verify-negative-max-edges",
+        "enumerate-maps-negative-max-edges", "verify-zero-max-edges", "moduli-complex-dot",
+        "verify-dot", "enumerate-graphs-text", "image-text", "figure1-dot", "out-unwritable",
     ],
 )
 def test_exit_codes(capsys, argv, message):

@@ -5,6 +5,8 @@
 under canonical keys, and `exactgeom.lattice_surjective` in a bounded LRU
 table.  Each is called twice on random maps and cones and must give the
 direct computation both times; a call that raises must raise again.
+`exactgeom.intersect` keeps no table of its own: a repeat must find the
+system table of `cone_from_inequalities` and run no double description.
 `curves.canonical_labelling`, `curves.automorphism_pairs` and
 `curves.stabilize` keep theirs in bounded LRU tables.  Each is called twice
 on relabelled graphs and decorated types and must give the one-pass oracle,
@@ -152,6 +154,29 @@ def test_pull_back_cone(seed):
                     )
                 )
                 _twice(lambda: pull_back_cone(m, source, cone), want)
+
+
+def test_repeated_intersect_runs_no_double_description(monkeypatch):
+    rng = random.Random(3)
+    met = []
+    for _ in range(30):
+        rank = rng.randint(1, 4)
+        pool = _faces(rng, rank)
+        a, b = rng.choice(pool), rng.choice(pool)
+        lin, rays = eg.extreme_rays_of_system(
+            a.facets + b.facets, a.span_eqs + b.span_eqs, rank
+        )
+        assert not lin
+        first = eg.intersect(a, b)
+        assert first == eg.cone_from_generators(rays, rank)
+        met.append((a, b, first))
+
+    def no_double_description(*args):
+        raise AssertionError("a repeated intersect ran the double description")
+
+    monkeypatch.setattr(eg, "extreme_rays_of_system", no_double_description)
+    for a, b, first in met:
+        assert eg.intersect(a, b) is first
 
 
 def test_failed_pull_back_is_not_cached():
