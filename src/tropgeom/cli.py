@@ -38,6 +38,13 @@ class SystemExit2(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are malformed input: one line, exit 2."""
+
+    def error(self, message):
+        raise SystemExit2(message)
+
+
 def _check_range(args):
     try:
         check_stable_range(args.g, args.n)
@@ -50,6 +57,8 @@ def _check_options(args):
         raise SystemExit2(f"{args.command} does not take --format {args.format}")
     if getattr(args, "max_edges", None) is not None and args.max_edges < 0:
         raise SystemExit2(f"--max-edges must be at least 0, not {args.max_edges}")
+    if getattr(args, "timing", False) and args.format == "text":
+        raise SystemExit2("--timing needs --format json")
 
 
 def _dump(data, args) -> str:
@@ -169,17 +178,13 @@ def cmd_figure1(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropgeom",
         description="exact tropical moduli subdivisions and semistability checks",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text", "dot"], default="json")
     common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument(
-        "--timing", action="store_true", help="include timing in JSON reports"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, formats, **kwargs):
@@ -215,13 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     add("figure1", cmd_figure1, ("json", "text"), help="the worked genus 2 degree 3 example")
+    for name in ("verify", "product-check", "figure1"):
+        sub.choices[name].add_argument(
+            "--seed", type=int, default=0, help="seed for sampled checks"
+        )
+    for name in ("verify", "product-check", "dr-support", "figure1"):
+        sub.choices[name].add_argument(
+            "--timing", action="store_true", help="include timing in JSON reports"
+        )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_options(args)
         if hasattr(args, "g"):
             _check_range(args)

@@ -121,6 +121,15 @@ class DualGraph:
         )
 
 
+def incidence_matrix(graph: DualGraph):
+    """The signed vertex-edge incidence matrix: the column of edge (u, v) is
+    e_v - e_u, so a loop's column is zero.  Its kernel is the cycle lattice."""
+    return tuple(
+        tuple((v == x) - (u == x) for u, v in graph.edges)
+        for x in range(graph.num_vertices)
+    )
+
+
 def _dot(graph: DualGraph, name: str, edge_labels, leg_labels) -> str:
     """The DOT drawing of a graph: vertices by genus, labelled edges and legs."""
     lines = [f"graph {name} {{"]

@@ -46,10 +46,6 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vscale(c, v):
     return tuple(c * a for a in v)
 
@@ -307,21 +303,14 @@ def lattice_coords(basis_rows, x):
     return solve_integer(mt, tuple(x))
 
 
-def projection_to_lattice(basis_rows, ambient: int) -> Mat:
+def projection_to_lattice(basis_rows) -> Mat:
     """Integer matrix p with p * x = coords of x in the basis, for x in the lattice.
 
-    basis_rows must be a basis of a saturated sublattice of Z^ambient; p is an
-    integer left inverse of the basis (one deterministic choice among many).
+    basis_rows must be a basis of a saturated sublattice (ValueError
+    otherwise); p is the transposed right inverse of the basis (one
+    deterministic choice among many).
     """
-    r = len(basis_rows)
-    rows = []
-    for i in range(r):
-        e = tuple(1 if k == i else 0 for k in range(r))
-        z = solve_integer(tuple(basis_rows), e)
-        if z is None:
-            raise ValueError("basis rows are not a saturated lattice basis")
-        rows.append(z)
-    return tuple(rows)
+    return transpose(invert_unimodular(tuple(basis_rows)))
 
 
 def invert_unimodular(m: Mat) -> Mat:

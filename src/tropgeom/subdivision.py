@@ -696,9 +696,7 @@ def _extend_covector(m: LinearMap, sub_cone: RationalCone, w):
     """A covector on the big cone restricting to w on the embedded face."""
     basis = sub_cone.span_basis
     image_basis = tuple(m.apply(b) for b in basis)
-    proj = la.projection_to_lattice(image_basis, m.target_rank)
-    w_span = tuple(la.dot(w, b) for b in basis)
-    return la.mat_vec(la.transpose(proj), w_span)
+    return la.solve_integer(image_basis, tuple(la.dot(w, b) for b in basis))
 
 
 def cones_cover_exactly(target: RationalCone, cells):
@@ -796,21 +794,12 @@ def pullback_subdivision(phi: ComplexMorphism, s: SubdivisionOf) -> PullbackResu
             raise GeometryError(f"image of refined cone {rid} is not in a refined cell")
         t_rep = s.refined.cones[best.refined_id]
         basis = t_rep.span_basis
-        image_basis = tuple(best.embed.apply(b) for b in basis)
         if basis:
-            proj = la.projection_to_lattice(image_basis, best.embed.target_rank)
-            lift = la.mat_mul(la.transpose(basis), proj)
+            proj = la.projection_to_lattice(tuple(best.embed.apply(b) for b in basis))
+            rows = la.mat_mul(la.mat_mul(la.transpose(basis), proj), full.matrix)
         else:
-            lift = tuple(
-                la.zero_vec(best.embed.target_rank) for _ in range(t_rep.ambient_rank)
-            )
-        n = LinearMap(
-            la.mat_mul(lift, full.matrix) if basis else tuple(
-                la.zero_vec(full.source_rank) for _ in range(t_rep.ambient_rank)
-            ),
-            full.source_rank,
-            t_rep.ambient_rank,
-        )
+            rows = tuple(la.zero_vec(full.source_rank) for _ in range(t_rep.ambient_rank))
+        n = LinearMap(rows, full.source_rank, t_rep.ambient_rank)
         if not all(t_rep.contains(n.apply(r)) for r in rep.rays):
             raise GeometryError(f"refined morphism does not land in its cell at {rid}")
         assignments[rid] = (best.refined_id, n)

@@ -10,7 +10,9 @@ the orthant of the underlying graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
+from operator import mul
 
 from . import linalg as la
 from .exactgeom import LinearMap, RationalCone, cone_from_inequalities, image_cone
@@ -22,6 +24,7 @@ from .curves import (
     _dot,
     canonical_with_data,
     enumerate_stable_graphs,
+    incidence_matrix,
     sort_key,
     stabilize,
     union_find,
@@ -150,23 +153,22 @@ class RubberMapType:
         return RubberMapType(graph, tuple(slopes), contact)
 
 
+def _leg_orders(graph: DualGraph, contact_row):
+    """The contact orders of the legs summed per vertex."""
+    total = [0] * graph.num_vertices
+    for v, a in zip(graph.legs, contact_row):
+        total[v] += a
+    return tuple(total)
+
+
 def is_balanced(t: RubberMapType) -> bool:
-    """Signed slope sums vanish at every vertex, legs counted with their orders."""
-    for f in range(t.num_factors):
-        for v in range(t.graph.num_vertices):
-            total = 0
-            for i, (a, b) in enumerate(t.graph.edges):
-                s = t.slopes[f][i]
-                if a == v:
-                    total += s
-                if b == v:
-                    total -= s
-            for j, w in enumerate(t.graph.legs):
-                if w == v:
-                    total += t.contact.slopes[f][j]
-            if total != 0:
-                return False
-    return True
+    """The incidence matrix applied to each factor's slopes gives the
+    contact orders of the legs at every vertex."""
+    inc = incidence_matrix(t.graph)
+    return all(
+        la.mat_vec(inc, s) == _leg_orders(t.graph, a)
+        for s, a in zip(t.slopes, t.contact.slopes)
+    )
 
 
 def has_consistent_heights(t: RubberMapType) -> bool:
@@ -175,38 +177,18 @@ def has_consistent_heights(t: RubberMapType) -> bool:
     Slope zero edges identify heights; the strict relations from nonzero
     slopes must then be acyclic.
     """
-    k = t.graph.num_vertices
-    for f in range(t.num_factors):
-        flat = [e for i, e in enumerate(t.graph.edges) if t.slopes[f][i] == 0]
-        find, _ = union_find(k, flat)
-        arcs = set()
-        for i, (a, b) in enumerate(t.graph.edges):
-            s = t.slopes[f][i]
-            if s > 0:
-                arcs.add((find(a), find(b)))
-            elif s < 0:
-                arcs.add((find(b), find(a)))
-        nodes = {x for arc in arcs for x in arc}
-        out = {x: [] for x in nodes}
-        for a, b in arcs:
-            if a == b:
-                return False
-            out[a].append(b)
-        state = {x: 0 for x in nodes}
-
-        def dfs(x):
-            state[x] = 1
-            for y in out[x]:
-                if state[y] == 1:
-                    return False
-                if state[y] == 0 and not dfs(y):
-                    return False
-            state[x] = 2
-            return True
-
-        for x in nodes:
-            if state[x] == 0 and not dfs(x):
-                return False
+    for s in t.slopes:
+        flat = [e for e, x in zip(t.graph.edges, s) if x == 0]
+        find, _ = union_find(t.graph.num_vertices, flat)
+        below = {}
+        for (a, b), x in zip(t.graph.edges, s):
+            if x:
+                lo, hi = (a, b) if x > 0 else (b, a)
+                below.setdefault(find(hi), set()).add(find(lo))
+        try:
+            TopologicalSorter(below).prepare()
+        except CycleError:
+            return False
     return True
 
 
@@ -221,58 +203,14 @@ def canonical_type(t: RubberMapType):
 
 
 def cycle_equations(t: RubberMapType):
-    """One row per independent cycle per factor: total displacement vanishes.
+    """One row per cycle per factor: the total displacement vanishes.
 
-    The cycle basis comes from the lexicographically least spanning tree, so
-    equal types produce identical matrices.
+    The cycles are a basis of the kernel of the incidence matrix; cycle z
+    with slopes s has row z * s (entrywise), so equal types produce
+    identical matrices.
     """
-    k = t.graph.num_vertices
-    _, merged = union_find(k, t.graph.edges)
-    tree = [i for i, m in enumerate(merged) if m]
-    back = [i for i, m in enumerate(merged) if not m]
-    # BFS parents over tree edges
-    adj = {v: [] for v in range(k)}
-    for i in tree:
-        u, v = t.graph.edges[i]
-        adj[u].append((v, i, 1))
-        adj[v].append((u, i, -1))
-    parent = {0: None}
-    order = [0]
-    for x in order:
-        for y, i, d in adj[x]:
-            if y not in parent:
-                parent[y] = (x, i, d)
-                order.append(y)
-
-    def path_from_root(v):
-        out = []
-        while parent[v] is not None:
-            x, i, d = parent[v]
-            out.append((i, d))
-            v = x
-        out.reverse()
-        return out
-
-    rows = []
-    ne = t.graph.num_edges
-    for f in range(t.num_factors):
-        for i in back:
-            u, v = t.graph.edges[i]
-            row = [0] * ne
-            row[i] += t.slopes[f][i]
-            # walk from v back to u through the tree
-            pu, pv = path_from_root(u), path_from_root(v)
-            common = 0
-            while (
-                common < len(pu) and common < len(pv) and pu[common] == pv[common]
-            ):
-                common += 1
-            for j, d in pv[common:]:
-                row[j] -= d * t.slopes[f][j]
-            for j, d in pu[common:]:
-                row[j] += d * t.slopes[f][j]
-            rows.append(tuple(row))
-    return tuple(rows)
+    cycles = la.kernel_basis(incidence_matrix(t.graph), t.graph.num_edges)
+    return tuple(tuple(map(mul, z, s)) for s in t.slopes for z in cycles)
 
 
 @dataclass
@@ -303,11 +241,8 @@ def moduli_cone(t: RubberMapType) -> ModuliCone:
 def balanced_slope_assignments(graph: DualGraph, contact_row, bound: int):
     """All slope vectors on the graph's edges balancing the given leg orders."""
     ne = graph.num_edges
-    leg_sum = [0] * graph.num_vertices
-    for j, v in enumerate(graph.legs):
-        leg_sum[v] += contact_row[j]
     ends_left = [graph.valence(v) - len(graph.legs_at(v)) for v in range(graph.num_vertices)]
-    balance = leg_sum[:]
+    balance = list(_leg_orders(graph, contact_row))
     out = []
     slopes = [0] * ne
 

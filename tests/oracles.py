@@ -3,7 +3,10 @@
 The enumeration oracles share no generation or canonical labelling code with
 the library: graphs come from every genus tuple, edge multiset and leg
 placement, types from every slope vector on those graphs, and classes are
-told apart by trying every vertex bijection.  The cone oracles find facets
+told apart by trying every vertex bijection; the types are kept by the
+hand-written graph walks the library replaced with its incidence matrix and
+a topological sort (vertex sums for balancing, a depth-first search for the
+heights, and the spanning-tree cycle equations).  The cone oracles find facets
 by subset enumeration and membership by Caratheodory subsets of rays, and
 the subdivision oracle intersects every pair of cells.  The contraction
 closure builder that makes and hashes an object for every contracted edge
@@ -39,6 +42,7 @@ from tropgeom.curves import (
     edge_perm_matrices,
     genus,
     sort_key,
+    union_find,
 )
 from tropgeom.complexes import (
     ComplexMorphism,
@@ -56,12 +60,7 @@ from tropgeom.exactgeom import (
     intersect,
 )
 from tropgeom.subdivision import MAX_FIXPOINT_ROUNDS, SubdivisionOf
-from tropgeom.tropmaps import (
-    ContactData,
-    RubberMapType,
-    has_consistent_heights,
-    is_balanced,
-)
+from tropgeom.tropmaps import ContactData, RubberMapType
 
 _oracle_cache = {}
 
@@ -170,13 +169,123 @@ def enumerate_rubber_types_bruteforce(contact: ContactData, factor: int = 0):
         ne = graph.num_edges
         for raw in product(range(-d, d + 1), repeat=ne):
             t = RubberMapType(graph, (raw,), single)
-            if not is_balanced(t):
+            if not is_balanced_by_vertex_sums(t):
                 continue
-            if not has_consistent_heights(t):
+            if not has_consistent_heights_dfs(t):
                 continue
             if not any(_isomorphic_types(t, s) for s in types):
                 types.append(t)
     return types
+
+
+def is_balanced_by_vertex_sums(t: RubberMapType) -> bool:
+    """Signed slope sums vanish at every vertex, legs counted with their orders."""
+    for f in range(t.num_factors):
+        for v in range(t.graph.num_vertices):
+            total = 0
+            for i, (a, b) in enumerate(t.graph.edges):
+                s = t.slopes[f][i]
+                if a == v:
+                    total += s
+                if b == v:
+                    total -= s
+            for j, w in enumerate(t.graph.legs):
+                if w == v:
+                    total += t.contact.slopes[f][j]
+            if total != 0:
+                return False
+    return True
+
+
+def has_consistent_heights_dfs(t: RubberMapType) -> bool:
+    """Slope zero edges identify heights; the strict relations from nonzero
+    slopes must then be acyclic, tested by depth-first search."""
+    k = t.graph.num_vertices
+    for f in range(t.num_factors):
+        flat = [e for i, e in enumerate(t.graph.edges) if t.slopes[f][i] == 0]
+        find, _ = union_find(k, flat)
+        arcs = set()
+        for i, (a, b) in enumerate(t.graph.edges):
+            s = t.slopes[f][i]
+            if s > 0:
+                arcs.add((find(a), find(b)))
+            elif s < 0:
+                arcs.add((find(b), find(a)))
+        nodes = {x for arc in arcs for x in arc}
+        out = {x: [] for x in nodes}
+        for a, b in arcs:
+            if a == b:
+                return False
+            out[a].append(b)
+        state = {x: 0 for x in nodes}
+
+        def dfs(x):
+            state[x] = 1
+            for y in out[x]:
+                if state[y] == 1:
+                    return False
+                if state[y] == 0 and not dfs(y):
+                    return False
+            state[x] = 2
+            return True
+
+        for x in nodes:
+            if state[x] == 0 and not dfs(x):
+                return False
+    return True
+
+
+def cycle_equations_spanning_tree(t: RubberMapType):
+    """One row per edge off the lexicographically least spanning tree per
+    factor: the edge closes a cycle through the tree, whose total
+    displacement vanishes."""
+    k = t.graph.num_vertices
+    _, merged = union_find(k, t.graph.edges)
+    tree = [i for i, m in enumerate(merged) if m]
+    back = [i for i, m in enumerate(merged) if not m]
+    # BFS parents over tree edges
+    adj = {v: [] for v in range(k)}
+    for i in tree:
+        u, v = t.graph.edges[i]
+        adj[u].append((v, i, 1))
+        adj[v].append((u, i, -1))
+    parent = {0: None}
+    order = [0]
+    for x in order:
+        for y, i, d in adj[x]:
+            if y not in parent:
+                parent[y] = (x, i, d)
+                order.append(y)
+
+    def path_from_root(v):
+        out = []
+        while parent[v] is not None:
+            x, i, d = parent[v]
+            out.append((i, d))
+            v = x
+        out.reverse()
+        return out
+
+    rows = []
+    ne = t.graph.num_edges
+    for f in range(t.num_factors):
+        for i in back:
+            u, v = t.graph.edges[i]
+            row = [0] * ne
+            row[i] += t.slopes[f][i]
+            # walk from v back to u through the tree
+            pu, pv = path_from_root(u), path_from_root(v)
+            common = 0
+            while (
+                common < len(pu) and common < len(pv) and pu[common] == pv[common]
+            ):
+                common += 1
+            for j, d in pv[common:]:
+                row[j] -= d * t.slopes[f][j]
+            for j, d in pu[common:]:
+                row[j] += d * t.slopes[f][j]
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _isomorphic_types(a: RubberMapType, b: RubberMapType) -> bool:
@@ -775,6 +884,10 @@ def invert_unimodular_by_columns(m):
     return la.transpose(tuple(cols)) if n else ()
 
 
+def _vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector."""
     denom = 1
@@ -835,7 +948,7 @@ def _insert_halfspace_fraction(lin, rays, a, index, n_inserted):
         )
         if not adjacent:
             continue
-        comb = la.primitive(la.vsub(la.vscale(vp, rn), la.vscale(vn, rp)))
+        comb = la.primitive(_vsub(la.vscale(vp, rn), la.vscale(vn, rp)))
         if any(comb):
             kept.append([comb, common | {index}])
     seen = {}

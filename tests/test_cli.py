@@ -155,6 +155,14 @@ def test_malformed_inputs_exit_two(capsys):
         (["image", "1", "2", "2,-2", "--format", "text"], "does not take --format text"),
         (["figure1", "--format", "dot"], "does not take --format dot"),
         (["verify", "1", "2", "2,-2", "--out", "/nonexistent/x.json"], "/nonexistent/x.json"),
+        (["verify", "1", "2"], "required: contacts"),
+        (["moduli-complex", "0", "3", "--max-edges", "1"], "unrecognized arguments"),
+        (["verify", "x", "2", "1,-1"], "invalid int value"),
+        ([], "required: command"),
+        (["enumerate-graphs", "1", "1", "--timing"], "unrecognized arguments: --timing"),
+        (["enumerate-graphs", "1", "1", "--seed", "5"], "unrecognized arguments: --seed"),
+        (["dr-support", "1", "2", "2,-2", "--seed", "9"], "unrecognized arguments: --seed"),
+        (["verify", "1", "2", "2,-2", "--format", "text", "--timing"], "--timing"),
     ],
     ids=[
         "unstable", "negative-genus", "moduli-unstable", "verify-unstable", "three-factors",
@@ -162,6 +170,8 @@ def test_malformed_inputs_exit_two(capsys):
         "enumerate-maps-unimodularize", "verify-negative-max-edges",
         "enumerate-maps-negative-max-edges", "verify-zero-max-edges", "moduli-complex-dot",
         "verify-dot", "enumerate-graphs-text", "image-text", "figure1-dot", "out-unwritable",
+        "verify-no-contacts", "moduli-complex-max-edges", "verify-bad-genus", "no-command",
+        "enumerate-graphs-timing", "enumerate-graphs-seed", "dr-support-seed", "verify-text-timing",
     ],
 )
 def test_exit_codes(capsys, argv, message):
@@ -177,6 +187,24 @@ def test_exit_codes(capsys, argv, message):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and message in lines[0]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--timing" in capsys.readouterr().out
+
+
+def test_timing_adds_elapsed_seconds(capsys):
+    code, out = run(capsys, "verify", "1", "2", "2,-2", "--timing")
+    assert code == 0
+    data = json.loads(out)
+    assert isinstance(data["elapsed_seconds"], float)
+    _, plain = run(capsys, "verify", "1", "2", "2,-2")
+    assert "elapsed_seconds" not in json.loads(plain)
+    del data["elapsed_seconds"]
+    assert data == json.loads(plain)
 
 
 @pytest.mark.parametrize(

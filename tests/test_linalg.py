@@ -68,10 +68,17 @@ def test_solve_integer():
 
 def test_projection_to_lattice_left_inverse():
     basis = ((2, 1, 0), (0, 0, 1))
-    p = la.projection_to_lattice(basis, 3)
+    p = la.projection_to_lattice(basis)
     for i, b in enumerate(basis):
         coords = la.mat_vec(p, b)
         assert coords == tuple(1 if k == i else 0 for k in range(len(basis)))
+
+
+def test_projection_to_lattice_refuses_an_unsaturated_basis():
+    with pytest.raises(ValueError):
+        la.projection_to_lattice(((2, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError):
+        la.projection_to_lattice(((1, 0), (0, 1), (1, 1)))
 
 
 def test_invert_unimodular():
@@ -141,7 +148,7 @@ def test_lattice_coords_and_projection_match_fresh_solves(mat, coeffs, shift):
         solve_integer_fresh(basis, tuple(int(k == i) for k in range(r)))
         for i in range(r)
     )
-    assert la.projection_to_lattice(basis, n) == want
+    assert la.projection_to_lattice(basis) == want
 
 
 @settings(max_examples=300, deadline=None)

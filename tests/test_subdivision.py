@@ -47,6 +47,9 @@ from tropgeom.subdivision import (
     verify_subdivision,
 )
 
+# criterion 2's bases
+STABLE_RANGE = [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0)]
+
 
 @pytest.fixture
 def orthant2():
@@ -241,6 +244,31 @@ class TestPullback:
         )
         pb = pullback_subdivision(phi, identity_subdivision(rcx))
         assert pb.subdivision.is_identity()
+
+
+def test_extended_covectors_restrict_to_the_face():
+    """On every face map of criterion 2's bases and of one unimodularized
+    Γ, the lift of a covector restricts to it on the face's span, and it is
+    the lift through the projection to the face's lattice."""
+    rng = random.Random(17)
+    gamma = single_factor_run(
+        1, 3, (2, -1, -1), unimodularize=True, base=build_moduli_complex(1, 3)
+    ).subdivision_data.refined
+    complexes = [moduli_cached(g, n).complex for g, n in STABLE_RANGE] + [gamma]
+    for cx in complexes:
+        for f in cx.faces:
+            sub = cx.cones[f.sub]
+            basis = sub.span_basis
+            if not basis:
+                continue
+            proj = la.projection_to_lattice(tuple(f.map.apply(b) for b in basis))
+            for _ in range(2):
+                w = tuple(rng.randint(-5, 5) for _ in range(sub.ambient_rank))
+                lifted = subdivision._extend_covector(f.map, sub, w)
+                pulled = la.mat_vec(la.transpose(f.map.matrix), lifted)
+                assert [la.dot(pulled, b) for b in basis] == [la.dot(w, b) for b in basis]
+                w_span = tuple(la.dot(w, b) for b in basis)
+                assert lifted == la.mat_vec(la.transpose(proj), w_span)
 
 
 class TestRefineUntilConical:

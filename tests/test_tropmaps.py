@@ -2,12 +2,19 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 import pytest
 
 from conftest import lemma_inputs, moduli_cached
-from oracles import contraction_complex_by_object, enumerate_rubber_types_bruteforce
+from oracles import (
+    contraction_complex_by_object,
+    cycle_equations_spanning_tree,
+    enumerate_rubber_types_bruteforce,
+    has_consistent_heights_dfs,
+    is_balanced_by_vertex_sums,
+)
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 from tropgeom.complexes import validate_complex, validate_morphism
@@ -110,6 +117,58 @@ class TestCycleEquations:
             for p in eg.sample_points(mc.cone, 5, rng):
                 heights = _heights_from_lengths(t, p)
                 assert heights is not None
+
+
+def _all_slope_types(g, n, vectors, max_edges):
+    """Every slope vector in [-d, d]^E per factor, balanced or not, on the
+    stable graphs with at most max_edges edges."""
+    contact = ContactData(g, vectors)
+    for graph in enumerate_stable_graphs(g, n):
+        if graph.num_edges > max_edges:
+            continue
+        ranges = [
+            product(range(-d, d + 1), repeat=graph.num_edges)
+            for d in map(contact.degree, range(contact.num_factors))
+        ]
+        for slopes in product(*ranges):
+            yield RubberMapType(graph, slopes, contact)
+
+
+class TestAgainstHandWrittenGraphWalks:
+    """The incidence matrix and the topological sort against the spanning
+    tree walk, the vertex sums and the depth-first search they replaced."""
+
+    CASES = [
+        (g, n, vectors, 3) for g, n in [(1, 2), (1, 3)] for vectors in lemma_inputs(n)
+        if len(vectors) == 1
+    ] + [
+        (2, 2, ((2, -2),), 3),  # two independent cycles
+        (1, 2, ((1, -1), (1, -1)), 2),
+        (1, 2, ((1, -1), (2, -2)), 2),
+        (1, 3, ((1, 0, -1), (2, -1, -1)), 2),
+        (1, 3, ((1, 0, -1), (1, 1, -2)), 2),
+    ]
+
+    @pytest.mark.parametrize("g, n, vectors, max_edges", CASES)
+    def test_same_verdicts_cones_and_ranks(self, g, n, vectors, max_edges):
+        count = 0
+        for t in _all_slope_types(g, n, vectors, max_edges):
+            count += 1
+            assert is_balanced(t) == is_balanced_by_vertex_sums(t), t
+            assert has_consistent_heights(t) == has_consistent_heights_dfs(t), t
+            old = cycle_equations_spanning_tree(t)
+            ne = t.graph.num_edges
+            mc = moduli_cone(t)
+            assert la.rank(mc.equations) == la.rank(old), t
+            assert mc.cone == eg.cone_from_inequalities(la.identity_matrix(ne), old, ne), t
+        assert count
+
+    def test_loop_rows(self):
+        # a loop is a cycle by itself: its row is its slope
+        loop = DualGraph((1,), ((0, 0),), (0, 0))
+        t = RubberMapType(loop, ((2,), (-1,)), ContactData(2, ((0, 0), (0, 0))))
+        assert cycle_equations(t) == ((2,), (-1,))
+        assert is_balanced(t)
 
 
 def _heights_from_lengths(t, lengths):
