@@ -40,7 +40,7 @@ for g, n in [(0, 4), (1, 1), (1, 2), (2, 0)]:
 # with the automorphisms acting on edge coordinates
 built = build_moduli_complex(1, 2)
 print("moduli complex of (1,2):", len(built.complex.cones), "cones")
-print("violations:", validate_complex(built.complex, deep=True))
+print("violations:", validate_complex(built.complex))
 
 # stabilization removes unmarked genus zero vertices of valence at most two
 # and remembers how lengths merge

@@ -24,12 +24,11 @@ print("balanced:", is_balanced(cover))
 
 # continuity around the cycle forces equal lengths; the moduli cone is a ray
 print("cycle equations:", cycle_equations(cover))
-mc = moduli_cone(cover)
-print("moduli cone rays:", mc.cone.rays)
+print("moduli cone rays:", moduli_cone(cover).rays)
 
 # weighted version: slopes 1 and 3 force a 3:1 length ratio
 weighted = RubberMapType(banana, ((-1, -3),), ContactData(1, ((4, -4),)))
-print("weighted cone:", moduli_cone(weighted).cone.rays)
+print("weighted cone:", moduli_cone(weighted).rays)
 
 # the forgetful image lives in the orthant of the stabilized graph; for the
 # cover above it is the diagonal ray of the banana cone

@@ -33,7 +33,6 @@ from .subdivision import (
     common_refinement,
     compose_subdivisions,
     hyperplane_refine,
-    identity_subdivision,
     pullback_subdivision,
     refine_until_conical,
     stellar_subdivide,

@@ -9,7 +9,9 @@ not take, or an --out path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .curves import Unstable, build_moduli_complex, check_stable_range, enumerate_stable_graphs
@@ -59,6 +61,23 @@ def _check_options(args):
         raise SystemExit2(f"--max-edges must be at least 0, not {args.max_edges}")
     if getattr(args, "timing", False) and args.format == "text":
         raise SystemExit2("--timing needs --format json")
+    if args.out:
+        _check_out(args.out)
+
+
+def _check_out(path: str):
+    """Refuse an --out path that cannot become a file before any work is done:
+    a directory, or a path whose directory is missing.  Nothing is opened or
+    created here; what only `open` can see (permissions) is left to the write.
+    Raises the OSError that `open` would, so `main` prints the same line."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _dump(data, args) -> str:

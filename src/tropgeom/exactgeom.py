@@ -9,7 +9,7 @@ construction and all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
 
@@ -175,8 +175,11 @@ def extreme_rays_of_system(ineqs, eqns, rank: int):
     return lin, [r for r, _ in rays]
 
 
+@dataclass(frozen=True, slots=True)
 class RationalCone:
     """A pointed rational polyhedral cone, canonically represented.
+
+    Cones are equal exactly when their rank and rays are.
 
     Attributes:
         ambient_rank: dimension of the ambient lattice.
@@ -186,41 +189,19 @@ class RationalCone:
             nonnegative exactly on the cone within its span.
         span_eqs: HNF basis of the annihilator of the span (x is in the span
             iff all of these vanish).
+        span_basis: saturated lattice basis of the linear span (rows).
     """
 
-    __slots__ = (
-        "ambient_rank", "rays", "dim", "facets", "span_eqs", "_span_basis", "_faces"
-    )
-
-    def __init__(self, ambient_rank, rays, dim, facets, span_eqs, span_basis):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "span_eqs", span_eqs)
-        object.__setattr__(self, "_span_basis", span_basis)
-        object.__setattr__(self, "_faces", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalCone is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalCone)
-            and self.ambient_rank == other.ambient_rank
-            and self.rays == other.rays
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_rank, self.rays))
+    ambient_rank: int
+    rays: tuple
+    dim: int = field(compare=False)
+    facets: tuple = field(compare=False)
+    span_eqs: tuple = field(compare=False)
+    span_basis: tuple = field(compare=False)
+    _faces: tuple | None = field(default=None, init=False, compare=False)
 
     def __repr__(self):
         return f"RationalCone(rank={self.ambient_rank}, dim={self.dim}, rays={list(self.rays)})"
-
-    @property
-    def span_basis(self):
-        """Saturated lattice basis of the linear span (rows)."""
-        return self._span_basis
 
     def is_zero(self) -> bool:
         return not self.rays
@@ -307,7 +288,7 @@ class RationalCone:
         """Index of the ray lattice inside the saturated span lattice (simplicial only)."""
         if not self.is_simplicial():
             raise GeometryError("lattice index is defined for simplicial cones")
-        coords = tuple(la.lattice_coords(self._span_basis, r) for r in self.rays)
+        coords = tuple(la.lattice_coords(self.span_basis, r) for r in self.rays)
         # |det|: the Smith diagonal is nonnegative and u, v are unimodular; the
         # zero cone has an empty diagonal and index 1
         return prod(la.smith_factors(coords, self.dim)[0])

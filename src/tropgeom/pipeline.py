@@ -401,15 +401,15 @@ def verify_theorem_hypotheses(
     soundness: tuple,
     sub: SubdivisionOf,
     contact: ContactData,
-    products=None,
-    base: CurveModuliComplex | None = None,
+    products,
+    base: CurveModuliComplex,
 ) -> Report:
     """The report of the hypothesis suite on Γ.
 
     verdicts maps factor labels (X, Y, ..., Z) to their semistability
     verdicts, soundness is the sampled check's (passed, witness); products
-    are the superimpose chambers backing the Z factor, compared here with
-    the fiber product when they and the base are given.
+    are the superimpose chambers backing the Z factor (None for one factor),
+    compared here with the fiber product over the base.
     """
     report = Report(
         inputs={
@@ -421,7 +421,7 @@ def verify_theorem_hypotheses(
     )
     for label in sorted(verdicts):
         _semistability_into(report, label, verdicts[label])
-    if products is not None and base is not None:
+    if products is not None:
         _nu_check_pairs(report, products, sub, base)
     _soundness_into(report, soundness)
     report.subdivision_data = sub
@@ -549,11 +549,11 @@ def figure1_demo(seed: int = 0) -> Report:
     )
 
     mc = moduli_cone(fig_type)
-    report.add("moduli cone is a ray", "map type", mc.cone.dim == 1)
+    report.add("moduli cone is a ray", "map type", mc.dim == 1)
     report.add(
         "edge lengths forced equal",
         "map type",
-        mc.cone.rays == ((1, 1, 1),),
+        mc.rays == ((1, 1, 1),),
     )
 
     base = build_complex_from_graphs([theta])

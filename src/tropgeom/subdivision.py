@@ -169,14 +169,6 @@ class SubdivisionOf:
         }
 
 
-def identity_subdivision(cx: ConeComplex) -> SubdivisionOf:
-    assignments = {
-        cid: (cid, LinearMap.identity(cone.ambient_rank))
-        for cid, cone in cx.cones.items()
-    }
-    return SubdivisionOf(cx, cx, ComplexMorphism(cx, cx, assignments))
-
-
 def compose_subdivisions(s1: SubdivisionOf, s2: SubdivisionOf) -> SubdivisionOf:
     """s2 must subdivide s1.refined; the composite subdivides s1.original."""
     proj = s1.projection.compose_subdivision(s2.projection)
@@ -368,7 +360,7 @@ def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
     """
     if sub._checked:
         return sub
-    problems = validate_complex(sub.refined, deep=False)
+    problems = validate_complex(sub.refined)
     problems += verify_subdivision(sub)
     if problems:
         raise GeometryError("subdivision is not well glued: " + "; ".join(problems))

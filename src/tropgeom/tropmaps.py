@@ -213,25 +213,10 @@ def cycle_equations(t: RubberMapType):
     return tuple(tuple(map(mul, z, s)) for s in t.slopes for z in cycles)
 
 
-@dataclass
-class ModuliCone:
+def moduli_cone(t: RubberMapType) -> RationalCone:
     """The solution cone of a map type inside the orthant of its graph."""
-
-    map_type: RubberMapType
-    cone: RationalCone
-    equations: tuple
-
-    @property
-    def degenerate(self) -> bool:
-        return self.cone.dim == 0 and self.map_type.graph.num_edges > 0
-
-
-def moduli_cone(t: RubberMapType) -> ModuliCone:
     ne = t.graph.num_edges
-    eqs = cycle_equations(t)
-    orthant_facets = la.identity_matrix(ne)
-    cone = cone_from_inequalities(orthant_facets, eqs, ne)
-    return ModuliCone(t, cone, eqs)
+    return cone_from_inequalities(la.identity_matrix(ne), cycle_equations(t), ne)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +295,7 @@ def forgetful_image(t: RubberMapType):
     underlying graph has no stabilization.
     """
     stable, lmap, _ = stabilize(t.graph)
-    mc = moduli_cone(t)
-    return stable, image_cone(lmap, mc.cone)
+    return stable, image_cone(lmap, moduli_cone(t))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +393,7 @@ def superimpose(*types: RubberMapType):
             for e in range(t.graph.num_edges)
         ]
         embed = LinearMap(tuple(embed_rows), len(edges), len(embed_rows))
-        results.append(ProductType(ptype, moduli_cone(ptype).cone, embed, types))
+        results.append(ProductType(ptype, moduli_cone(ptype), embed, types))
     return results
 
 
@@ -430,7 +414,7 @@ def fiber_product_cone(*types: RubberMapType) -> RationalCone:
         before = sum(sizes[:k])
         return la.zero_vec(before) + tuple(w) + la.zero_vec(total - before - sizes[k])
 
-    cones = [moduli_cone(t).cone for t in types]
+    cones = [moduli_cone(t) for t in types]
     ineqs = [placed(k, w) for k, c in enumerate(cones) for w in c.facets]
     eqns = [placed(k, w) for k, c in enumerate(cones) for w in c.span_eqs]
     first = stabs[0][1].matrix
@@ -465,7 +449,7 @@ def build_map_complex(types, target: CurveModuliComplex) -> MapModuliComplex:
         ((t.graph, t.edge_data()) for t in types),
         "T",
         lambda graph, data: RubberMapType.from_edge_data(graph, data, contact),
-        lambda t: moduli_cone(t).cone,
+        moduli_cone,
     )
     assignments = {}
     for tid, t in typemap.items():

@@ -652,7 +652,9 @@ def face_maps_out_of_scan(cx: ConeComplex, cid: str):
 
 def validate_complex_loops(cx: ConeComplex, deep: bool = True):
     """`validate_complex` with the representation test as a set of images per
-    cone and the deep tests as nested loops over every face map."""
+    cone, then, when deep, the checks the library leaves to this oracle:
+    composites of face maps and automorphisms permuting them, as nested
+    loops over every face map."""
     out = []
     well_formed = []
     for f in cx.faces:

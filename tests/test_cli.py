@@ -189,6 +189,22 @@ def test_exit_codes(capsys, argv, message):
     assert len(lines) == 1 and message in lines[0]
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path, where):
+    # the run would raise; the path check comes first, creates nothing and
+    # prints the line a failed write prints
+    def run_contacts(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("tropgeom.cli.run_contacts", run_contacts)
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert main(["verify", "1", "2", "2,-2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])

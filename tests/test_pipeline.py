@@ -25,7 +25,7 @@ from tropgeom.pipeline import (
     two_factor_types,
 )
 from tropgeom.subdivision import (
-    identity_subdivision,
+    hyperplane_refine,
     refine_until_conical,
     UnsoundSample,
     soundness_sample,
@@ -160,7 +160,7 @@ class TestRuns:
         monkeypatch.setattr(
             pipeline,
             "build_gamma_subdivision",
-            lambda base, images, unimodularize=False: identity_subdivision(base.complex),
+            lambda base, images, unimodularize=False: hyperplane_refine(base.complex, {}),
         )
         report = single_factor_run(1, 3, (2, 0, -2))
         union = [c for c in report.checks if c.name == "image family union of cones"]
@@ -326,7 +326,7 @@ class TestSweepTable:
         monkeypatch.setattr(
             pipeline,
             "build_gamma_subdivision",
-            lambda base, images, unimodularize=False: identity_subdivision(base.complex),
+            lambda base, images, unimodularize=False: hyperplane_refine(base.complex, {}),
         )
 
         def unsound(sub, rng, per_cone):

@@ -6,6 +6,7 @@ from conftest import lemma_inputs, moduli_cached
 from oracles import (
     glue_fans_whole,
     parallelepiped_interior_point_scan,
+    validate_complex_loops,
     verify_subdivision_pairwise,
 )
 
@@ -39,7 +40,6 @@ from tropgeom.subdivision import (
     common_refinement,
     compose_subdivisions,
     hyperplane_refine,
-    identity_subdivision,
     pullback_subdivision,
     refine_until_conical,
     soundness_sample,
@@ -73,7 +73,7 @@ class TestStellar:
         assert len(maxima) == 3
         for c in maxima:
             assert (1, 1, 1) in c.cone.rays
-        assert validate_complex(s.refined, deep=True) == []
+        assert validate_complex_loops(s.refined) == []
         assert verify_subdivision(s) == []
 
     def test_existing_ray_gives_identity(self, orthant3):
@@ -145,7 +145,7 @@ class TestCommonRefinement:
     def test_with_identity(self, orthant2):
         cx, top = orthant2
         s = hyperplane_refine(cx, {top: [(1, -1)]})
-        both = common_refinement(s, identity_subdivision(cx))
+        both = common_refinement(s, hyperplane_refine(cx, {}))
         assert [c.cone for c in both.max_cells_over(top)] == [
             c.cone for c in s.max_cells_over(top)
         ]
@@ -242,7 +242,7 @@ class TestPullback:
             rcx,
             {cid: (rids[ray.rays], eg.LinearMap(((1, 1, 1),), 3, 1)) for cid in cx.ids()},
         )
-        pb = pullback_subdivision(phi, identity_subdivision(rcx))
+        pb = pullback_subdivision(phi, hyperplane_refine(rcx, {}))
         assert pb.subdivision.is_identity()
 
 
@@ -418,7 +418,7 @@ class TestUnrefined:
         assert hyperplane_refine(cx, {top: [(1, 0, 0)]}) is s
         assert s.original is cx and s.is_identity()
         assert verify_subdivision(s) == []
-        assert validate_complex(s.refined, deep=False) == []
+        assert validate_complex(s.refined) == []
 
 
 class TestFixpointDiagnostics:
@@ -466,10 +466,10 @@ def test_unimodularization_cap_names_the_cone(monkeypatch):
     cone = eg.cone_from_generators([(1, 0), (1, 3)], 2)
     cx, _ = complex_from_fan([cone], 2)
     # two steps, at (1, 1) and (1, 2), finish it: 4 rays, 3 cells, the apex
-    assert len(subdivision._unimodularize(identity_subdivision(cx)).refined.cones) == 8
+    assert len(subdivision._unimodularize(hyperplane_refine(cx, {})).refined.cones) == 8
     monkeypatch.setattr(subdivision, "MAX_UNIMODULAR_STEPS", 1)
     with pytest.raises(eg.GeometryError) as info:
-        subdivision._unimodularize(identity_subdivision(cx))
+        subdivision._unimodularize(hyperplane_refine(cx, {}))
     message = str(info.value)
     assert "did not finish in 1 stellar steps" in message
     assert "with rays [(1, 1), (1, 3)] is still not unimodular (lattice index 2)" in message
