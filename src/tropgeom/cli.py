@@ -80,7 +80,7 @@ def _check_out(path: str):
     raise OSError(code, os.strerror(code), path)
 
 
-def _dump(data, args) -> str:
+def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, separators=(",", ": "))
 
 
@@ -96,7 +96,7 @@ def _report_out(report, args) -> int:
     if args.format == "text":
         _emit(report.to_text(), args)
     else:
-        _emit(_dump(report.to_json(include_timing=args.timing), args), args)
+        _emit(_dump(report.to_json(include_timing=args.timing)), args)
     return 0 if report.all_passed else 1
 
 
@@ -105,7 +105,7 @@ def cmd_enumerate_graphs(args) -> int:
     if args.format == "dot":
         _emit("\n".join(h.to_dot(f"g{k}") for k, h in enumerate(graphs)), args)
     else:
-        _emit(_dump([h.to_json() for h in graphs], args), args)
+        _emit(_dump([h.to_json() for h in graphs]), args)
     return 0
 
 
@@ -113,7 +113,7 @@ def cmd_moduli_complex(args) -> int:
     built = build_moduli_complex(args.g, args.n)
     data = built.complex.to_json()
     data["graphs"] = {cid: built.graphs[cid].to_json() for cid in built.complex.ids()}
-    _emit(_dump(data, args), args)
+    _emit(_dump(data), args)
     return 0
 
 
@@ -126,23 +126,18 @@ def _vectors(args):
     return [_parse_contact(a) for a in args.contacts]
 
 
-def _types(args):
-    _, types, _ = contact_types(args.g, args.n, _vectors(args), args.max_edges)
-    return types
-
-
 def _families(args):
     return contact_families(args.g, args.n, _vectors(args), args.max_edges)
 
 
 def cmd_enumerate_maps(args) -> int:
     _no_unimodularize(args)
-    types = _types(args)
+    _, types, _ = contact_types(args.g, args.n, _vectors(args), args.max_edges)
     types = types.get("Z", types["X"])
     if args.format == "dot":
         _emit("\n".join(t.to_dot(f"t{k}") for k, t in enumerate(types)), args)
     else:
-        _emit(_dump([t.to_json() for t in types], args), args)
+        _emit(_dump([t.to_json() for t in types]), args)
     return 0
 
 
@@ -151,14 +146,14 @@ def cmd_image(args) -> int:
         raise SystemExit2("image takes a single contact vector")
     _no_unimodularize(args)
     fam = _families(args).families["X"]
-    _emit(_dump(fam.to_json(), args), args)
+    _emit(_dump(fam.to_json()), args)
     return 0
 
 
 def cmd_subdivide(args) -> int:
     cf = _families(args)
     sub = build_gamma_subdivision(cf.base, list(cf.families.values()), args.unimodularize)
-    _emit(_dump(sub.to_json(), args), args)
+    _emit(_dump(sub.to_json()), args)
     return 0
 
 
@@ -187,7 +182,7 @@ def cmd_dr_support(args) -> int:
             )
         _emit("\n".join(lines), args)
     else:
-        _emit(_dump(data, args), args)
+        _emit(_dump(data), args)
     return 0 if result.report.all_passed else 1
 
 

@@ -32,7 +32,9 @@ class FaceMap(NamedTuple):
 
 
 class Embedded(NamedTuple):
-    """An embedded copy of a complex cone inside another cone's coordinates."""
+    """An embedded copy of a complex cone inside another cone's coordinates:
+    `map` sends the cone `src` onto `cone`.  `ConeComplex.embeddings_into` and
+    `SubdivisionOf.cells_over` return these."""
 
     cone: RationalCone
     src: str
@@ -196,37 +198,6 @@ class ConicalSubset:
             sorted(self.pieces, key=lambda p: (p[0], p[1].rays))
         )
 
-    def closure(self):
-        """Pieces together with all faces of pieces (same hosts)."""
-        out = []
-        seen = set()
-        for host, cone in self.pieces:
-            for f in cone.all_faces():
-                key = (host, f.rays)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((host, f))
-        return sorted(out, key=lambda p: (p[0], p[1].dim, p[1].rays))
-
-    def validate(self):
-        violations = []
-        for host, cone in self.pieces:
-            if host not in self.complex.cones:
-                violations.append(f"piece hosted at unknown cone {host}")
-                continue
-            if not self.complex.cones[host].contains_cone(cone):
-                violations.append(f"piece {cone.rays} not contained in host {host}")
-            hosted = [c for h, c in self.pieces if h == host]
-            for g in self.complex.auts[host]:
-                moved = image_cone(g, cone)
-                if moved not in hosted:
-                    violations.append(
-                        f"piece {cone.rays} in {host} has an automorphism image "
-                        f"{moved.rays} outside the subset"
-                    )
-                    break
-        return violations
-
     def to_json(self) -> dict:
         return {
             "pieces": [
@@ -297,15 +268,6 @@ def complex_from_fan(cones, ambient_rank: int):
 # validation
 
 
-def _is_lattice_embedding(m: LinearMap, cone: RationalCone, image: RationalCone) -> bool:
-    if image.dim != cone.dim:
-        return False
-    try:
-        return lattice_surjective(m, cone, image)
-    except GeometryError:
-        return False
-
-
 def maps_agree_on(cone: RationalCone, m1: LinearMap, m2: LinearMap) -> bool:
     """Whether two maps out of the cone's ambient agree on the cone's span."""
     return all(m1.apply(b) == m2.apply(b) for b in cone.span_basis)
@@ -341,7 +303,7 @@ def validate_complex(cx: ConeComplex):
         if not img.is_face_of(sup):
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
-        if not _is_lattice_embedding(f.map, sub, img):
+        if img.dim != sub.dim or not lattice_surjective(f.map, sub, img):
             out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
     if len(well_formed) < len(cx.faces):
         # the checks below embed and compose along every face map, so they
@@ -448,10 +410,6 @@ class ConeCheck:
     image_is_cone: bool
     lattice_onto: bool
     witness: tuple | None = None
-
-    @property
-    def passed(self):
-        return self.image_is_cone and self.lattice_onto
 
 
 def check_weak_semistable(phi: ComplexMorphism):

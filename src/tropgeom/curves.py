@@ -306,7 +306,6 @@ def _merge_vertices(graph: DualGraph, edge_index: int):
     if u == v:
         genera[u] += 1
         keep = lambda w: w
-        drop = None
     else:
         # merge v into u, relabel everything above v down by one
         genera[u] += genera[v]
@@ -317,7 +316,6 @@ def _merge_vertices(graph: DualGraph, edge_index: int):
                 return u
             return w - 1 if w > v else w
 
-        drop = v
     items = []
     for i, (a, b) in enumerate(graph.edges):
         if i == edge_index:
@@ -393,21 +391,13 @@ def stabilize(graph: DualGraph):
     alive = [True] * graph.num_vertices
     # internal edges as [endpoint a, endpoint b, trail a->b]
     edges = [[u, v, [(i, 1)]] for i, (u, v) in enumerate(graph.edges)]
-
-    def incident(v):
-        out = []
-        for k, (a, b, _) in enumerate(e[:3] for e in edges):
-            if a == v or b == v:
-                out.append(k)
-        return out
-
     changed = True
     while changed:
         changed = False
         for v in range(graph.num_vertices):
             if not alive[v] or genera[v] != 0 or v in graph.legs:
                 continue
-            inc = incident(v)
+            inc = [k for k, (a, b, _) in enumerate(edges) if v in (a, b)]
             ends = sum((edges[k][0] == v) + (edges[k][1] == v) for k in inc)
             if ends == 1:
                 edges.pop(inc[0])

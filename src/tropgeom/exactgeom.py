@@ -68,9 +68,6 @@ class LinearMap:
             _compose_cache[key] = m
         return m
 
-    def __call__(self, v):
-        return self.apply(v)
-
     def to_json(self) -> dict:
         return {
             "matrix": [list(r) for r in self.matrix],
@@ -92,11 +89,12 @@ def _combine(s, x, t, y) -> Vec:
     return la.primitive([s * p - t * q for p, q in zip(x, y)])
 
 
-def _insert_halfspace(lin, rays, a, index, n_inserted):
+def _insert_halfspace(lin, rays, a, index):
     """One double description step: intersect (lin, rays) with {a >= 0}.
 
     lin is a list of lineality basis vectors, rays a list of [vector, zeroset]
-    pairs.  Returns the updated pair.  All arithmetic is on integers: a
+    pairs, and a is the constraint numbered index, after the constraints
+    numbered 0 .. index - 1.  Returns the updated pair.  All arithmetic is on integers: a
     vector x is projected along the pivot direction b onto {a = 0} as the
     primitive vector of (a.b) x - (a.x) b.
     """
@@ -117,7 +115,7 @@ def _insert_halfspace(lin, rays, a, index, n_inserted):
             if any(projv):
                 new_rays.append([projv, zs | {index}])
         # the pivot lineality direction survives as an extreme ray on the >= 0 side
-        new_rays.append([la.primitive(b), frozenset(range(n_inserted))])
+        new_rays.append([la.primitive(b), frozenset(range(index))])
         return new_lin, new_rays
 
     pos, zero, neg = [], [], []
@@ -170,7 +168,7 @@ def extreme_rays_of_system(ineqs, eqns, rank: int):
     for c in constraints:
         if not any(c):
             continue
-        lin, rays = _insert_halfspace(lin, rays, c, inserted, inserted)
+        lin, rays = _insert_halfspace(lin, rays, c, inserted)
         inserted += 1
     return lin, [r for r, _ in rays]
 
@@ -443,9 +441,7 @@ def preimage_cone(f: LinearMap, c: RationalCone, domain: RationalCone) -> Ration
 
 def is_unimodular(c: RationalCone) -> bool:
     """Whether c is simplicial with rays extending to a basis of its span lattice."""
-    if len(c.rays) != c.dim:
-        return False
-    return c.lattice_index() == 1
+    return c.is_simplicial() and c.lattice_index() == 1
 
 
 @lru_cache(maxsize=4096)

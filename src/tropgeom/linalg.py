@@ -19,16 +19,9 @@ Vec = tuple  # tuple of ints (covectors and lattice points alike)
 Mat = tuple  # tuple of row tuples
 
 
-def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v) -> Vec:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)

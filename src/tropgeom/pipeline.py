@@ -25,28 +25,39 @@ from .exactgeom import (
     relints_intersect,
 )
 from .complexes import (
-    ComplexMorphism,
     ConicalSubset,
     check_weak_semistable,
     is_union_of_cones,
     validate_morphism,
 )
-from .curves import CurveModuliComplex, build_moduli_complex
+from .curves import (
+    CurveModuliComplex,
+    DualGraph,
+    build_complex_from_graphs,
+    build_moduli_complex,
+    enumerate_stable_graphs,
+    stabilize,
+)
 from .subdivision import (
     PullbackResult,
     SubdivisionOf,
     UnsoundSample,
+    check_subdivision,
     cones_cover_exactly,
     pullback_subdivision,
     refine_until_conical,
     soundness_sample,
+    stellar_subdivide,
 )
 from .tropmaps import (
     ContactData,
     MapModuliComplex,
+    RubberMapType,
     build_map_complex,
     enumerate_rubber_types,
+    fiber_product_cone,
     forgetful_image,
+    moduli_cone,
     superimpose,
 )
 
@@ -168,23 +179,15 @@ def pullback_map_complexes(complexes, sub: SubdivisionOf):
     return {key: pullback_subdivision(mx.forgetful, sub) for key, mx in complexes.items()}
 
 
-def two_factor_types(
-    contact: ContactData, max_edges: int | None = None, factor_types=None
-):
+def two_factor_types(contact: ContactData, factor_types):
     """Product types for a contact datum of two or more factors: every tuple
     of single factor types on one graph, one per factor, superimposed.
 
-    factor_types lists each factor's single factor types when the caller has
-    already enumerated them with the same max_edges.  The tuples come in the
-    order of nested loops over the factors, the first outermost.
+    factor_types lists each factor's single factor types.  The tuples come in
+    the order of nested loops over the factors, the first outermost.
     """
     if contact.num_factors < 2:
         raise ValueError("contact data with at least two factors required")
-    if factor_types is None:
-        factor_types = [
-            enumerate_rubber_types(contact, i, max_edges=max_edges)
-            for i in range(contact.num_factors)
-        ]
     first, *rest = factor_types
     on_graph = [{} for _ in rest]
     for by_graph, ts in zip(on_graph, rest):
@@ -229,7 +232,7 @@ def _labelled_types(contact: ContactData, max_edges=None, base=None):
         )
     products = None
     if contact.num_factors > 1:
-        products = two_factor_types(contact, max_edges, list(types.values()))
+        products = two_factor_types(contact, list(types.values()))
         types["Z"] = [p.map_type for p in products]
     return types, products
 
@@ -351,9 +354,6 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
         key = (graph.genera, graph.edges, graph.legs) + tuple(t.slopes for t in p.factors)
         by_factors.setdefault(key, []).append(p)
 
-    from .tropmaps import fiber_product_cone
-    from .curves import stabilize
-
     for key in sorted(by_factors):
         group = by_factors[key]
         factors = group[0].factors
@@ -375,7 +375,7 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
                 continue
             chambers = []
             for p in group:
-                stab_p, ms_p, _ = stabilize(p.map_type.graph)
+                _, ms_p, _ = stabilize(p.map_type.graph)
                 piece = preimage_cone(
                     ms_p, cell.cone, p.cone
                 )
@@ -537,9 +537,6 @@ def figure1_demo(seed: int = 0) -> Report:
     whole machinery: ray moduli cone, non conical image, stellar fix,
     pulled back morphism checks.
     """
-    from .curves import DualGraph, build_complex_from_graphs, enumerate_stable_graphs
-    from .tropmaps import RubberMapType, moduli_cone
-
     t0 = time.perf_counter()
     contact = ContactData(2, ((3, -3),))
     theta = DualGraph((0, 0), ((0, 1), (0, 1), (0, 1)), (0, 1))
@@ -565,13 +562,11 @@ def figure1_demo(seed: int = 0) -> Report:
     )
     report.add("host graph occurs in the full moduli complex", "(2,2)", in_full)
 
-    stable, img = forgetful_image(fig_type)
+    _, img = forgetful_image(fig_type)
     report.add("image is the diagonal ray", host_id, img.rays == ((1, 1, 1),))
     fam = ConicalSubset(base.complex, ((host_id, img),))
     before = is_union_of_cones(base.complex, fam)
     report.add("image union of cones before subdivision", host_id, not before.ok)
-
-    from .subdivision import check_subdivision, stellar_subdivide
 
     sub = check_subdivision(stellar_subdivide(base.complex, host_id, (1, 1, 1)))
     report.subdivision = sub.summary()

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 from . import linalg as la
 from .exactgeom import (
@@ -45,6 +44,7 @@ from .complexes import (
     ComplexMorphism,
     ConeComplex,
     ConicalSubset,
+    Embedded,
     FaceMap,
     is_union_of_cones,
     preimage_in_span,
@@ -67,14 +67,6 @@ class UnsoundSample(GeometryError):
         self.point = point
 
 
-class CellOver(NamedTuple):
-    """A refined cell embedded in an original cone's coordinates."""
-
-    cone: RationalCone
-    refined_id: str
-    embed: LinearMap  # maps the refined cone onto this cell
-
-
 @dataclass
 class SubdivisionOf:
     """A subdivision: a refined complex with a projection to the original."""
@@ -92,7 +84,9 @@ class SubdivisionOf:
             self._owned.setdefault(self.projection.assignments[rid][0], []).append(rid)
 
     def cells_over(self, cid: str):
-        """All embedded refined cells inside the original cone cid (orbit expanded)."""
+        """All embedded refined cells inside the original cone cid (orbit
+        expanded), sorted by (dim, rays): each `Embedded` holds the cell, the
+        refined id and the map that sends the refined cone onto the cell."""
         if cid in self._cells_cache:
             return list(self._cells_cache[cid])
         out = {}
@@ -104,7 +98,7 @@ class SubdivisionOf:
                     full = emb.map.compose(h).compose(pm)
                     cell = image_cone(full, rep)
                     if cell.rays not in out:
-                        out[cell.rays] = CellOver(cell, rid, full)
+                        out[cell.rays] = Embedded(cell, rid, full)
         result = sorted(out.values(), key=lambda c: (c.cone.dim, c.cone.rays))
         self._cells_cache[cid] = result
         return list(result)
@@ -112,15 +106,6 @@ class SubdivisionOf:
     def max_cells_over(self, cid: str):
         d = self.original.cones[cid].dim
         return [c for c in self.cells_over(cid) if c.cone.dim == d]
-
-    def is_identity(self) -> bool:
-        if len(self.refined.cones) != len(self.original.cones):
-            return False
-        for rid in self.refined.ids():
-            tgt, m = self.projection.assignments[rid]
-            if image_cone(m, self.refined.cones[rid]) != self.original.cones[tgt]:
-                return False
-        return True
 
     def transport(self, subset: ConicalSubset) -> ConicalSubset:
         """Re-express a conical subset of the original complex in the refined one.
@@ -147,13 +132,11 @@ class SubdivisionOf:
                     owner = next(cc for cc in cells if cc.cone.contains_cone(q))
                     parts.append((owner, q))
             for owner, q in parts:
-                back = pull_back_cone(
-                    owner.embed, self.refined.cones[owner.refined_id], q
-                )
-                key = (owner.refined_id, back.rays)
+                back = pull_back_cone(owner.map, self.refined.cones[owner.src], q)
+                key = (owner.src, back.rays)
                 if key not in seen:
                     seen.add(key)
-                    pieces.append((owner.refined_id, back))
+                    pieces.append((owner.src, back))
         return ConicalSubset(self.refined, tuple(pieces))
 
     def summary(self) -> dict:
@@ -299,7 +282,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
     new_auts = {}
     new_faces = set()
     assignments = {}
-    for (owner, rays), nid in ids.items():
+    for (owner, _), nid in ids.items():
         rep = new_cones[nid]
         new_auts[nid] = [
             g for g in cx.auts[owner] if image_cone(g, rep) == rep
@@ -777,24 +760,22 @@ def pullback_subdivision(phi: ComplexMorphism, s: SubdivisionOf) -> PullbackResu
         tgt, m = phi.assignments[owner]
         full = m.compose(pm)
         img = image_cone(full, rep)
-        best = None
-        for c in s.cells_over(tgt):
-            if c.cone.contains_cone(img):
-                if best is None or c.cone.dim < best.cone.dim:
-                    best = c
+        # cells_over is sorted by (dim, rays): the first containing cell is a
+        # minimal one
+        best = next((c for c in s.cells_over(tgt) if c.cone.contains_cone(img)), None)
         if best is None:
             raise GeometryError(f"image of refined cone {rid} is not in a refined cell")
-        t_rep = s.refined.cones[best.refined_id]
+        t_rep = s.refined.cones[best.src]
         basis = t_rep.span_basis
         if basis:
-            proj = la.projection_to_lattice(tuple(best.embed.apply(b) for b in basis))
+            proj = la.projection_to_lattice(tuple(best.map.apply(b) for b in basis))
             rows = la.mat_mul(la.mat_mul(la.transpose(basis), proj), full.matrix)
         else:
             rows = tuple(la.zero_vec(full.source_rank) for _ in range(t_rep.ambient_rank))
         n = LinearMap(rows, full.source_rank, t_rep.ambient_rank)
         if not all(t_rep.contains(n.apply(r)) for r in rep.rays):
             raise GeometryError(f"refined morphism does not land in its cell at {rid}")
-        assignments[rid] = (best.refined_id, n)
+        assignments[rid] = (best.src, n)
     refined_map = ComplexMorphism(sub_src.refined, s.refined, assignments)
     return PullbackResult(sub_src, refined_map)
 
@@ -812,7 +793,8 @@ def refine_until_conical(
     Uses the arrangement of all supporting covectors (facets and span
     equations) of the pieces; optionally unimodularizes afterwards by
     repeated stellar subdivision.  Only the final subdivision is checked,
-    not the steps that compose it.
+    not the steps that compose it, and the subset is asked once, on the
+    checked result, whether it is a union of cones.
     """
     covs = {}
     for host, piece in subset.pieces:
@@ -820,15 +802,13 @@ def refine_until_conical(
         ws.update(piece.facets)
         ws.update(piece.span_eqs)
     sub = hyperplane_refine(cx, covs)
+    if unimodularize:
+        sub = _unimodularize(sub)
+    check_subdivision(sub)
     check = is_union_of_cones(sub.refined, sub.transport(subset))
     if not check.ok:
         raise GeometryError(f"refinement failed to make the subset conical: {check.witnesses}")
-    if unimodularize:
-        sub = _unimodularize(sub)
-        check = is_union_of_cones(sub.refined, sub.transport(subset))
-        if not check.ok:
-            raise GeometryError("unimodularization broke the conical subset")
-    return check_subdivision(sub)
+    return sub
 
 
 def _parallelepiped_interior_point(cone: RationalCone):

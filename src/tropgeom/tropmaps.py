@@ -16,7 +16,7 @@ from operator import mul
 
 from . import linalg as la
 from .exactgeom import LinearMap, RationalCone, cone_from_inequalities, image_cone
-from .complexes import ConeComplex
+from .complexes import ComplexMorphism, ConeComplex
 from .curves import (
     CurveModuliComplex,
     DualGraph,
@@ -442,8 +442,6 @@ def build_map_complex(types, target: CurveModuliComplex) -> MapModuliComplex:
     """Complex of moduli cones closed under edge contraction, with the
     forgetful morphism to the curve moduli complex.  The types share one
     contact datum."""
-    from .complexes import ComplexMorphism
-
     contact = types[0].contact if types else None
     cx, typemap = _contraction_complex(
         ((t.graph, t.edge_data()) for t in types),

@@ -8,7 +8,8 @@ hand-written graph walks the library replaced with its incidence matrix and
 a topological sort (vertex sums for balancing, a depth-first search for the
 heights, and the spanning-tree cycle equations).  The cone oracles find facets
 by subset enumeration and membership by Caratheodory subsets of rays, and
-the subdivision oracle intersects every pair of cells.  The contraction
+the subdivision oracle intersects every pair of cells (`is_identity`, which
+only the tests ask, sits beside it).  The contraction
 closure builder that makes and hashes an object for every contracted edge
 subset is kept beside the library's, which keys by the canonical pair.  The
 whole-complex assembler glues every cone, where the library glues only the
@@ -48,7 +49,6 @@ from tropgeom.complexes import (
     ComplexMorphism,
     ConeComplex,
     FaceMap,
-    _is_lattice_embedding,
     maps_agree_on,
     pull_back_cone,
 )
@@ -58,6 +58,7 @@ from tropgeom.exactgeom import (
     RationalCone,
     image_cone,
     intersect,
+    lattice_surjective,
 )
 from tropgeom.subdivision import MAX_FIXPOINT_ROUNDS, SubdivisionOf
 from tropgeom.tropmaps import ContactData, RubberMapType
@@ -443,6 +444,18 @@ def verify_subdivision_pairwise(sub):
     return out
 
 
+def is_identity(sub: SubdivisionOf) -> bool:
+    """Whether the subdivision cuts nothing: one refined cone per original
+    cone, each mapped onto its original cone."""
+    if len(sub.refined.cones) != len(sub.original.cones):
+        return False
+    for rid in sub.refined.ids():
+        tgt, m = sub.projection.assignments[rid]
+        if image_cone(m, sub.refined.cones[rid]) != sub.original.cones[tgt]:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the contraction-closure builder keyed by object
 
@@ -670,7 +683,7 @@ def validate_complex_loops(cx: ConeComplex, deep: bool = True):
         if not img.is_face_of(sup):
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
-        if not _is_lattice_embedding(f.map, sub, img):
+        if img.dim != sub.dim or not lattice_surjective(f.map, sub, img):
             out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
     cx = ConeComplex(cx.cones, well_formed, cx.auts)
 

@@ -256,15 +256,14 @@ def test_verify_unmarked(capsys):
 
 
 def test_enumerate_maps_two_factor_honors_max_edges(capsys):
-    from tropgeom.pipeline import two_factor_types
-    from tropgeom.tropmaps import ContactData
+    from tropgeom.pipeline import contact_types
 
     code, out = run(capsys, "enumerate-maps", "1", "2", "2,-2", "1,-1", "--max-edges", "1")
     assert code == 0
-    contact = ContactData(1, ((2, -2), (1, -1)))
-    truncated = [p.map_type.to_json() for p in two_factor_types(contact, 1)]
+    vectors = ((2, -2), (1, -1))
+    truncated = [p.map_type.to_json() for p in contact_types(1, 2, vectors, 1)[2]]
     assert json.loads(out) == truncated
-    assert len(truncated) < len(two_factor_types(contact))
+    assert len(truncated) < len(contact_types(1, 2, vectors)[2])
 
 
 def test_image_max_edges_matches_untruncated_base(capsys):

@@ -141,7 +141,7 @@ def test_identity_morphism_passes(orthant3):
         cx, cx, {cid: (cid, eg.LinearMap.identity(3)) for cid in cx.ids()}
     )
     assert validate_morphism(phi) == []
-    assert all(r.passed for r in check_weak_semistable(phi))
+    assert all(r.image_is_cone and r.lattice_onto for r in check_weak_semistable(phi))
 
 
 def test_complex_json_roundtrip(orthant3):
@@ -150,19 +150,6 @@ def test_complex_json_roundtrip(orthant3):
     back = ConeComplex.from_json(data)
     assert back.to_json() == data
     assert validate_complex(back) == []
-
-
-def test_subset_closure_and_validation(orthant3):
-    cx, ids, top = orthant3
-    diag = eg.cone_from_generators([(1, 1, 1)], 3)
-    subset = ConicalSubset(cx, ((top, diag),))
-    closure = subset.closure()
-    assert (top, eg.zero_cone(3)) in closure
-    assert subset.validate() == []
-    off = ConicalSubset(
-        cx, ((top, eg.cone_from_generators([(2, 1, 1)], 3)),)
-    )
-    assert off.validate() == []
 
 
 # ---------------------------------------------------------------------------

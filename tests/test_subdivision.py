@@ -5,6 +5,7 @@ import pytest
 from conftest import lemma_inputs, moduli_cached
 from oracles import (
     glue_fans_whole,
+    is_identity,
     parallelepiped_interior_point_scan,
     validate_complex_loops,
     verify_subdivision_pairwise,
@@ -25,6 +26,7 @@ from tropgeom.complexes import (
 from tropgeom import subdivision
 from tropgeom.curves import build_moduli_complex
 from tropgeom.pipeline import (
+    contact_families,
     contact_types,
     run_contacts,
     single_factor_run,
@@ -78,7 +80,7 @@ class TestStellar:
 
     def test_existing_ray_gives_identity(self, orthant3):
         cx, top = orthant3
-        assert stellar_subdivide(cx, top, (1, 0, 0)).is_identity()
+        assert is_identity(stellar_subdivide(cx, top, (1, 0, 0)))
 
     def test_orthant2_split_unimodular(self, orthant2):
         cx, top = orthant2
@@ -108,7 +110,7 @@ class TestHyperplaneRefine:
 
     def test_empty_covectors_identity(self, orthant2):
         cx, top = orthant2
-        assert hyperplane_refine(cx, {}).is_identity()
+        assert is_identity(hyperplane_refine(cx, {}))
 
     def test_braid_arrangement_in_orthant3(self, orthant3):
         cx, top = orthant3
@@ -199,11 +201,11 @@ class TestPullback:
         phi = self._diag_morphism(cx3, ids3, top)
         s = stellar_subdivide(cx3, top, (1, 1, 1))
         pb = pullback_subdivision(phi, s)
-        assert pb.subdivision.is_identity()
+        assert is_identity(pb.subdivision)
         ray_id = [k for k in pb.refined_map.source.ids() if pb.refined_map.source.cones[k].dim == 1][0]
         tgt, _ = pb.refined_map.assignments[ray_id]
         assert pb.refined_map.target.cones[tgt].dim == 1
-        assert all(r.passed for r in check_weak_semistable(pb.refined_map))
+        assert all(r.image_is_cone and r.lattice_onto for r in check_weak_semistable(pb.refined_map))
 
     def test_uncut_target_cones_need_no_preimage(self, orthant3, monkeypatch):
         cx, top = orthant3
@@ -216,7 +218,7 @@ class TestPullback:
             subdivision, "preimage_cone", lambda *a: calls.append(a) or preimage(*a)
         )
         pb = pullback_subdivision(ident, hyperplane_refine(cx, {}))
-        assert pb.subdivision.is_identity() and calls == []
+        assert is_identity(pb.subdivision) and calls == []
         # a cut target cone still pulls its cells back
         pullback_subdivision(ident, stellar_subdivide(cx, top, (1, 1, 1)))
         assert calls
@@ -243,7 +245,7 @@ class TestPullback:
             {cid: (rids[ray.rays], eg.LinearMap(((1, 1, 1),), 3, 1)) for cid in cx.ids()},
         )
         pb = pullback_subdivision(phi, hyperplane_refine(rcx, {}))
-        assert pb.subdivision.is_identity()
+        assert is_identity(pb.subdivision)
 
 
 def test_extended_covectors_restrict_to_the_face():
@@ -276,7 +278,7 @@ class TestRefineUntilConical:
         cx, top = orthant2
         face = eg.cone_from_generators([(1, 0)], 2)
         s = refine_until_conical(cx, ConicalSubset(cx, ((top, face),)))
-        assert s.is_identity()
+        assert is_identity(s)
 
     def test_diagonal_ray_in_orthant3(self, orthant3):
         cx, top = orthant3
@@ -302,7 +304,37 @@ class TestRefineUntilConical:
         subset = ConicalSubset(cx, ((top, diag),))
         s1 = refine_until_conical(cx, subset)
         s2 = refine_until_conical(s1.refined, s1.transport(subset))
-        assert s2.is_identity()
+        assert is_identity(s2)
+
+    def test_union_is_asked_once_after_the_check(self, monkeypatch):
+        cf = contact_families(1, 3, [(3, 0, -3)], base=moduli_cached(1, 3))
+        calls = []
+        check, union = subdivision.check_subdivision, subdivision.is_union_of_cones
+        monkeypatch.setattr(
+            subdivision, "check_subdivision", lambda s: calls.append("check") or check(s)
+        )
+        monkeypatch.setattr(
+            subdivision, "is_union_of_cones", lambda *a: calls.append("union") or union(*a)
+        )
+        sub = refine_until_conical(cf.base.complex, cf.families["X"], unimodularize=True)
+        assert calls == ["check", "union"]
+        # each cell over an original cone is the image of its refined cone
+        for cid in sub.original.ids():
+            for c in sub.cells_over(cid):
+                assert eg.image_cone(c.map, sub.refined.cones[c.src]) == c.cone
+
+    @pytest.mark.parametrize("unimodularize", [False, True])
+    def test_failed_union_raises_with_its_witness(self, monkeypatch, unimodularize):
+        cf = contact_families(1, 3, [(2, 0, -2)], base=moduli_cached(1, 3))
+        family = cf.families["X"]
+        real = subdivision.hyperplane_refine
+        monkeypatch.setattr(subdivision, "hyperplane_refine", lambda cx, covs: real(cx, {}))
+        uncut = real(cf.base.complex, {})
+        witnesses = is_union_of_cones(uncut.refined, uncut.transport(family)).witnesses
+        assert witnesses
+        with pytest.raises(eg.GeometryError, match="failed to make the subset conical") as err:
+            refine_until_conical(cf.base.complex, family, unimodularize=unimodularize)
+        assert str(witnesses) in str(err.value)
 
 
 class TestSoundness:
@@ -398,7 +430,7 @@ class TestUnrefined:
         cx, top = orthant3
         direct = _assemble(cx, {top: [cx.cones[top]]})
         assert _same_subdivision(direct, glue_fans_whole(cx, {}))
-        assert direct.is_identity()
+        assert is_identity(direct)
 
     def test_overlapping_cells_are_rejected(self, orthant2):
         cx, top = orthant2
@@ -416,7 +448,7 @@ class TestUnrefined:
         assert hyperplane_refine(cx, {}) is s
         # a covector that does not slice its cone cuts nothing either
         assert hyperplane_refine(cx, {top: [(1, 0, 0)]}) is s
-        assert s.original is cx and s.is_identity()
+        assert s.original is cx and is_identity(s)
         assert verify_subdivision(s) == []
         assert validate_complex(s.refined) == []
 

@@ -450,10 +450,9 @@ class TestMapComplex:
     def test_two_factor_complex_output_pinned(self):
         # T ids sort by per-factor slope rows; on this complex that order
         # differs from sorting by per-edge slope tuples, and the hash pins it
-        from tropgeom.pipeline import two_factor_types
+        from tropgeom.pipeline import contact_types
 
-        contact = ContactData(2, ((2, -2), (3, -3)))
-        products = two_factor_types(contact)
+        products = contact_types(2, 2, ((2, -2), (3, -3)))[2]
         mx = build_map_complex([p.map_type for p in products], moduli_cached(2, 2))
         data = mx.complex.to_json()
         data["types"] = {tid: t.to_json() for tid, t in mx.types.items()}
@@ -468,10 +467,9 @@ class TestMapComplex:
         # so contracting two edges at once can land on a type that single
         # contractions never reach; the build must fail, not return a
         # complex whose face maps do not compose
-        from tropgeom.pipeline import two_factor_types
+        from tropgeom.pipeline import contact_types
 
-        contact = ContactData(2, ((3, -3), (3, -3)))
-        types = [p.map_type for p in two_factor_types(contact)]
+        types = [p.map_type for p in contact_types(2, 2, ((3, -3), (3, -3)))[2]]
         with pytest.raises(AssertionError, match="single edge contractions"):
             build_map_complex(types, moduli_cached(2, 2))
 
