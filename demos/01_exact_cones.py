@@ -48,6 +48,6 @@ print("skew cone index:", skew.lattice_index())
 # lattice surjectivity is the reducedness side of weak semistability: the
 # doubling map on a ray hits only the even lattice points
 r = cone_from_generators([(1,)], 1)
-print("x2 lattice surjective:", lattice_surjective(LinearMap(((2,),), 1, 1), r, r))
+print("x2 lattice surjective:", lattice_surjective(LinearMap(((2,),), 1, 1), r))
 print("sum map lattice surjective:",
-      lattice_surjective(LinearMap(((1, 1),), 2, 1), c, r))
+      lattice_surjective(LinearMap(((1, 1),), 2, 1), c))

@@ -303,7 +303,7 @@ def validate_complex(cx: ConeComplex):
         if not img.is_face_of(sup):
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
-        if img.dim != sub.dim or not lattice_surjective(f.map, sub, img):
+        if img.dim != sub.dim or not lattice_surjective(f.map, sub):
             out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
     if len(well_formed) < len(cx.faces):
         # the checks below embed and compose along every face map, so they
@@ -425,7 +425,7 @@ def check_weak_semistable(phi: ComplexMorphism):
         tgt_cone = phi.target.cones[tgt]
         img = image_cone(m, src_cone)
         onto_cone = img.is_face_of(tgt_cone)
-        lat = lattice_surjective(m, src_cone, tgt_cone)
+        lat = lattice_surjective(m, src_cone)
         witness = None if onto_cone else img.relint_point()
         results.append(ConeCheck(cid, tgt, onto_cone, lat, witness))
     return results

@@ -156,20 +156,17 @@ def _insert_halfspace(lin, rays, a, index):
 
 
 def extreme_rays_of_system(ineqs, eqns, rank: int):
-    """Extreme rays and lineality of {x : a.x >= 0, e.x = 0} in R^rank."""
-    lin = [tuple(la.identity_matrix(rank)[i]) for i in range(rank)]
+    """Extreme rays and lineality of {x : a.x >= 0, e.x = 0} in R^rank.
+
+    The insertion starts from the lattice of the equations, {x : e.x = 0},
+    as its lineality basis (all of Z^rank when there are none), and inserts
+    the nonzero inequalities only, numbered 0, 1, ... in the given order.
+    """
+    lin = la.kernel_basis(tuple(map(tuple, eqns)), rank)
     rays = []
-    constraints = []
-    for e in eqns:
-        constraints.append(tuple(e))
-        constraints.append(tuple(-x for x in e))
-    constraints.extend(tuple(a) for a in ineqs)
-    inserted = 0
-    for c in constraints:
-        if not any(c):
-            continue
-        lin, rays = _insert_halfspace(lin, rays, c, inserted)
-        inserted += 1
+    ineqs = [tuple(a) for a in ineqs if any(a)]
+    for index, a in enumerate(ineqs):
+        lin, rays = _insert_halfspace(lin, rays, a, index)
     return lin, [r for r, _ in rays]
 
 
@@ -212,6 +209,8 @@ class RationalCone:
         )
 
     def contains_in_relint(self, x) -> bool:
+        if len(x) != self.ambient_rank:
+            raise RankMismatch("point rank mismatch")
         return (
             all(la.dot(e, x) == 0 for e in self.span_eqs)
             and all(la.dot(f, x) > 0 for f in self.facets)
@@ -445,15 +444,12 @@ def is_unimodular(c: RationalCone) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def lattice_surjective(f: LinearMap, c: RationalCone, target: RationalCone) -> bool:
+def lattice_surjective(f: LinearMap, c: RationalCone) -> bool:
     """Whether f maps lattice points of span(c) onto lattice points of span(f(c)).
 
     The answers are kept in an LRU table of 4096 entries, like
     `linalg.smith_factors`; a call that raises stores nothing.
     """
-    for r in c.rays:
-        if not target.contains(f.apply(r)):
-            raise GeometryError("map does not send the cone into the target")
     img = image_cone(f, c)
     if img.dim == 0:
         return True
@@ -468,13 +464,6 @@ def lattice_surjective(f: LinearMap, c: RationalCone, target: RationalCone) -> b
     diag = la.smith_factors(m, len(b1))[0]
     nonzero = [d for d in diag if d != 0]
     return len(nonzero) == len(b2) and all(d == 1 for d in nonzero)
-
-
-def relints_intersect(a: RationalCone, b: RationalCone) -> bool:
-    """Exact test for whether two cones have intersecting relative interiors."""
-    i = intersect(a, b)
-    p = i.relint_point()
-    return a.contains_in_relint(p) and b.contains_in_relint(p)
 
 
 def sample_points(cone: RationalCone, count: int, rng):

@@ -22,7 +22,6 @@ from .exactgeom import (
     LinearMap,
     image_cone,
     preimage_cone,
-    relints_intersect,
 )
 from .complexes import (
     ConicalSubset,
@@ -346,7 +345,8 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
 
     For each tuple of single factor types over a shared stable graph and each
     refined cell of the base cone, the chamber images must cover the fiber
-    piece exactly, with pairwise disjoint relative interiors.
+    piece exactly, with pairwise disjoint relative interiors; one
+    arrangement (`cones_cover_exactly`) gives both verdicts.
     """
     by_factors = {}
     for p in products:
@@ -386,13 +386,8 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
                 if not fiber_cell.contains_cone(img):
                     report.add("product chambers inside fiber product", scope, False, img.relint_point())
                     break
-            ok, witness = cones_cover_exactly(fiber_cell, chambers)
+            ok, witness, disjoint = cones_cover_exactly(fiber_cell, chambers)
             report.add("product chambers cover fiber product", scope, ok, witness)
-            disjoint = True
-            for i in range(len(chambers)):
-                for j in range(i + 1, len(chambers)):
-                    if chambers[i] != chambers[j] and relints_intersect(chambers[i], chambers[j]):
-                        disjoint = False
             report.add("product chamber interiors disjoint", scope, disjoint)
 
 

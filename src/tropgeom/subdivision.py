@@ -127,7 +127,7 @@ class SubdivisionOf:
                     if c.cone.dim != d:
                         continue
                     q = intersect(c.cone, p)
-                    if q.is_zero() and not p.is_zero():
+                    if q.is_zero():
                         continue
                     owner = next(cc for cc in cells if cc.cone.contains_cone(q))
                     parts.append((owner, q))
@@ -365,8 +365,7 @@ def verify_subdivision(sub: SubdivisionOf):
        dimension d);
     2. a wall (a facet of a maximal cell, keyed by its rays) in the boundary
        of C is a facet of exactly one maximal cell, and every other wall is
-       a facet of exactly two, which lie on opposite sides of it; the
-       maximal cells are connected through their walls;
+       a facet of exactly two, which lie on opposite sides of it;
     3. the relative interior point of the first maximal cell lies in no
        other maximal cell;
     4. any two maximal cells meet in a common face.
@@ -383,9 +382,11 @@ def verify_subdivision(sub: SubdivisionOf):
     interior point: the maximal cells cover C and their interiors are
     disjoint.  This is the pseudo-manifold characterisation of subdivisions
     (De Loera, Rambau and Santos, *Triangulations*, Springer 2010).  Check 4
-    makes the cover a fan.  Faces of cells that meet in a common face meet
-    in a common face too, so by check 1 the lower dimensional cells need no
-    pairwise test.
+    makes the cover a fan.  A generic segment between two maximal cells
+    crosses internal walls only, each joining exactly two cells, so the
+    maximal cells are connected through their walls whenever checks 2 and 3
+    pass.  Faces of cells that meet in a common face meet in a common face
+    too, so by check 1 the lower dimensional cells need no pairwise test.
 
     Check 4 runs on pairs of maximal cells only, and a pair that a facet of
     either cell separates is settled without double description (see
@@ -412,7 +413,6 @@ def verify_subdivision(sub: SubdivisionOf):
         for idx, m in enumerate(maxima):
             for f in m.facets:
                 walls.setdefault(m.face_at([f]).rays, []).append((idx, f))
-        adj = {i: set() for i in range(len(maxima))}
         for wrays, incident in walls.items():
             on_boundary = any(
                 all(la.dot(g, r) == 0 for r in wrays) for g in cone.facets
@@ -429,17 +429,6 @@ def verify_subdivision(sub: SubdivisionOf):
                         f"cells {maxima[i].rays} and {maxima[j].rays} in {cid} "
                         f"lie on one side of their wall {wrays}"
                     )
-                adj[i].add(j)
-                adj[j].add(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(maxima):
-            out.append(f"maximal cells over {cid} are not wall connected")
         p = maxima[0].relint_point()
         for m in maxima[1:]:
             if m.contains(p):
@@ -491,7 +480,7 @@ def soundness_sample(sub: SubdivisionOf, rng, per_cone: int = 12):
             containing = [m for m in maxima if m.contains(p)]
             if not containing:
                 raise UnsoundSample(f"sampled point {p} of {cid} not covered", cid, p)
-            strict = [m for m in maxima if m.contains_in_relint(p)]
+            strict = [m for m in containing if m.contains_in_relint(p)]
             if len(strict) > 1:
                 raise UnsoundSample(
                     f"sampled point {p} of {cid} in two cell interiors", cid, p
@@ -675,23 +664,38 @@ def _extend_covector(m: LinearMap, sub_cone: RationalCone, w):
 
 
 def cones_cover_exactly(target: RationalCone, cells):
-    """Exact test that the cells cover the target cone.
+    """Exact test that the cells tile the target cone.
 
-    Slices the target by every supporting covector of every cell; each full
-    dimensional chamber must lie inside some cell.  Returns (ok, witness).
+    Slices the target by every supporting covector (facet and span equation)
+    of every cell inside it, and counts for each full dimensional chamber
+    the distinct cells containing it.  Returns (ok, witness, disjoint): ok
+    when every chamber lies in some cell, witness the relative interior
+    point of the first chamber in none (None when ok), and disjoint when no
+    chamber lies in two.
+
+    Every facet and span equation of every cell is a hyperplane of the
+    arrangement, so each full dimensional chamber lies inside a cell or
+    misses that cell's relative interior.  Hence two cells of full dimension
+    in the target's span have meeting relative interiors exactly when some
+    chamber lies in both: disjoint is the pairwise relative interior test on
+    those cells.  Cells that do not lie in the target take part in neither
+    verdict.
     """
-    cells = [c for c in cells if target.contains_cone(c)]
+    cells = {c for c in cells if target.contains_cone(c)}
     covs = set()
     for c in cells:
         covs.update(map(_canon_covector, c.facets))
         covs.update(map(_canon_covector, c.span_eqs))
     covs = sorted(w for w in covs if _slices(target, w))
+    witness, disjoint = None, True
     for chamber in _chambers(target, covs):
         if chamber.dim != target.dim:
             continue
-        if not any(c.contains_cone(chamber) for c in cells):
-            return False, chamber.relint_point()
-    return True, None
+        holding = sum(1 for c in cells if c.contains_cone(chamber))
+        if holding == 0 and witness is None:
+            witness = chamber.relint_point()
+        disjoint = disjoint and holding < 2
+    return witness is None, witness, disjoint
 
 
 # ---------------------------------------------------------------------------

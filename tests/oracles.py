@@ -21,8 +21,10 @@ computes the automorphisms on every call, is kept beside the library's
 memoized labelling and automorphism tables.  The exact kernel's earlier
 paths are kept as oracles too: rational elimination, a Smith form
 per solve, column-by-column inversion, double description through Fraction
-projections, the box point scan and the rational sample points.  The tests
-compare the library against them.
+projections and with each equation inserted as a pair of inequalities, the
+box point scan and the rational sample points.  The pairwise relative
+interior test, which the chamber count of `cones_cover_exactly` replaced,
+is kept here too.  The tests compare the library against them.
 """
 
 from fractions import Fraction
@@ -56,6 +58,7 @@ from tropgeom.exactgeom import (
     GeometryError,
     LinearMap,
     RationalCone,
+    _insert_halfspace,
     image_cone,
     intersect,
     lattice_surjective,
@@ -683,7 +686,7 @@ def validate_complex_loops(cx: ConeComplex, deep: bool = True):
         if not img.is_face_of(sup):
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
-        if img.dim != sub.dim or not lattice_surjective(f.map, sub, img):
+        if img.dim != sub.dim or not lattice_surjective(f.map, sub):
             out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
     cx = ConeComplex(cx.cones, well_formed, cx.auts)
 
@@ -976,7 +979,20 @@ def _insert_halfspace_fraction(lin, rays, a, index, n_inserted):
 
 
 def extreme_rays_of_system_fraction(ineqs, eqns, rank: int):
-    """`exactgeom.extreme_rays_of_system` on the Fraction insertion step."""
+    """`exactgeom.extreme_rays_of_system` on the Fraction insertion step: the
+    same start at the lattice of the equations, the same inequalities."""
+    lin = la.kernel_basis(tuple(map(tuple, eqns)), rank)
+    rays = []
+    ineqs = [tuple(a) for a in ineqs if any(a)]
+    for index, a in enumerate(ineqs):
+        lin, rays = _insert_halfspace_fraction(lin, rays, a, index, index)
+    return lin, [r for r, _ in rays]
+
+
+def extreme_rays_of_system_pairs(ineqs, eqns, rank: int):
+    """`exactgeom.extreme_rays_of_system` as it was: the insertion starts at
+    the whole lattice and inserts each equation as the two inequalities
+    e >= 0 and -e >= 0 before the inequalities."""
     lin = [tuple(la.identity_matrix(rank)[i]) for i in range(rank)]
     rays = []
     constraints = []
@@ -988,9 +1004,16 @@ def extreme_rays_of_system_fraction(ineqs, eqns, rank: int):
     for c in constraints:
         if not any(c):
             continue
-        lin, rays = _insert_halfspace_fraction(lin, rays, c, inserted, inserted)
+        lin, rays = _insert_halfspace(lin, rays, c, inserted)
         inserted += 1
     return lin, [r for r, _ in rays]
+
+
+def relints_intersect(a: RationalCone, b: RationalCone) -> bool:
+    """Exact test for whether two cones have intersecting relative interiors."""
+    i = intersect(a, b)
+    p = i.relint_point()
+    return a.contains_in_relint(p) and b.contains_in_relint(p)
 
 
 def parallelepiped_interior_point_scan(cone: RationalCone):

@@ -10,6 +10,7 @@ from conftest import random_cone
 from oracles import (
     contains_bruteforce,
     extreme_rays_of_system_fraction,
+    extreme_rays_of_system_pairs,
     facets_bruteforce,
     sample_points_fraction,
 )
@@ -84,6 +85,18 @@ class TestMembership:
         assert z.contains((0, 0, 0))
         assert not z.contains((1, 0, 0))
         assert z.is_face_of(eg.cone_from_generators([(1, 0, 0)], 3))
+
+    @pytest.mark.parametrize(
+        "gens, rank, inside, wrong",
+        [([], 0, (), (1, 2)), ([(1, 0), (0, 1)], 2, (1, 1), (1, 1, 1))],
+        ids=["rank zero cone", "plane cone"],
+    )
+    def test_relint_checks_the_point_rank(self, gens, rank, inside, wrong):
+        c = eg.cone_from_generators(gens, rank)
+        assert c.contains_in_relint(inside)
+        for ask in (c.contains, c.contains_in_relint):
+            with pytest.raises(eg.RankMismatch):
+                ask(wrong)
 
 
 class TestIntersect:
@@ -166,16 +179,15 @@ class TestUnimodular:
 class TestLatticeSurjective:
     def test_identity(self):
         c = eg.cone_from_generators([(1, 0), (0, 1)])
-        assert eg.lattice_surjective(eg.LinearMap.identity(2), c, c)
+        assert eg.lattice_surjective(eg.LinearMap.identity(2), c)
 
     def test_multiplication_by_two(self):
         r = eg.cone_from_generators([(1,)], 1)
-        assert not eg.lattice_surjective(eg.LinearMap(((2,),), 1, 1), r, r)
+        assert not eg.lattice_surjective(eg.LinearMap(((2,),), 1, 1), r)
 
     def test_sum_map_on_orthant(self):
         c = eg.cone_from_generators(la.identity_matrix(3), 3)
-        r = eg.cone_from_generators([(1,)], 1)
-        assert eg.lattice_surjective(eg.LinearMap(((1, 1, 1),), 3, 1), c, r)
+        assert eg.lattice_surjective(eg.LinearMap(((1, 1, 1),), 3, 1), c)
 
     def test_against_smith_form_oracle(self, rng):
         import sympy
@@ -190,7 +202,7 @@ class TestLatticeSurjective:
                 img = eg.image_cone(f, c)
             except eg.NotPointed:
                 continue
-            got = eg.lattice_surjective(f, c, img)
+            got = eg.lattice_surjective(f, c)
             # oracle: the map between span lattices in sympy's smith form
             b1, b2 = c.span_basis, img.span_basis
             if not b2:
@@ -249,6 +261,22 @@ def test_integer_double_description_matches_fraction_projections(system):
     assert eg.extreme_rays_of_system(ineqs, eqns, rank) == (
         extreme_rays_of_system_fraction(ineqs, eqns, rank)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(inequality_systems())
+def test_equation_lattice_start_matches_inserted_pairs(system):
+    """Starting the insertion at the lattice of the equations describes the
+    same cone as inserting each equation as two inequalities: the same
+    pointedness, the same lineality rank and, when pointed, the same cone."""
+    ineqs, eqns, rank = system
+    lin, rays = eg.extreme_rays_of_system(ineqs, eqns, rank)
+    pair_lin, pair_rays = extreme_rays_of_system_pairs(ineqs, eqns, rank)
+    assert len(lin) == len(pair_lin)
+    if not lin:
+        assert eg.cone_from_generators(rays, rank) == eg.cone_from_generators(
+            pair_rays, rank
+        )
 
 
 @settings(max_examples=150, deadline=None)

@@ -196,27 +196,23 @@ def test_lattice_surjective(seed):
     rank, target = rng.randint(1, 3), rng.randint(1, 3)
     for f in _maps(rng, rank, target, 2):
         for c in _faces(rng, rank):
-            try:
-                image = eg.image_cone(f, c)
-            except eg.NotPointed:
-                continue
-            # the image, a face of it (a ray leaving it raises) and others
-            for t in [image] + image.proper_faces()[-1:] + _faces(rng, target, 1):
-                want = _outcome(lambda: eg.lattice_surjective.__wrapped__(f, c, t))
-                _twice(lambda: eg.lattice_surjective(f, c, t), want)
+            # a cone whose image is not pointed raises, and must raise again
+            want = _outcome(lambda: eg.lattice_surjective.__wrapped__(f, c))
+            _twice(lambda: eg.lattice_surjective(f, c), want)
 
 
 def test_failed_lattice_surjective_is_not_remembered():
-    f = eg.LinearMap(((1,),), 1, 1)
-    ray = eg.cone_from_generators([(1,)], 1)
-    opposite = eg.cone_from_generators([(-1,)], 1)
+    # the plane orthant folds onto the whole line: its image is not pointed
+    f = eg.LinearMap(((1, -1),), 2, 1)
+    orthant = eg.cone_from_generators([(1, 0), (0, 1)])
     before = eg.lattice_surjective.cache_info()
     for _ in range(2):
-        with pytest.raises(eg.GeometryError, match="does not send the cone"):
-            eg.lattice_surjective(f, ray, opposite)
+        with pytest.raises(eg.NotPointed):
+            eg.lattice_surjective(f, orthant)
     after = eg.lattice_surjective.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
-    assert eg.lattice_surjective(f, ray, ray) is True
+    ray = eg.cone_from_generators([(1,)], 1)
+    assert eg.lattice_surjective(eg.LinearMap(((1,),), 1, 1), ray) is True
     assert eg.lattice_surjective.cache_info().maxsize == 4096
 
 

@@ -7,6 +7,7 @@ from oracles import (
     glue_fans_whole,
     is_identity,
     parallelepiped_interior_point_scan,
+    relints_intersect,
     validate_complex_loops,
     verify_subdivision_pairwise,
 )
@@ -387,10 +388,55 @@ class TestSoundness:
         target = eg.cone_from_generators([(1, 0), (0, 1)])
         a = eg.cone_from_generators([(1, 0), (1, 1)])
         b = eg.cone_from_generators([(1, 1), (0, 1)])
-        ok, _ = cones_cover_exactly(target, [a, b])
+        ok, _, _ = cones_cover_exactly(target, [a, b])
         assert ok
-        ok, witness = cones_cover_exactly(target, [a])
+        ok, witness, _ = cones_cover_exactly(target, [a])
         assert not ok and target.contains(witness) and not a.contains(witness)
+
+
+def _chamber_cases():
+    g = eg.cone_from_generators
+    orthant = [(1, 0), (0, 1)]
+    plane = [(1, 0, 0), (0, 1, 0)]
+    # target generators, cells (as generator lists), (ok, witness)
+    return {
+        "tiling": (orthant, [[(1, 0), (1, 1)], [(1, 1), (0, 1)]], (True, None)),
+        "gap": (orthant, [[(1, 0), (1, 1)], [(1, 2), (0, 1)]], (False, (2, 3))),
+        "overlap": (orthant, [[(1, 0), (1, 2)], [(1, 1), (0, 1)]], (True, None)),
+        "a chamber given twice": (
+            orthant,
+            [[(1, 0), (1, 1)], [(1, 1), (0, 1)], [(1, 0), (1, 1)]],
+            (True, None),
+        ),
+        "a gap beside an overlap": (
+            orthant, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]], (False, (1, 4))
+        ),
+        # a target that spans a plane of rank 3: the cells' span equations
+        # are hyperplanes of the arrangement too
+        "overlap in a plane": (
+            plane,
+            [[(1, 0, 0), (1, 1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 1, 0)]],
+            (True, None),
+        ),
+        "gap in a plane": (
+            plane, [[(1, 0, 0), (1, 1, 0)], [(1, 2, 0), (0, 1, 0)]], (False, (2, 3, 0))
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_chamber_cases()))
+def test_chamber_verdicts_against_the_pairwise_oracle(case):
+    """One arrangement gives the cover verdict and its witness as before, and
+    the overlap verdict of intersecting every pair of distinct cells."""
+    gens, cell_gens, cover = _chamber_cases()[case]
+    rank = len(gens[0])
+    target = eg.cone_from_generators(gens, rank)
+    cells = [eg.cone_from_generators(c, rank) for c in cell_gens]
+    ok, witness, disjoint = cones_cover_exactly(target, cells)
+    assert (ok, witness) == cover
+    assert disjoint == (
+        not any(a != b and relints_intersect(a, b) for a, b in combinations(cells, 2))
+    )
 
 
 def _same_subdivision(a, b):

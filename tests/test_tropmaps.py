@@ -14,6 +14,7 @@ from oracles import (
     enumerate_rubber_types_bruteforce,
     has_consistent_heights_dfs,
     is_balanced_by_vertex_sums,
+    relints_intersect,
     validate_complex_loops,
 )
 from tropgeom import exactgeom as eg
@@ -305,11 +306,11 @@ class TestSuperimpose:
         images = [eg.image_cone(p.embed, p.cone) for p in prods]
         for img in images:
             assert fiber.contains_cone(img)
-        ok, _ = cones_cover_exactly(fiber, images)
-        assert ok
+        ok, _, disjoint = cones_cover_exactly(fiber, images)
+        assert ok and disjoint
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
-                assert not eg.relints_intersect(images[i], images[j])
+                assert not relints_intersect(images[i], images[j])
 
     def test_incompatible_stabilizations(self):
         tx = RubberMapType(self.EDGE, ((-1,),), self.A)
@@ -385,11 +386,11 @@ class TestSuperimpose:
         for img in images:
             assert img.dim == fiber.dim
             assert fiber.contains_cone(img)
-        ok, witness = cones_cover_exactly(fiber, images)
-        assert ok, witness
+        ok, witness, disjoint = cones_cover_exactly(fiber, images)
+        assert ok and disjoint, witness
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
-                assert not eg.relints_intersect(images[i], images[j])
+                assert not relints_intersect(images[i], images[j])
 
 
 class TestMapComplex:
