@@ -9,6 +9,7 @@ cells by the relevant automorphism orbits first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg as la
@@ -20,6 +21,7 @@ from .exactgeom import (
     cone_from_generators,
     image_cone,
     intersect,
+    inverse,
     lattice_surjective,
     zero_cone,
 )
@@ -41,6 +43,13 @@ class Embedded(NamedTuple):
     map: LinearMap
 
 
+@lru_cache(maxsize=None)
+def _trivial_group(n: int) -> tuple:
+    """The group of the identity alone, one tuple per rank shared by every
+    cone with no other automorphism."""
+    return (LinearMap.identity(n),)
+
+
 class ConeComplex:
     """Cones glued along faces, with automorphisms (spec: AbstractConeComplex)."""
 
@@ -50,35 +59,53 @@ class ConeComplex:
         # covector fixpoint of hyperplane_refine read the faces in it
         faces = {FaceMap(*f) for f in faces}
         self.faces = tuple(sorted(faces, key=lambda f: (f.sub, f.sup, f.map.matrix)))
-        self._faces_into = {}
-        self._faces_out_of = {}
-        for f in self.faces:
-            self._faces_into.setdefault(f.sup, []).append(f)
-            self._faces_out_of.setdefault(f.sub, []).append(f)
+        # indexes by target and by source cone, built on first use: a refined
+        # copy that is only pulled back never asks for them
+        self._faces_into = self._faces_out_of = None
         full_auts = {}
         for cid, cone in self.cones.items():
             group = list((auts or {}).get(cid, ()))
             ident = LinearMap.identity(cone.ambient_rank)
             mats = {g.matrix: g for g in group}
             mats[ident.matrix] = ident
-            full_auts[cid] = tuple(sorted(mats.values(), key=lambda g: g.matrix))
+            if len(mats) == 1:
+                full_auts[cid] = _trivial_group(cone.ambient_rank)
+            else:
+                full_auts[cid] = tuple(sorted(mats.values(), key=lambda g: g.matrix))
         self.auts = full_auts
         self._embeddings = {}
         self._onto = {}  # per cone: the first embedding onto each image
-        # the subdivision that cuts nothing, built on first use by
-        # subdivision.hyperplane_refine and so checked once per complex
-        self._unrefined = None
+        # the subdivision that cuts nothing, as (refined copy, projection
+        # assignments, cells over each cone), built on first use by
+        # subdivision._assemble: it holds nothing that refers back to this
+        # complex, so a complex that is dropped is freed at once
+        self._uncut = None
+        # what validate_complex finds in the whole complex, kept by
+        # subdivision.check_subdivision so an original is validated once
+        self._problems = None
 
     def ids(self):
         return sorted(self.cones)
 
     def face_maps_into(self, cid: str):
         """The face maps into the cone cid, sorted by source and matrix."""
-        return tuple(self._faces_into.get(cid, ()))
+        if self._faces_into is None:
+            self._index_faces()
+        return self._faces_into.get(cid, ())
 
     def face_maps_out_of(self, cid: str):
         """The face maps out of the cone cid, sorted by target and matrix."""
-        return tuple(self._faces_out_of.get(cid, ()))
+        if self._faces_out_of is None:
+            self._index_faces()
+        return self._faces_out_of.get(cid, ())
+
+    def _index_faces(self):
+        faces_into, faces_out_of = {}, {}
+        for f in self.faces:
+            faces_into.setdefault(f.sup, []).append(f)
+            faces_out_of.setdefault(f.sub, []).append(f)
+        self._faces_into = {cid: tuple(fs) for cid, fs in faces_into.items()}
+        self._faces_out_of = {cid: tuple(fs) for cid, fs in faces_out_of.items()}
 
     def embeddings_into(self, cid: str):
         """All embedded copies of complex cones inside the cone cid.
@@ -286,39 +313,53 @@ def _represented(cx: ConeComplex, sub: str, sup: str, cone, want, pre) -> bool:
     )
 
 
-def validate_complex(cx: ConeComplex):
-    """Check the complex invariants, returning a list of violation strings."""
+def validate_complex(cx: ConeComplex, scope=None):
+    """Check the complex invariants, returning a list of violation strings.
+
+    With a scope, a collection of cone ids, only those cones are checked:
+    the face maps into them, their automorphisms and the representation of
+    their faces.  The problems found are those of the whole check that
+    concern these cones, in the same order.
+    """
+    if scope is None:
+        ids, faces = cx.ids(), cx.faces
+    else:
+        ids = sorted(scope)
+        faces = sorted(
+            (f for cid in ids for f in cx.face_maps_into(cid)),
+            key=lambda f: (f.sub, f.sup, f.map.matrix),
+        )
     out = []
-    well_formed = []
-    for f in cx.faces:
+    ill_formed = set()
+    for f in faces:
         if f.sub not in cx.cones or f.sup not in cx.cones:
             out.append(f"face map {f.sub}->{f.sup} references unknown cones")
+            ill_formed.add(f)
             continue
         sub, sup = cx.cones[f.sub], cx.cones[f.sup]
         if f.map.source_rank != sub.ambient_rank or f.map.target_rank != sup.ambient_rank:
             out.append(f"face map {f.sub}->{f.sup} has wrong matrix shape")
+            ill_formed.add(f)
             continue
-        well_formed.append(f)
         img = image_cone(f.map, sub)
         if not img.is_face_of(sup):
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
         if img.dim != sub.dim or not lattice_surjective(f.map, sub):
             out.append(f"face map {f.sub}->{f.sup} is not a lattice isomorphism onto its image")
-    if len(well_formed) < len(cx.faces):
+    if ill_formed:
         # the checks below embed and compose along every face map, so they
         # run on the complex without the maps that reference unknown cones
         # or have the wrong shape
-        cx = ConeComplex(cx.cones, well_formed, cx.auts)
+        cx = ConeComplex(cx.cones, [f for f in cx.faces if f not in ill_formed], cx.auts)
 
-    for cid, cone in sorted(cx.cones.items()):
+    for cid in ids:
+        cone = cx.cones[cid]
         group = cx.auts[cid]
         mats = {g.matrix for g in group}
         for g in group:
             try:
-                ginv = LinearMap(
-                    la.invert_unimodular(g.matrix), cone.ambient_rank, cone.ambient_rank
-                )
+                ginv = inverse(g)
             except ValueError:
                 out.append(f"automorphism of {cid} is not invertible over the lattice")
                 continue
@@ -331,8 +372,8 @@ def validate_complex(cx: ConeComplex):
                     out.append(f"automorphism group of {cid} is not closed under composition")
                     break
 
-    for cid, cone in sorted(cx.cones.items()):
-        for face in cone.proper_faces():
+    for cid in ids:
+        for face in cx.cones[cid].proper_faces():
             if cx.embedding_onto(cid, face) is None:
                 out.append(f"face {face.rays} of cone {cid} is not represented")
 

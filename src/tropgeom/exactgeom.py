@@ -47,7 +47,9 @@ class LinearMap:
             )
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(n: int) -> "LinearMap":
+        """The identity of Z^n, one shared map per n."""
         return LinearMap(la.identity_matrix(n), n, n)
 
     def apply(self, v) -> Vec:
@@ -82,6 +84,14 @@ class LinearMap:
             int(data["source_rank"]),
             int(data["target_rank"]),
         )
+
+
+@lru_cache(maxsize=4096)
+def inverse(m: LinearMap) -> LinearMap:
+    """The inverse of a lattice automorphism, kept in an LRU table of 4096
+    entries; ValueError (stored nowhere) when m is not invertible over the
+    lattice."""
+    return LinearMap(la.invert_unimodular(m.matrix), m.target_rank, m.source_rank)
 
 
 def _combine(s, x, t, y) -> Vec:

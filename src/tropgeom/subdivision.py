@@ -13,18 +13,24 @@ of the ray's host cone, so a step costs the star and its faces plus a copy
 of the rest of the complex (De Loera, Rambau and Santos, *Triangulations*,
 Springer 2010: a stellar step changes only the star of its ray).
 
+A step that cuts nothing returns a view of the one unrefined copy of its
+complex, which is built on first use and kept on the complex.
+
 The assembler does not check what it builds.  `check_subdivision` does, once
 per subdivision object, where a subdivision leaves the engine: on the result
 of `refine_until_conical` (after unimodularization), on the source
 subdivision of `pullback_subdivision`, and on the stellar subdivision of the
 worked example.  `stellar_subdivide`, `hyperplane_refine` and
-`common_refinement` are steps that return unchecked subdivisions.
+`common_refinement` are steps that return unchecked subdivisions.  The check
+is local as well.  A subdivision records the original cones that were glued
+(`SubdivisionOf.touched`); the original complex is validated once, and only
+the refined cones over the glued ones are checked, since a copied cone
+passes whenever its original does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import linalg as la
@@ -36,6 +42,7 @@ from .exactgeom import (
     cone_from_inequalities,
     image_cone,
     intersect,
+    inverse,
     is_unimodular,
     preimage_cone,
     sample_points,
@@ -69,19 +76,35 @@ class UnsoundSample(GeometryError):
 
 @dataclass
 class SubdivisionOf:
-    """A subdivision: a refined complex with a projection to the original."""
+    """A subdivision: a refined complex with a projection to the original.
+
+    `touched` holds the ids of the original cones that were glued; every
+    other original cone is copied unchanged (see `check_subdivision`).  A
+    subdivision built without saying which counts every cone as touched.
+    """
 
     original: ConeComplex
     refined: ConeComplex
     projection: ComplexMorphism
+    touched: frozenset = None
 
     def __post_init__(self):
+        self.touched = frozenset(
+            self.original.cones if self.touched is None else self.touched
+        )
         self._cells_cache = {}
         # set by check_subdivision once the subdivision has passed its checks
         self._checked = False
-        self._owned = {}  # original cone id -> the refined ids over it
-        for rid in self.refined.ids():
-            self._owned.setdefault(self.projection.assignments[rid][0], []).append(rid)
+        self._owned = None  # original cone id -> the refined ids over it
+
+    def refined_over(self, cid: str):
+        """The refined ids over the original cone cid, in id order (indexed
+        on first use)."""
+        if self._owned is None:
+            self._owned = {}
+            for rid in self.refined.ids():
+                self._owned.setdefault(self.projection.assignments[rid][0], []).append(rid)
+        return self._owned.get(cid, ())
 
     def cells_over(self, cid: str):
         """All embedded refined cells inside the original cone cid (orbit
@@ -91,7 +114,7 @@ class SubdivisionOf:
             return list(self._cells_cache[cid])
         out = {}
         for emb in self.original.embeddings_into(cid):
-            for rid in self._owned.get(emb.src, ()):
+            for rid in self.refined_over(emb.src):
                 _, pm = self.projection.assignments[rid]
                 rep = self.refined.cones[rid]
                 for h in self.original.auts[emb.src]:
@@ -153,9 +176,15 @@ class SubdivisionOf:
 
 
 def compose_subdivisions(s1: SubdivisionOf, s2: SubdivisionOf) -> SubdivisionOf:
-    """s2 must subdivide s1.refined; the composite subdivides s1.original."""
+    """s2 must subdivide s1.refined; the composite subdivides s1.original.
+
+    It touches the cones s1 touches and the cones under the refined cones s2
+    touches: an original cone outside both is a copy of a copy.
+    """
     proj = s1.projection.compose_subdivision(s2.projection)
-    return SubdivisionOf(s1.original, s2.refined, proj)
+    owners = s1.projection.assignments
+    touched = s1.touched | {owners[rid][0] for rid in s2.touched}
+    return SubdivisionOf(s1.original, s2.refined, proj, touched)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +252,6 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
     )
 
 
-@lru_cache(maxsize=4096)
-def _inverse(h: LinearMap) -> LinearMap:
-    return LinearMap(la.invert_unimodular(h.matrix), h.source_rank, h.target_rank)
-
-
 def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
     """Build the refined complex from per-cone fans of cells (unchecked).
 
@@ -237,11 +261,15 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
     pulled back to the face that owns it.  One cone is stored per
     automorphism orbit of owned cells, and the cells owned by cone cid get
     the ids cid.0, cid.1, ... in (dimension, rays) order.  Every untouched
-    cone cid is copied as the single cone cid.0 (see `_unrefined`), so a
-    step that cuts no cone copies the complex.  The ids, face maps,
-    automorphisms and projection are those that gluing every cone gives.
+    cone cid is copied as the single cone cid.0 (see `_unrefined`).  A step
+    that cuts no cone returns a view of the complex's one unrefined copy,
+    which is built on first use (see `_uncut_view`).  The ids, face maps,
+    automorphisms and projection are those that gluing every cone gives; the
+    glued cones are the result's `touched`.
     """
     cells = _closure_of_fans(cx, fans)
+    if not cells and cx._uncut is not None:
+        return _uncut_view(cx)
 
     cell_info = {}
     owned = {cid: {} for cid in cells}
@@ -264,7 +292,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
                 ((image_cone(h, c_owner), h) for h in cx.auts[owner]),
                 key=lambda t: t[0].rays,
             )
-            cell_info[(cid, c.rays)] = (owner, rep, emb_map.compose(_inverse(h)))
+            cell_info[(cid, c.rays)] = (owner, rep, emb_map.compose(inverse(h)))
             owned[owner][rep.rays] = rep
 
     ids = {}
@@ -292,7 +320,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
             LinearMap.identity(cx.cones[owner].ambient_rank),
         )
         if owner not in owned:
-            new_faces.update(_unrefined(cx, owner, ids))
+            new_faces.update(_unrefined(cx, owner, nid, ids))
             continue
         for face in rep.proper_faces():
             sub_owner, sub_rep, sub_map = cell_info[(owner, face.rays)]
@@ -300,11 +328,30 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
             new_faces.add(FaceMap(sub_id, nid, sub_map))
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
-    return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
+    if not cells:
+        cx._uncut = (refined, assignments, {})
+        return _uncut_view(cx)
+    return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments), cells)
 
 
-def _unrefined(cx: ConeComplex, cid: str, ids: dict):
-    """The face maps into cid.0, the copy of an untouched cone cid.
+def _uncut_view(cx: ConeComplex) -> SubdivisionOf:
+    """The subdivision of cx that cuts nothing, over the copy kept on cx.
+
+    The views share the refined copy and the cells found over each cone, so
+    the copy is built once per complex, and its check, which has no touched
+    cone, validates only the original, once per complex.  The complex keeps
+    the parts without a reference back to it: keeping the subdivision itself
+    would make every complex subdivided once, such as the superimposed map
+    complex of one run, a reference cycle left for the cycle collector.
+    """
+    refined, assignments, cells = cx._uncut
+    sub = SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments), ())
+    sub._cells_cache = cells
+    return sub
+
+
+def _unrefined(cx: ConeComplex, cid: str, nid: str, ids: dict):
+    """The face maps into nid, the copy cid.0 of an untouched cone cid.
 
     Gluing the untouched cone would give the same cone and face maps.  Its
     cells are its own faces (`_closure_of_fans`), and the only one whose
@@ -331,19 +378,42 @@ def _unrefined(cx: ConeComplex, cid: str, ids: dict):
             raise GeometryError(
                 f"face {face.rays} of cone {cid} is cut, but cone {cid} is not"
             )
-        yield FaceMap(sub_id, f"{cid}.0", emb.map.compose(_inverse(cx.auts[emb.src][0])))
+        yield FaceMap(sub_id, nid, emb.map.compose(inverse(cx.auts[emb.src][0])))
 
 
 def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
     """Check a subdivision once and return it.
 
-    Runs the shallow complex invariants of the refined complex and
-    `verify_subdivision`, and raises a GeometryError naming every problem.
-    A subdivision that passed is marked, so checking it again does nothing.
+    Validates the original complex (once per complex: the problems found are
+    kept on it), validates the refined cones over the touched original cones
+    (`validate_complex` with a scope: the face maps into them, their
+    automorphisms and their faces), and runs `verify_subdivision` over the
+    touched cones.  Raises a GeometryError naming every problem.  A
+    subdivision that passed is marked, so checking it again does nothing.
+
+    An untouched cone c needs neither check.  `_assemble` copies it as the
+    one cone c.0 with every automorphism of c that fixes it, which is all of
+    them once the original passes.  c.0 gets one face map per proper face F
+    of c: the embedding s -> c that stands for F composed with the inverse
+    of an automorphism of s (`_unrefined`).  `_unrefined` raises when a face
+    of c is cut, so the source of that map is the whole cone of s, one cell.
+    An automorphism of s is a lattice automorphism of its cone, so the face
+    map sends that cell onto F as a lattice isomorphism exactly when the
+    embedding does.  So the face maps, group and faces of c.0 pass whenever
+    the original's do.  The cells over c are c itself and the images of the
+    cells over its faces.  A touched face passes `verify_subdivision` with
+    its whole cone as a cell, which is then its one maximal cell, every
+    other cell being a face of it; an untouched face is the same case one
+    dimension lower.  So the cells over c are the faces of c, and checks 1-4
+    of `verify_subdivision` hold over c.
     """
     if sub._checked:
         return sub
-    problems = validate_complex(sub.refined)
+    original = sub.original
+    if original._problems is None:
+        original._problems = validate_complex(original)
+    scope = [rid for cid in sorted(sub.touched) for rid in sub.refined_over(cid)]
+    problems = original._problems + validate_complex(sub.refined, scope)
     problems += verify_subdivision(sub)
     if problems:
         raise GeometryError("subdivision is not well glued: " + "; ".join(problems))
@@ -356,10 +426,11 @@ def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
 
 
 def verify_subdivision(sub: SubdivisionOf):
-    """Check that the refined cells subdivide every original cone.
+    """Check that the refined cells subdivide every touched original cone.
 
-    Returns a list of problems, empty when there are none.  Over each
-    original cone C of dimension d it certifies, exactly:
+    Returns a list of problems, empty when there are none.  The untouched
+    cones are copies, which need no certificate (see `check_subdivision`).
+    Over each touched cone C of dimension d it certifies, exactly:
 
     1. every cell lies in C and is a face of a maximal cell (a cell of
        dimension d);
@@ -393,7 +464,7 @@ def verify_subdivision(sub: SubdivisionOf):
     `_meet_in_a_face`).
     """
     out = []
-    for cid in sub.original.ids():
+    for cid in sorted(sub.touched):
         cone = sub.original.cones[cid]
         cells = [c.cone for c in sub.cells_over(cid)]
         for a in cells:
@@ -586,10 +657,8 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
 
     Covector sets are first closed under automorphisms, restriction to faces,
     and transport across shared faces (fixpoint), so the sliced fans glue.
-    When no covector slices its cone nothing is cut: the unrefined
-    subdivision is built once per complex and returned on every such call,
-    so `check_subdivision` checks it once per complex.  The result is a
-    step, not checked.
+    When no covector slices its cone nothing is cut, and `_assemble` returns
+    the complex's unrefined subdivision.  The result is a step, not checked.
     """
     covs = {cid: set() for cid in cx.cones}
     for cid, ws in covectors_by_cone.items():
@@ -597,10 +666,6 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
             w = _canon_covector(tuple(w))
             if _slices(cx.cones[cid], w):
                 covs[cid].add(w)
-    if not any(covs.values()):
-        if cx._unrefined is None:
-            cx._unrefined = _assemble(cx, {})
-        return cx._unrefined
 
     added = {}  # cone id -> covectors added to it in the current round
 
@@ -611,6 +676,8 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
     for _ in range(MAX_FIXPOINT_ROUNDS):
         added.clear()
         for cid in cx.ids():
+            if not covs[cid]:
+                continue
             for g in cx.auts[cid]:
                 gt = la.transpose(g.matrix)
                 for w in list(covs[cid]):
@@ -620,6 +687,8 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
         # the faces in their canonical order: which covectors the fixpoint
         # lifts depends on the order
         for f in cx.faces:
+            if not covs[f.sup] and not covs[f.sub]:
+                continue
             mt = la.transpose(f.map.matrix)
             sub_cone = cx.cones[f.sub]
             # restrict covectors of the big cone to the face

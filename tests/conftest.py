@@ -3,8 +3,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from oracles import check_subdivision_whole
 from tropgeom import exactgeom as eg
 from tropgeom.curves import build_moduli_complex
+from tropgeom.subdivision import SubdivisionOf, check_subdivision
 
 
 @pytest.fixture
@@ -22,6 +24,20 @@ def random_cone(rng, rank, gens):
             return eg.cone_from_generators(vectors, rank)
         except eg.NotPointed:
             continue
+
+
+def check_verdicts(sub):
+    """Whether the local check (`check_subdivision`) and the whole check
+    (`oracles.check_subdivision_whole`) pass the subdivision.  The local
+    check runs on a fresh copy with the same touched cones, so a subdivision
+    that was checked before is checked again."""
+    fresh = SubdivisionOf(sub.original, sub.refined, sub.projection, sub.touched)
+    try:
+        check_subdivision(fresh)
+        local = True
+    except eg.GeometryError:
+        local = False
+    return local, check_subdivision_whole(sub) == []
 
 
 _base_cache = {}

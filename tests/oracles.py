@@ -13,9 +13,11 @@ only the tests ask, sits beside it).  The contraction
 closure builder that makes and hashes an object for every contracted edge
 subset is kept beside the library's, which keys by the canonical pair.  The
 whole-complex assembler glues every cone, where the library glues only the
-cones a step touches and copies the rest.  The face lookups that a complex
-indexes (the embedding that stands for a face, the face maps into and out of
-a cone) are scans here, and both validators keep their nested loops over
+cones a step touches and copies the rest, and the whole check of a
+subdivision validates every refined cone and certifies every original cone,
+where the library checks only the cones a step glued.  The face lookups
+that a complex indexes (the embedding that stands for a face, the face maps
+into and out of a cone) are scans here, and both validators keep their nested loops over
 every face map and embedding.  The one-pass canonical labelling, which
 computes the automorphisms on every call, is kept beside the library's
 memoized labelling and automorphism tables.  The exact kernel's earlier
@@ -53,6 +55,7 @@ from tropgeom.complexes import (
     FaceMap,
     maps_agree_on,
     pull_back_cone,
+    validate_complex,
 )
 from tropgeom.exactgeom import (
     GeometryError,
@@ -63,7 +66,7 @@ from tropgeom.exactgeom import (
     intersect,
     lattice_surjective,
 )
-from tropgeom.subdivision import MAX_FIXPOINT_ROUNDS, SubdivisionOf
+from tropgeom.subdivision import MAX_FIXPOINT_ROUNDS, SubdivisionOf, verify_subdivision
 from tropgeom.tropmaps import ContactData, RubberMapType
 
 _oracle_cache = {}
@@ -643,6 +646,14 @@ def glue_fans_whole(cx: ConeComplex, fans: dict) -> SubdivisionOf:
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
     return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
+
+
+def check_subdivision_whole(sub: SubdivisionOf):
+    """The problems of a subdivision, found everywhere: `validate_complex` on
+    the whole refined complex and the wall certificate over every original
+    cone, touched or not."""
+    whole = SubdivisionOf(sub.original, sub.refined, sub.projection)
+    return validate_complex(sub.refined) + verify_subdivision(whole)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import contact_vectors, lemma_inputs, moduli_cached, random_cone
+from conftest import (
+    check_verdicts,
+    contact_vectors,
+    lemma_inputs,
+    moduli_cached,
+    random_cone,
+)
 from oracles import (
     enumerate_rubber_types_bruteforce,
     enumerate_stable_graphs_bruteforce,
@@ -208,6 +214,14 @@ def test_criterion_5_geometry_kernel_properties(criteria_subdivisions):
         f"\n[criterion 5] PASS geometry kernel properties "
         f"({len(distinct)} subdivisions re-verified, {elapsed:.1f}s)"
     )
+
+
+def test_local_check_agrees_with_the_whole_check(criteria_subdivisions):
+    """`check_subdivision`, which validates the original once and checks
+    only the glued cones, passes each subdivision of criteria 1 to 3 as the
+    whole check does."""
+    for sub in {id(sub): sub for sub in criteria_subdivisions}.values():
+        assert check_verdicts(sub) == (True, True)
 
 
 def test_criterion_6_invariant_suite():

@@ -318,3 +318,27 @@ def test_broken_complexes_are_flagged_by_both(make, problem):
 def test_a_malformed_face_map_is_reported_at_both_depths(make, problem):
     cx, _ = make()
     assert validate_complex(cx) == validate_complex_loops(cx) == [problem]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _without_a_composite,
+        _an_automorphism_moves_a_face_map,
+        _a_face_map_from_an_unknown_cone,
+        _a_face_map_of_the_wrong_shape,
+    ],
+    ids=["missing composite", "automorphism moves a face map", "unknown cone", "wrong shape"],
+)
+def test_a_scoped_validation_is_the_whole_one_cut_to_its_cones(make):
+    # each problem concerns one cone: the target of its face map, the owner
+    # of its group, or the cone with the unrepresented face
+    cx, _ = make()
+    shear = eg.LinearMap(((1, 1), (0, 1)), 2, 2)
+    tops = [cid for cid in cx.ids() if cx.cones[cid].dim == 2 and cx.cones[cid].ambient_rank == 2]
+    cx = ConeComplex(cx.cones, cx.faces, {**cx.auts, **{cid: [shear] for cid in tops}})
+    whole = validate_complex(cx)
+    assert validate_complex(cx, cx.ids()) == whole
+    per_cone = [p for cid in cx.ids() for p in validate_complex(cx, [cid])]
+    assert sorted(per_cone) == sorted(whole)
+    assert validate_complex(cx, []) == []

@@ -3,8 +3,10 @@
 `image_cone`, `LinearMap.compose`, `RationalCone.contains_cone`,
 `RationalCone.face_at` and `complexes.pull_back_cone` keep their results
 under canonical keys, and `exactgeom.lattice_surjective` in a bounded LRU
-table.  Each is called twice on random maps and cones and must give the
-direct computation both times; a call that raises must raise again.
+table, as does `exactgeom.inverse`, which `validate_complex` and the
+assembler share; `LinearMap.identity` is one map per rank.  Each is called
+twice on random maps and cones and must give the direct computation both
+times; a call that raises must raise again.
 `exactgeom.intersect` keeps no table of its own: a repeat must find the
 system table of `cone_from_inequalities` and run no double description.
 `curves.canonical_labelling`, `curves.automorphism_pairs` and
@@ -14,6 +16,7 @@ or the unmemoized `stabilize`, both times, the second time as the same
 object.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -214,6 +217,49 @@ def test_failed_lattice_surjective_is_not_remembered():
     ray = eg.cone_from_generators([(1,)], 1)
     assert eg.lattice_surjective(eg.LinearMap(((1,),), 1, 1), ray) is True
     assert eg.lattice_surjective.cache_info().maxsize == 4096
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inverse_table(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        m = eg.LinearMap(
+            tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)), n, n
+        )
+        try:
+            want = la.invert_unimodular(m.matrix)
+        except ValueError:
+            # a map that is not invertible raises each time
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    eg.inverse(m)
+            continue
+        first = eg.inverse(m)
+        assert first.matrix == want and eg.inverse(m) is first
+    assert eg.inverse.cache_info().maxsize == 4096
+
+
+def test_validation_reads_the_inverse_table():
+    # the swap of the plane orthant's rays is its one automorphism besides
+    # the identity, and its own inverse
+    swap = eg.LinearMap(((0, 1), (1, 0)), 2, 2)
+    orthant = eg.cone_from_generators([(1, 0), (0, 1)])
+    fan, ids = complexes.complex_from_fan([orthant], 2)
+    cx = complexes.ConeComplex(fan.cones, fan.faces, {ids[orthant.rays]: [swap]})
+    assert complexes.validate_complex(cx) == []
+    before = eg.inverse.cache_info()
+    assert complexes.validate_complex(cx, [ids[orthant.rays]]) == []
+    after = eg.inverse.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+def test_one_identity_per_rank():
+    for n in range(5):
+        assert eg.LinearMap.identity(n) is eg.LinearMap.identity(n)
+        assert eg.LinearMap.identity(n).matrix == la.identity_matrix(n)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eg.LinearMap.identity(2).matrix = ((0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
-from conftest import lemma_inputs, moduli_cached
+from conftest import check_verdicts, lemma_inputs, moduli_cached
 from oracles import (
     glue_fans_whole,
     is_identity,
@@ -35,6 +37,7 @@ from tropgeom.pipeline import (
 )
 from tropgeom.subdivision import (
     RayOutside,
+    SubdivisionOf,
     UnsoundSample,
     _assemble,
     _parallelepiped_interior_point,
@@ -477,6 +480,9 @@ class TestUnrefined:
         direct = _assemble(cx, {top: [cx.cones[top]]})
         assert _same_subdivision(direct, glue_fans_whole(cx, {}))
         assert is_identity(direct)
+        # one unrefined copy per complex, which touches no cone
+        assert _assemble(cx, {}).refined is direct.refined is cx._uncut[0]
+        assert direct.touched == frozenset()
 
     def test_overlapping_cells_are_rejected(self, orthant2):
         cx, top = orthant2
@@ -491,12 +497,27 @@ class TestUnrefined:
     def test_built_and_checked_once_per_complex(self, orthant3):
         cx, top = orthant3
         s = hyperplane_refine(cx, {})
-        assert hyperplane_refine(cx, {}) is s
+        assert hyperplane_refine(cx, {}).refined is s.refined
         # a covector that does not slice its cone cuts nothing either
-        assert hyperplane_refine(cx, {top: [(1, 0, 0)]}) is s
+        assert hyperplane_refine(cx, {top: [(1, 0, 0)]}).refined is s.refined
         assert s.original is cx and is_identity(s)
         assert verify_subdivision(s) == []
         assert validate_complex(s.refined) == []
+
+    def test_a_dropped_complex_is_freed_at_once(self):
+        # the kept copy refers not back to its complex, so dropping the
+        # complex frees it without the cycle collector
+        cone = eg.cone_from_generators(la.identity_matrix(3), 3)
+        cx, _ = complex_from_fan([cone], 3)
+        gc.disable()
+        try:
+            check_subdivision(hyperplane_refine(cx, {}))
+            assert cx._uncut is not None and cx._problems == []
+            dropped = weakref.ref(cx)
+            del cx
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 class TestFixpointDiagnostics:
@@ -608,6 +629,7 @@ class TestBrokenFans:
         assert _same_subdivision(sub, glue_fans_whole(cx, fans))
         assert any(certificate_finds in p for p in verify_subdivision(sub))
         assert verify_subdivision_pairwise(sub) != []
+        assert check_verdicts(sub) == (False, False)
         with pytest.raises(eg.GeometryError, match="not well glued"):
             check_subdivision(sub)
         assert not sub._checked
@@ -646,6 +668,141 @@ class TestCheckedOnce:
         assert any(s is report.subdivision_data for s in seen)
 
 
+def _two_quadrants():
+    """The quadrants near, on e1 and e2, and beside, on e2 and -e1, with the
+    fan that cuts near at (1, 1): beside is not touched."""
+    g = eg.cone_from_generators
+    near, beside = g([(1, 0), (0, 1)]), g([(0, 1), (-1, 0)])
+    cx, ids = complex_from_fan([near, beside], 2)
+    fans = {ids[near.rays]: [g([(1, 0), (1, 1)]), g([(1, 1), (0, 1)])]}
+    return cx, ids, fans, ids[beside.rays]
+
+
+def _broken_originals():
+    """Subdivisions whose original is broken in the untouched cone beside,
+    by name."""
+    cx, ids, fans, beside = _two_quadrants()
+    ray = lambda r: ids[(r,)]
+    # a face map of the ray e1 that lands inside beside, on the ray (-1, 1),
+    # which is no face of it
+    inside = eg.LinearMap(((-1, 0), (1, 1)), 2, 2)
+    misses = ConeComplex(cx.cones, cx.faces + ((ray((1, 0)), beside, inside),), cx.auts)
+    # a shear fixing e2 that sends beside onto the cone on e2 and (-1, -1)
+    shear = eg.LinearMap(((1, 0), (1, 1)), 2, 2)
+    moves = ConeComplex(cx.cones, cx.faces, {**cx.auts, beside: cx.auts[beside] + (shear,)})
+    out = {
+        "face map misses its face": _assemble(misses, fans),
+        "automorphism moves its cone": _assemble(moves, fans),
+    }
+    # _assemble refuses a cone with an unrepresented face, so the face map
+    # of the ray -e1 into beside is taken from the original and its copy
+    good = _assemble(cx, fans)
+    dropped = [f for f in cx.faces if (f.sub, f.sup) == (ray((-1, 0)), beside)]
+    copy_of = {rid: good.projection.assignments[rid][0] for rid in good.refined.ids()}
+    kept = [
+        f for f in good.refined.faces
+        if (copy_of[f.sub], copy_of[f.sup]) != (ray((-1, 0)), beside)
+    ]
+    assert len(dropped) == 1 and len(kept) == len(good.refined.faces) - 1
+    original = ConeComplex(cx.cones, [f for f in cx.faces if f not in dropped], cx.auts)
+    refined = ConeComplex(good.refined.cones, kept, good.refined.auts)
+    out["unrepresented face"] = SubdivisionOf(
+        original,
+        refined,
+        ComplexMorphism(refined, original, good.projection.assignments),
+        good.touched,
+    )
+    return beside, out
+
+
+class TestBrokenOriginals:
+    """An original that is broken in a cone the subdivision copies: the
+    local check finds it in the original, the whole check in the copy or
+    in the cells over it."""
+
+    def test_the_unbroken_original_passes_both(self):
+        cx, _, fans, beside = _two_quadrants()
+        sub = _assemble(cx, fans)
+        assert beside not in sub.touched
+        assert check_verdicts(sub) == (True, True)
+
+    @pytest.mark.parametrize(
+        "case, problem",
+        [
+            ("face map misses its face", "does not land on a face"),
+            ("automorphism moves its cone", "does not preserve the cone"),
+            ("unrepresented face", "is not represented"),
+        ],
+    )
+    def test_rejected_by_both_checks(self, case, problem):
+        beside, subs = _broken_originals()
+        sub = subs[case]
+        assert beside not in sub.touched
+        assert check_verdicts(sub) == (False, False)
+        with pytest.raises(eg.GeometryError, match=problem):
+            check_subdivision(sub)
+        assert not sub._checked
+
+
+class TestCheckedLocally:
+    def test_a_composite_touches_what_its_steps_touch(self):
+        # the first step cuts near; the second cuts the copy of beside, so
+        # the composite touches beside, which the first step copied
+        g = eg.cone_from_generators
+        cx, ids, fans, beside = _two_quadrants()
+        s1 = _assemble(cx, fans)
+        copy = f"{beside}.0"
+        s2 = stellar_subdivide(s1.refined, copy, (-1, 1))
+        total = compose_subdivisions(s1, s2)
+        owners = {s1.projection.assignments[rid][0] for rid in s2.touched}
+        assert beside not in s1.touched and beside in owners
+        assert total.touched == s1.touched | owners
+        assert check_verdicts(total) == (True, True)
+        # cells over beside that overlap are found by both checks
+        overlap = [g([(0, 1), (-1, 1)]), g([(-1, 2), (-1, 0)])]
+        broken = compose_subdivisions(s1, _assemble(s1.refined, {copy: overlap}))
+        assert check_verdicts(broken) == (False, False)
+
+    def test_a_sweep_validates_each_original_once(self, monkeypatch):
+        # criterion 2's runs on a fresh M_{1,3}: every Γ subdivides the same
+        # base, and every pullback a map complex of the sweep table
+        base = build_moduli_complex(1, 3)
+        checking, originals, scoped = [], [], []
+        check, validate = subdivision.check_subdivision, subdivision.validate_complex
+
+        def checked(sub):
+            checking.append(sub)
+            try:
+                return check(sub)
+            finally:
+                checking.pop()
+
+        def validated(cx, scope=None):
+            sub = checking[-1]
+            if scope is None:
+                assert cx is sub.original
+                originals.append(cx)
+            else:
+                assert cx is sub.refined
+                scoped.append((sub, scope))
+            return validate(cx, scope)
+
+        monkeypatch.setattr(subdivision, "check_subdivision", checked)
+        monkeypatch.setattr(subdivision, "validate_complex", validated)
+        for vectors in lemma_inputs(3):
+            assert run_contacts(1, 3, vectors, base=base).all_passed
+        assert len({id(cx) for cx in originals}) == len(originals)
+        assert any(cx is base.complex for cx in originals)
+        for sub, scope in scoped:
+            assert sorted(scope) == [
+                rid for rid in sub.refined.ids()
+                if sub.projection.assignments[rid][0] in sub.touched
+            ]
+        # most checks leave some cones out, and some check no refined cone
+        assert sum(len(s.touched) < len(s.original.cones) for s, _ in scoped) > len(scoped) // 2
+        assert any(not scope for _, scope in scoped)
+
+
 # contact vectors of degree at most 3 on M_{1,3}, up to permuting the markings
 M13_VECTORS = [
     (0, 0, 0), (1, 0, -1), (2, 0, -2), (2, -1, -1),
@@ -672,6 +829,8 @@ class TestCertificateAgainstOracle:
         for sub in {id(s): s for s in subs}.values():
             assert verify_subdivision(sub) == []
             assert verify_subdivision_pairwise(sub) == []
+            # the local check and the whole check pass it alike
+            assert check_verdicts(sub) == (True, True)
 
     def test_genus_two_worked_example(self, monkeypatch):
         base = build_moduli_complex(2, 2, 3)
@@ -878,7 +1037,8 @@ class TestLocalAssembler:
         # closure and ownership work on the star and its faces only
         assert set(closed[0]) == star_faces
         assert pulled and set(pulled) <= {cx.cones[c] for c in star_faces}
-        # the other cones are copied
+        # the other cones are copied, and only the glued ones are touched
+        assert step.touched == star_faces
         assert step.refined.cones[ids[beside.rays] + ".0"] == beside
         assert step.refined.cones[ids[far.rays] + ".0"] == far
         assert len(step.max_cells_over(ids[near.rays])) == 2
