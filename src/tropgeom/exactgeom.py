@@ -194,7 +194,9 @@ class RationalCone:
             nonnegative exactly on the cone within its span.
         span_eqs: HNF basis of the annihilator of the span (x is in the span
             iff all of these vanish).
-        span_basis: saturated lattice basis of the linear span (rows).
+        span_basis: saturated lattice basis of the linear span (rows), from
+            the Smith form of the sorted generators the cone was first built
+            from: a function of that generator set, not of its order.
     """
 
     ambient_rank: int
@@ -357,9 +359,14 @@ def cone_from_generators(vectors, ambient_rank: int | None = None) -> RationalCo
         d = ambient_rank
         coords = list(gens)
     else:
-        span_basis = tuple(la.row_saturation_basis(gens, ambient_rank))
-        d = len(span_basis)
-        coords = [la.lattice_coords(span_basis, g) for g in gens]
+        # the frame is one Smith form u*G*v = D of the sorted generators G:
+        # row i of u*G is diag[i] times the primitive row i of v^-1, g*v[:, :d]
+        # the coordinates of g, v[:, :d] the lift and v[:, d:] the annihilator
+        diag, u, v = la.smith_normal_form(key[1])
+        d = sum(1 for x in diag if x)
+        span_basis = tuple(map(la.primitive, la.mat_mul(u[:d], key[1])))
+        lift = tuple(row[:d] for row in v)
+        coords = la.mat_mul(gens, lift)
     # facets of the cone = extreme rays of the dual cone inside the span
     lin, dual_rays = extreme_rays_of_system(coords, [], d)
     assert not lin, "dual cone of a spanning set is pointed"
@@ -377,14 +384,11 @@ def cone_from_generators(vectors, ambient_rank: int | None = None) -> RationalCo
         facets = list(dual_rays)
         span_eqs = []
     else:
-        ann = la.kernel_basis(span_basis, ambient_rank)
-        span_eqs, ann_pivots = la.hnf_rows(ann)
-        facets = []
-        smat = tuple(span_basis)
-        for w in dual_rays:
-            c = la.solve_integer(smat, w)
-            c = la.reduce_mod_lattice(c, span_eqs, ann_pivots)
-            facets.append(tuple(c))
+        span_eqs, ann_pivots = la.hnf_rows(la.transpose(v)[d:])
+        facets = [
+            la.reduce_mod_lattice(la.mat_vec(lift, w), span_eqs, ann_pivots)
+            for w in dual_rays
+        ]
     cone = RationalCone(
         ambient_rank,
         rays,

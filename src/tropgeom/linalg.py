@@ -6,7 +6,10 @@ Fraction anywhere in the package (`exactgeom.sample_points` scales its
 rational combinations to integer points).  Each matrix is put in Smith form
 once: the factorisation is kept by `smith_factors`, which `solve_integer`,
 `lattice_coords`, `projection_to_lattice`, `invert_unimodular`,
-`kernel_basis` and the lattice index of a cone share.
+`kernel_basis` and the lattice index of a cone share; a new cone's whole
+frame comes from one `smith_normal_form` of its generators (see
+`exactgeom.cone_from_generators`).  `hnf_rows` is the one Hermite form of a
+row lattice, whatever basis it is given.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def rank(rows) -> int:
 def smith_normal_form(mat: Mat, ncols: int | None = None):
     """Smith normal form with transforms.
 
-    Returns (diag, u, v, vinv) where u*mat*v = d, d diagonal with
+    Returns (diag, u, v) where u*mat*v = d, d diagonal with
     d[i] | d[i+1], and u, v unimodular.  diag is the list of diagonal
     entries (nonnegative).  ncols is only needed when mat has no rows.
     """
@@ -110,7 +113,6 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
     a = [list(row) for row in mat]
     u = [list(row) for row in identity_matrix(nrows)]
     v = [list(row) for row in identity_matrix(ncols)]
-    vinv = [list(row) for row in identity_matrix(ncols)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -130,7 +132,6 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(i, j, c):
         # col i += c * col j
@@ -138,7 +139,6 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
-        vinv[j] = [x - c * y for x, y in zip(vinv[j], vinv[i])]
 
     t = 0
     while t < min(nrows, ncols):
@@ -186,7 +186,7 @@ def smith_normal_form(mat: Mat, ncols: int | None = None):
         t += 1
     diag = [a[i][i] for i in range(min(nrows, ncols))]
     to_t = lambda m: tuple(tuple(r) for r in m)
-    return diag, to_t(u), to_t(v), to_t(vinv)
+    return diag, to_t(u), to_t(v)
 
 
 @lru_cache(maxsize=4096)
@@ -196,7 +196,7 @@ def smith_factors(mat: Mat, ncols: int):
     Returns (diag, u, v) with u*mat*v diagonal, as `smith_normal_form`
     gives them; mat must be a tuple of row tuples.
     """
-    diag, u, v, _ = smith_normal_form(mat, ncols)
+    diag, u, v = smith_normal_form(mat, ncols)
     return tuple(diag), u, v
 
 
@@ -208,15 +208,6 @@ def kernel_basis(mat: Mat, ncols: int):
     r = sum(1 for d in diag if d != 0)
     cols = transpose(v)
     return [tuple(cols[j]) for j in range(r, ncols)]
-
-
-def row_saturation_basis(rows, ncols: int):
-    """Basis of (Q-span of rows) intersected with Z^ncols."""
-    if not rows:
-        return []
-    diag, _, _, vinv = smith_normal_form(tuple(rows))
-    r = sum(1 for d in diag if d != 0)
-    return [tuple(vinv[i]) for i in range(r)]
 
 
 def solve_integer(mat: Mat, target):
@@ -241,7 +232,8 @@ def solve_integer(mat: Mat, target):
 
 
 def hnf_rows(rows):
-    """Row-style Hermite normal form (pivots positive, entries above reduced).
+    """Row-style Hermite normal form of the row lattice, whatever its basis:
+    pivots positive, every entry above a pivot p in [0, p).
 
     Returns (hnf rows, pivot columns); zero rows are dropped.
     """
@@ -269,7 +261,8 @@ def hnf_rows(rows):
         h.append(p)
         pivots.append(col)
         work = [r for r in work if r is not p and any(r)]
-    for i in reversed(range(len(h))):
+    # in increasing order, so that no row undoes an earlier pivot's reduction
+    for i in range(len(h)):
         pc = pivots[i]
         for k in range(i):
             q = h[k][pc] // h[i][pc]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from . import linalg as la
 from .exactgeom import (
@@ -79,19 +80,16 @@ class SubdivisionOf:
     """A subdivision: a refined complex with a projection to the original.
 
     `touched` holds the ids of the original cones that were glued; every
-    other original cone is copied unchanged (see `check_subdivision`).  A
-    subdivision built without saying which counts every cone as touched.
+    other original cone is copied unchanged (see `check_subdivision`).
     """
 
     original: ConeComplex
     refined: ConeComplex
     projection: ComplexMorphism
-    touched: frozenset = None
+    touched: frozenset
 
     def __post_init__(self):
-        self.touched = frozenset(
-            self.original.cones if self.touched is None else self.touched
-        )
+        self.touched = frozenset(self.touched)
         self._cells_cache = {}
         # set by check_subdivision once the subdivision has passed its checks
         self._checked = False
@@ -890,13 +888,14 @@ def _parallelepiped_interior_point(cone: RationalCone):
     The lattice points sum(l_i r_i), 0 <= l_i < 1, of the cell are the k
     elements of Z^d / <rays>, where k is the lattice index.  With the rays'
     coordinates as the columns of R and u*R*v = diag(d_1, ..., d_d) its Smith
-    form, the class of y (0 <= y_i < d_i) has k*l = v*(y_i*k/d_i) mod k.
+    form, k = d_1 * ... * d_d and the class of y (0 <= y_i < d_i) has
+    k*l = v*(y_i*k/d_i) mod k.
     Returns the point with every l_i > 0 that minimises (k*sum(l), point),
     or None when there is none.
     """
-    k = cone.lattice_index()
     coords = tuple(la.lattice_coords(cone.span_basis, r) for r in cone.rays)
     diag, _, v = la.smith_factors(la.transpose(coords), len(coords))
+    k = prod(diag)
     best = None
     for y in product(*(range(d) for d in diag)):
         scaled = tuple(yi * (k // d) for yi, d in zip(y, diag))

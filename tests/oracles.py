@@ -21,8 +21,9 @@ into and out of a cone) are scans here, and both validators keep their nested lo
 every face map and embedding.  The one-pass canonical labelling, which
 computes the automorphisms on every call, is kept beside the library's
 memoized labelling and automorphism tables.  The exact kernel's earlier
-paths are kept as oracles too: rational elimination, a Smith form
-per solve, column-by-column inversion, double description through Fraction
+paths are kept as oracles too: rational elimination, a Smith form per
+solve, column-by-column inversion, a cone's frame from one factorisation
+per piece (`cone_frame_by_solves`), double description through Fraction
 projections and with each equation inserted as a pair of inequalities, the
 box point scan and the rational sample points.  The pairwise relative
 interior test, which the chamber count of `cones_cover_exactly` replaced,
@@ -62,6 +63,7 @@ from tropgeom.exactgeom import (
     LinearMap,
     RationalCone,
     _insert_halfspace,
+    extreme_rays_of_system,
     image_cone,
     intersect,
     lattice_surjective,
@@ -645,14 +647,16 @@ def glue_fans_whole(cx: ConeComplex, fans: dict) -> SubdivisionOf:
             new_faces.add(FaceMap(sub_id, nid, sub_map))
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
-    return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments))
+    return SubdivisionOf(
+        cx, refined, ComplexMorphism(refined, cx, assignments), cx.cones
+    )
 
 
 def check_subdivision_whole(sub: SubdivisionOf):
     """The problems of a subdivision, found everywhere: `validate_complex` on
     the whole refined complex and the wall certificate over every original
     cone, touched or not."""
-    whole = SubdivisionOf(sub.original, sub.refined, sub.projection)
+    whole = SubdivisionOf(sub.original, sub.refined, sub.projection, sub.original.cones)
     return validate_complex(sub.refined) + verify_subdivision(whole)
 
 
@@ -885,7 +889,7 @@ def solve_integer_fresh(mat, target):
     ncols = len(mat[0]) if mat else 0
     if nrows == 0:
         return (0,) * ncols
-    diag, u, v, _ = la.smith_normal_form(mat)
+    diag, u, v = la.smith_normal_form(mat)
     c = la.mat_vec(u, target)
     y = [0] * ncols
     for i in range(nrows):
@@ -911,6 +915,44 @@ def invert_unimodular_by_columns(m):
             raise ValueError("matrix is not unimodular")
         cols.append(x)
     return la.transpose(tuple(cols)) if n else ()
+
+
+def saturated_row_basis(rows):
+    """Basis of (Q-span of rows) meet Z^n: the first r rows of v^-1 for the
+    Smith form u*rows*v = D of rank r, v inverted column by column."""
+    diag, _, v = la.smith_normal_form(tuple(rows))
+    r = sum(1 for d in diag if d)
+    return invert_unimodular_by_columns(v)[:r]
+
+
+def cone_frame_by_solves(gens, ambient_rank: int):
+    """(rays, span_basis, span_eqs, facets) of the cone the primitive
+    generators span, each from its own factorisation: the saturated span
+    basis of the generators in the order given, one `lattice_coords` per
+    generator, the HNF of `kernel_basis(span_basis)` as span equations and
+    one `solve_integer` per facet lift."""
+    gens = [tuple(g) for g in gens]
+    if la.rank(gens) == ambient_rank:
+        basis = la.identity_matrix(ambient_rank)
+    else:
+        basis = saturated_row_basis(gens)
+    d = len(basis)
+    coords = [la.lattice_coords(basis, g) for g in gens]
+    _, dual_rays = extreme_rays_of_system(coords, [], d)
+    rays = sorted(
+        g
+        for g, gc in zip(gens, coords)
+        if la.rank([w for w in dual_rays if la.dot(w, gc) == 0]) == d - 1
+    )
+    if d == ambient_rank:
+        span_eqs, facets = [], dual_rays
+    else:
+        span_eqs, pivots = la.hnf_rows(la.kernel_basis(basis, ambient_rank))
+        facets = [
+            la.reduce_mod_lattice(la.solve_integer(basis, w), span_eqs, pivots)
+            for w in dual_rays
+        ]
+    return tuple(rays), tuple(basis), tuple(span_eqs), tuple(sorted(facets))
 
 
 def _vsub(u, v):

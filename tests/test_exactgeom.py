@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_cone
 from oracles import (
+    cone_frame_by_solves,
     contains_bruteforce,
     extreme_rays_of_system_fraction,
     extreme_rays_of_system_pairs,
@@ -241,6 +242,64 @@ def test_duality_property(data):
     assert eg.cone_from_generators(c.rays, rank) == c
     for g in gens:
         assert c.contains(g)
+
+
+def _frame(cone):
+    return cone.span_basis, cone.span_eqs, cone.facets
+
+
+def _fresh_cone(gens, rank):
+    """cone_from_generators on an empty cone cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eg, "_cone_cache", {})
+        return eg.cone_from_generators(gens, rank)
+
+
+def test_frame_of_a_plane_in_rank_5_ignores_generator_order():
+    gens = [(2, 3, 2, 1, 2), (0, 2, 3, 3, 1)]
+    assert _frame(_fresh_cone(gens, 5)) == _frame(_fresh_cone(gens[::-1], 5))
+
+
+@st.composite
+def low_rank_generators(draw):
+    """Up to four generators in rank 2..5 spanning fewer dimensions than the
+    rank: combinations of at most rank - 1 random vectors."""
+    rank = draw(st.integers(2, 5))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank)
+    spanning = draw(st.lists(vec, min_size=1, max_size=rank - 1))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(spanning), max_size=len(spanning))
+    gens = [
+        tuple(sum(c * v[i] for c, v in zip(cs, spanning)) for i in range(rank))
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=4))
+    ]
+    return rank, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_generators(), st.randoms(use_true_random=False))
+def test_frame_depends_on_the_generator_set_alone(data, rnd):
+    rank, gens = data
+    shuffled = list(gens)
+    rnd.shuffle(shuffled)
+    try:
+        c = _fresh_cone(gens, rank)
+    except eg.NotPointed:
+        return
+    assert _frame(_fresh_cone(shuffled, rank)) == _frame(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_cones(), low_rank_generators()))
+def test_frame_matches_one_factorisation_per_piece(data):
+    """The frame from one Smith form against the span basis, coordinates,
+    span equations and facet lifts each solved on its own."""
+    rank, gens = data
+    try:
+        c = _fresh_cone(gens, rank)
+    except eg.NotPointed:
+        return
+    prim = sorted({la.primitive(g) for g in gens if any(g)})
+    assert (c.rays, c.span_basis, c.span_eqs, c.facets) == cone_frame_by_solves(prim, rank)
 
 
 @st.composite

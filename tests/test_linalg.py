@@ -10,8 +10,10 @@ from oracles import (
     dot_zip,
     invert_unimodular_by_columns,
     rank_rational,
+    saturated_row_basis,
     solve_integer_fresh,
 )
+from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
 
 
@@ -28,29 +30,36 @@ def test_hnf_reduction():
     assert la.reduce_mod_lattice((5, 3), *la.hnf_rows([(2, -1)])) == (1, 5)
 
 
+def test_hnf_keeps_earlier_reductions():
+    # reducing row 0 by the pivot 2 before the pivot 1 would leave -1 above 2
+    assert la.hnf_rows([(0, 1, 1), (0, 0, 2), (1, 1, 0)]) == (
+        [(1, 0, 1), (0, 1, 1), (0, 0, 2)],
+        [0, 1, 2],
+    )
+
+
 def test_snf_matches_sympy():
     rng = random.Random(5)
     for _ in range(200):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         mat = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m))
-        d, u, v, vinv = la.smith_normal_form(mat, n)
+        d, u, v = la.smith_normal_form(mat, n)
         want = tuple(
             tuple(d[i] if i == j and i < len(d) else 0 for j in range(n))
             for i in range(m)
         )
         assert la.mat_mul(la.mat_mul(u, mat), v) == want
         assert la.mat_mul(u, la.invert_unimodular(u)) == la.identity_matrix(m)
-        assert la.mat_mul(v, vinv) == la.identity_matrix(n)
         sm = sympy_snf(sympy.Matrix([list(r) for r in mat]))
         assert [abs(sm[i, i]) for i in range(min(m, n))] == d
 
 
 def test_kernel_and_saturation():
     assert la.kernel_basis(((1, 1, 1),), 3) == [(-1, 1, 0), (-1, 0, 1)]
-    assert la.row_saturation_basis([(2, 0), (0, 2)], 2) == [(1, 0), (0, 1)]
+    assert eg.cone_from_generators([(2, 0), (0, 2)], 2).span_basis == ((1, 0), (0, 1))
     # a primitive vector spans a saturated lattice
-    assert la.row_saturation_basis([(2, 1)], 2) in ([(2, 1)], [(-2, -1)])
+    assert eg.cone_from_generators([(2, 1)], 2).span_basis in (((2, 1),), ((-2, -1),))
 
 
 def test_solve_integer():
@@ -135,8 +144,7 @@ def test_solve_integer_matches_a_fresh_smith_form(system):
 @settings(max_examples=200, deadline=None)
 @given(_matrices(), st.lists(st.integers(-4, 4), min_size=5, max_size=5), st.booleans())
 def test_lattice_coords_and_projection_match_fresh_solves(mat, coeffs, shift):
-    n = len(mat[0])
-    basis = tuple(la.row_saturation_basis(mat, n))
+    basis = saturated_row_basis(mat)
     if not basis:
         return
     x = la.mat_vec(la.transpose(basis), tuple(coeffs[: len(basis)]))
@@ -159,9 +167,9 @@ def test_rank_matches_rational_elimination(mat):
 
 
 @st.composite
-def _unimodular(draw):
+def _unimodular(draw, sizes=st.integers(1, 5)):
     """A product of random elementary integer row operations."""
-    n = draw(st.integers(1, 5))
+    n = draw(sizes)
     m = [list(r) for r in la.identity_matrix(n)]
     for _ in range(draw(st.integers(0, 12))):
         i = draw(st.integers(0, n - 1))
@@ -212,3 +220,26 @@ def test_dot_matches_zip(u, v):
     else:
         assert la.dot(u, v) == want
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(-6, 6)] * n), min_size=1, max_size=4),
+            st.data(),
+        )
+    )
+)
+def test_hnf_is_one_form_per_lattice(case):
+    """A change of basis of the row lattice keeps the Hermite form, and every
+    entry above a pivot p lies in [0, p)."""
+    rows, data = case
+    h, pivots = la.hnf_rows(rows)
+    if not h:
+        return
+    g = data.draw(_unimodular(st.just(len(h))))
+    assert la.hnf_rows(la.mat_mul(g, tuple(h))) == (h, pivots)
+    assert la.hnf_rows(rows[::-1]) == (h, pivots)
+    for i, pc in enumerate(pivots):
+        assert h[i][pc] > 0
+        assert all(0 <= h[k][pc] < h[i][pc] for k in range(i))
