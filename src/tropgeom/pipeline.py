@@ -386,9 +386,9 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
                 if not fiber_cell.contains_cone(img):
                     report.add("product chambers inside fiber product", scope, False, img.relint_point())
                     break
-            ok, witness, disjoint = cones_cover_exactly(fiber_cell, chambers)
-            report.add("product chambers cover fiber product", scope, ok, witness)
-            report.add("product chamber interiors disjoint", scope, disjoint)
+            witness, overlap = cones_cover_exactly(fiber_cell, chambers)
+            report.add("product chambers cover fiber product", scope, witness is None, witness)
+            report.add("product chamber interiors disjoint", scope, overlap is None, overlap)
 
 
 def verify_theorem_hypotheses(

@@ -402,7 +402,7 @@ def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
     cells over its faces.  A touched face passes `verify_subdivision` with
     its whole cone as a cell, which is then its one maximal cell, every
     other cell being a face of it; an untouched face is the same case one
-    dimension lower.  So the cells over c are the faces of c, and checks 1-4
+    dimension lower.  So the cells over c are the faces of c, and checks 1-3
     of `verify_subdivision` hold over c.
     """
     if sub._checked:
@@ -436,8 +436,7 @@ def verify_subdivision(sub: SubdivisionOf):
        of C is a facet of exactly one maximal cell, and every other wall is
        a facet of exactly two, which lie on opposite sides of it;
     3. the relative interior point of the first maximal cell lies in no
-       other maximal cell;
-    4. any two maximal cells meet in a common face.
+       other maximal cell.
 
     Checks 2 and 3 make the maximal cells cover C once.  The covering number
     of a point, the number of maximal cells containing it, can only change
@@ -449,17 +448,25 @@ def verify_subdivision(sub: SubdivisionOf):
     number is the same on both sides.  It is therefore constant on the
     generic points of C, and check 3 makes it 1 next to the first cell's
     interior point: the maximal cells cover C and their interiors are
-    disjoint.  This is the pseudo-manifold characterisation of subdivisions
-    (De Loera, Rambau and Santos, *Triangulations*, Springer 2010).  Check 4
-    makes the cover a fan.  A generic segment between two maximal cells
-    crosses internal walls only, each joining exactly two cells, so the
-    maximal cells are connected through their walls whenever checks 2 and 3
-    pass.  Faces of cells that meet in a common face meet in a common face
-    too, so by check 1 the lower dimensional cells need no pairwise test.
+    disjoint.
 
-    Check 4 runs on pairs of maximal cells only, and a pair that a facet of
-    either cell separates is settled without double description (see
-    `_meet_in_a_face`).
+    The cover is then a fan: any two maximal cells A and B meet in a common
+    face.  Let x lie in both.  The cells containing x cover a neighbourhood
+    of x in C, so a generic path near x from the interior of A to that of B
+    crosses only relative interiors of internal walls W through x.  By check
+    2 each such W is a facet of exactly one other cell, on the far side, and
+    since interiors are disjoint that is the cell the path enters.  The
+    smallest face of a cell containing x is the smallest face of W
+    containing x, the same on both sides of every crossing, so the smallest
+    faces F_A(x) of A and F_B(x) of B containing x are equal.  Take x in the
+    relative interior of A ∩ B: every convex subset of A whose relative
+    interior holds x lies in F_A(x), so A ∩ B lies in F_A(x) = F_B(x), which
+    lies in A ∩ B, and the meet is a common face.  This is the
+    pseudo-manifold characterisation of subdivisions (De Loera, Rambau and
+    Santos, *Triangulations*, Springer 2010, §4.5).  The same path argument
+    makes the maximal cells wall connected.  Faces of cells that meet in a
+    common face meet in a common face too, so by check 1 the lower
+    dimensional cells need no test of their own.
     """
     out = []
     for cid in sorted(sub.touched):
@@ -504,41 +511,10 @@ def verify_subdivision(sub: SubdivisionOf):
                 out.append(
                     f"point {p} of {cid} lies in cells {maxima[0].rays} and {m.rays}"
                 )
-        for i, a in enumerate(maxima):
-            for b in maxima[i + 1 :]:
-                if not _meet_in_a_face(a, b):
-                    out.append(
-                        f"cells {a.rays} and {b.rays} in {cid} do not meet in a common face"
-                    )
     return out
 
 
-def _meet_in_a_face(a: RationalCone, b: RationalCone) -> bool:
-    """Whether the cones a and b meet in a face of both.
-
-    A facet covector f of one cone that is <= 0 on every ray of the other
-    confines a and b to meet inside their faces on f = 0.  Those faces are
-    accepted when they are equal or one is the zero cone, and are tested the
-    same way otherwise (a face of a face is a face).  Only a pair that no
-    facet of either separates is intersected.
-    """
-    while a.rays != b.rays and not a.is_zero() and not b.is_zero():
-        f = _facet_beneath(a, b) or _facet_beneath(b, a)
-        if f is None:
-            cut = intersect(a, b)
-            return cut.is_face_of(a) and cut.is_face_of(b)
-        a, b = a.face_at([f]), b.face_at([f])
-    return True
-
-
-def _facet_beneath(a: RationalCone, b: RationalCone):
-    """A facet covector of a that is <= 0 on every ray of b, or None."""
-    return next(
-        (f for f in a.facets if all(la.dot(f, r) <= 0 for r in b.rays)), None
-    )
-
-
-def soundness_sample(sub: SubdivisionOf, rng, per_cone: int = 12):
+def soundness_sample(sub: SubdivisionOf, rng, per_cone: int):
     """Sampled exact membership check: every sampled point of an original cone
     lies in some maximal cell and in the relative interior of at most one.
     Raises UnsoundSample, naming the cone and the point, when one does not."""
@@ -735,18 +711,19 @@ def cones_cover_exactly(target: RationalCone, cells):
 
     Slices the target by every supporting covector (facet and span equation)
     of every cell inside it, and counts for each full dimensional chamber
-    the distinct cells containing it.  Returns (ok, witness, disjoint): ok
-    when every chamber lies in some cell, witness the relative interior
-    point of the first chamber in none (None when ok), and disjoint when no
-    chamber lies in two.
+    the distinct cells containing it.  Returns (witness, overlap): witness
+    the relative interior point of the first chamber in no cell, and overlap
+    that point of the first chamber in two cells, each None when there is no
+    such chamber.  The cells cover the target exactly when witness is None.
 
     Every facet and span equation of every cell is a hyperplane of the
     arrangement, so each full dimensional chamber lies inside a cell or
     misses that cell's relative interior.  Hence two cells of full dimension
     in the target's span have meeting relative interiors exactly when some
-    chamber lies in both: disjoint is the pairwise relative interior test on
-    those cells.  Cells that do not lie in the target take part in neither
-    verdict.
+    chamber lies in both, and then the chamber's relative interior point,
+    overlap, lies in the relative interior of both: overlap is None exactly
+    when the pairwise relative interior test on those cells passes.  Cells
+    that do not lie in the target take part in neither verdict.
     """
     cells = {c for c in cells if target.contains_cone(c)}
     covs = set()
@@ -754,15 +731,16 @@ def cones_cover_exactly(target: RationalCone, cells):
         covs.update(map(_canon_covector, c.facets))
         covs.update(map(_canon_covector, c.span_eqs))
     covs = sorted(w for w in covs if _slices(target, w))
-    witness, disjoint = None, True
+    witness = overlap = None
     for chamber in _chambers(target, covs):
         if chamber.dim != target.dim:
             continue
         holding = sum(1 for c in cells if c.contains_cone(chamber))
         if holding == 0 and witness is None:
             witness = chamber.relint_point()
-        disjoint = disjoint and holding < 2
-    return witness is None, witness, disjoint
+        if holding > 1 and overlap is None:
+            overlap = chamber.relint_point()
+    return witness, overlap
 
 
 # ---------------------------------------------------------------------------

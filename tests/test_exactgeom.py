@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -385,6 +387,40 @@ def test_soundness_sample_builds_no_fraction(fractions_made):
     sub = hyperplane_refine(cx, {ids[orthant.rays]: [(1, -1, 0), (0, 1, -1)]})
     assert soundness_sample(sub, random.Random(5), per_cone=12)
     assert fractions_made == []
+
+
+def _inexact_arithmetic(tree):
+    """The lines of a module that divide truly, call float or import the
+    fractions or decimal modules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append((node.lineno, "float call"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            if any(m and m.split(".")[0] in ("fractions", "decimal") for m in modules):
+                found.append((node.lineno, "inexact import"))
+    return found
+
+
+def test_library_is_integer_arithmetic_only():
+    """No floating point and no rational type anywhere in the library; a
+    float annotation such as a timing field's is not arithmetic."""
+    sample = "\n".join(
+        ["import fractions", "from decimal import Decimal", "x = 1 / 2", "x /= 2"]
+        + ["y = float(3)", "z: float = 0 // 2"]
+    )
+    assert [what for _, what in _inexact_arithmetic(ast.parse(sample))] == [
+        "inexact import", "inexact import", "true division", "true division", "float call"
+    ]
+    found = {
+        path.name: _inexact_arithmetic(ast.parse(path.read_text(), str(path)))
+        for path in sorted(Path(eg.__file__).parent.glob("*.py"))
+    }
+    assert len(found) > 5
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @settings(max_examples=200, deadline=None)

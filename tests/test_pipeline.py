@@ -25,6 +25,7 @@ from tropgeom.pipeline import (
     two_factor_types,
 )
 from tropgeom.subdivision import (
+    cones_cover_exactly,
     hyperplane_refine,
     refine_until_conical,
     UnsoundSample,
@@ -153,6 +154,32 @@ class TestRuns:
         assert report.all_passed
         assert sorted(report.inputs["types"]) == ["X", "X3", "Y", "Z"]
         assert any(c.name == "product chambers cover fiber product" for c in report.checks)
+
+    def test_overlapping_chambers_carry_a_point(self, monkeypatch):
+        # a chamber inside the first one, on its interior point and its
+        # other rays, overlaps it wherever a fiber cell is at least planar
+        compared = []
+
+        def with_inner_chamber(target, cells):
+            inner = None
+            if target.dim >= 2 and cells:
+                first = cells[0]
+                inner = eg.cone_from_generators(
+                    (first.relint_point(),) + first.rays[1:], first.ambient_rank
+                )
+                cells = cells + [inner]
+            compared.append(inner)
+            return cones_cover_exactly(target, cells)
+
+        monkeypatch.setattr(pipeline, "cones_cover_exactly", with_inner_chamber)
+        report = run_contacts(1, 2, [(2, -2), (1, -1)])
+        name = "product chamber interiors disjoint"
+        disjoint = [c for c in report.checks if c.name == name]
+        assert len(disjoint) == len(compared) and any(compared)
+        for check, inner in zip(disjoint, compared):
+            assert check.passed == (inner is None)
+            if inner is not None:
+                assert inner.contains_in_relint(check.witness)
 
     def test_failed_union_check_carries_a_point(self, monkeypatch):
         # without Gamma the images on M_{1,3} are not unions of base cones

@@ -391,10 +391,9 @@ class TestSoundness:
         target = eg.cone_from_generators([(1, 0), (0, 1)])
         a = eg.cone_from_generators([(1, 0), (1, 1)])
         b = eg.cone_from_generators([(1, 1), (0, 1)])
-        ok, _, _ = cones_cover_exactly(target, [a, b])
-        assert ok
-        ok, witness, _ = cones_cover_exactly(target, [a])
-        assert not ok and target.contains(witness) and not a.contains(witness)
+        assert cones_cover_exactly(target, [a, b]) == (None, None)
+        witness, _ = cones_cover_exactly(target, [a])
+        assert target.contains(witness) and not a.contains(witness)
 
 
 def _chamber_cases():
@@ -430,16 +429,19 @@ def _chamber_cases():
 @pytest.mark.parametrize("case", list(_chamber_cases()))
 def test_chamber_verdicts_against_the_pairwise_oracle(case):
     """One arrangement gives the cover verdict and its witness as before, and
-    the overlap verdict of intersecting every pair of distinct cells."""
+    the overlap verdict of intersecting every pair of distinct cells, with a
+    point interior to two of them."""
     gens, cell_gens, cover = _chamber_cases()[case]
     rank = len(gens[0])
     target = eg.cone_from_generators(gens, rank)
     cells = [eg.cone_from_generators(c, rank) for c in cell_gens]
-    ok, witness, disjoint = cones_cover_exactly(target, cells)
-    assert (ok, witness) == cover
-    assert disjoint == (
+    witness, overlap = cones_cover_exactly(target, cells)
+    assert (witness is None, witness) == cover
+    assert (overlap is None) == (
         not any(a != b and relints_intersect(a, b) for a, b in combinations(cells, 2))
     )
+    if overlap is not None:
+        assert sum(c.contains_in_relint(overlap) for c in set(cells)) >= 2
 
 
 def _same_subdivision(a, b):
@@ -633,6 +635,66 @@ class TestBrokenFans:
         with pytest.raises(eg.GeometryError, match="not well glued"):
             check_subdivision(sub)
         assert not sub._checked
+
+
+def _random_covector(rng, r, bound=2):
+    while True:
+        w = tuple(rng.randint(-bound, bound) for _ in range(r))
+        if any(w):
+            return w
+
+
+def _random_fan(rng, how):
+    """An orthant of rank 2-4 and a fan of cells in it: the orthant sliced
+    by one or two random covectors, then changed in one of three ways.
+    "cut one" slices one cell by a covector (T-junctions where the cut meets
+    a wall), "cut every" slices every cell by the same covector (a fan),
+    "move" moves a ray of one cell by +-1 in one coordinate."""
+    r = rng.choice((2, 3, 4))
+    orthant = eg.cone_from_generators(la.identity_matrix(r), r)
+    covectors = [_random_covector(rng, r) for _ in range(rng.randint(1, 2))]
+    cells = subdivision._chambers(orthant, covectors)
+    k = rng.randrange(len(cells))
+    if how == "cut one":
+        # a thin cell is sliced only by larger covectors
+        bound = 2
+        while not subdivision._slices(cells[k], w := _random_covector(rng, r, bound)):
+            bound += 1
+        cells[k : k + 1] = subdivision._chambers(cells[k], [w])
+    elif how == "cut every":
+        w = _random_covector(rng, r)
+        cells = [p for c in cells for p in subdivision._chambers(c, [w])]
+    else:
+        rays = [list(x) for x in cells[k].rays]
+        ray = rng.choice(rays)
+        # a coordinate whose change does more than rescale the ray; the ray
+        # stays in the orthant, since `_assemble` takes cells inside their cone
+        i = rng.choice([i for i in range(r) if any(ray[:i] + ray[i + 1 :])])
+        ray[i] += 1 if ray[i] == 0 else rng.choice((-1, 1))
+        cells[k] = eg.cone_from_generators([tuple(x) for x in rays], r)
+    return orthant, cells
+
+
+def test_certificate_agrees_with_the_pairwise_oracle_on_random_fans():
+    """Checks 2 and 3 of the wall certificate make maximal cells meet face
+    to face, so the certificate passes a random fan exactly when the
+    all-pairs oracle does."""
+    rng = random.Random(2310)
+    verdicts = []
+    for k in range(150):
+        orthant, cells = _random_fan(rng, ("cut one", "cut every", "move")[k % 3])
+        cx, _ = complex_from_fan([orthant], orthant.ambient_rank)
+        # every face of the orthant gets the cells that the fan puts on it
+        closure = {f for c in cells for f in c.all_faces()}
+        fans = {
+            cid: [c for c in closure if c.dim == face.dim and face.contains_cone(c)]
+            for cid, face in cx.cones.items()
+        }
+        sub = _assemble(cx, fans)
+        passed = verify_subdivision(sub) == []
+        assert passed == (verify_subdivision_pairwise(sub) == []), [c.rays for c in cells]
+        verdicts.append(passed)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
 
 class TestCheckedOnce:
