@@ -56,6 +56,9 @@ class DualGraph:
     genera: tuple  # genus per vertex
     edges: tuple  # (u, v) pairs with u <= v, sorted
     legs: tuple  # legs[i] = vertex carrying marking i + 1
+    # hash((genera, edges, legs)), the hash the dataclass would generate,
+    # computed once: graphs key the labelling tables and the closure builder
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -63,6 +66,10 @@ class DualGraph:
         )
         object.__setattr__(self, "genera", tuple(self.genera))
         object.__setattr__(self, "legs", tuple(self.legs))
+        object.__setattr__(self, "_hash", hash((self.genera, self.edges, self.legs)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_vertices(self):
@@ -343,14 +350,35 @@ def contract_subset(graph: DualGraph, edge_indices):
     g = graph
     survivors = [(i, 1) for i in range(graph.num_edges)]
     for idx in sorted(edge_indices, reverse=True):
-        pos = next((p for p, (i, _) in enumerate(survivors) if i == idx), None)
-        if pos is None:
-            raise NoSuchEdge(f"edge {idx} out of range")
-        g, kept = _merge_vertices(g, pos)
-        survivors = [
-            (survivors[p][0], survivors[p][1] * sign) for p, sign in kept
-        ]
+        g, survivors = _contract_survivor(g, survivors, idx)
     return g, survivors
+
+
+def _contract_survivor(graph: DualGraph, survivors, idx):
+    """Contract the edge whose original index is idx in a graph contracted
+    as survivors says; returns the new (raw graph, survivors)."""
+    pos = next((p for p, (i, _) in enumerate(survivors) if i == idx), None)
+    if pos is None:
+        raise NoSuchEdge(f"edge {idx} out of range")
+    g, kept = _merge_vertices(graph, pos)
+    return g, [(survivors[p][0], survivors[p][1] * sign) for p, sign in kept]
+
+
+def _contracted_subsets(graph: DualGraph):
+    """(subset, raw graph, survivors) for every nonempty edge subset, by size
+    and then in combinations order, each as contract_subset(graph, subset)
+    gives it.  contract_subset contracts the highest index first, so subset S
+    is S minus its smallest edge, already contracted, merged at that edge:
+    one merge per subset."""
+    ne = graph.num_edges
+    level = {(): (graph, [(i, 1) for i in range(ne)])}
+    for size in range(1, ne + 1):
+        prev, level = level, {}
+        for subset in combinations(range(ne), size):
+            raw, survivors = level[subset] = _contract_survivor(
+                *prev[subset[1:]], subset[0]
+            )
+            yield subset, raw, survivors
 
 
 def contract_edge(graph: DualGraph, edge_index: int):
@@ -586,11 +614,12 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
     seeds are (graph, edge data) pairs.  make(graph, data) builds the object
     that stands for a canonical pair, and cone_of(object) its cone in edge
     length coordinates.  The canonical pair is the key: make runs once per
-    new pair.  Every subset of every pair's edges is contracted once; that
-    one canonicalization gives the face map and, for a single edge, finds
-    new pairs.  Contracting several edges at once must land on a pair found
-    that way.  Cone ids are prefix + rank in sort_key order.  Automorphisms
-    are computed once per pair found.  Returns (complex, cone id -> object).
+    new pair.  Every subset of every pair's edges is contracted once, by one
+    merge (`_contracted_subsets`); that one canonicalization gives the face
+    map and, for a single edge, finds new pairs.  Contracting several edges
+    at once must land on a pair found that way.  Cone ids are prefix + rank
+    in sort_key order.  Automorphisms are computed once per pair found.
+    Returns (complex, cone id -> object).
     """
     found = {}  # canonical (graph, data) -> object
     contractions = {}  # canonical pair -> [(contracted edges, pair, face matrix)]
@@ -611,14 +640,12 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
         graph, data = pair
         ne = graph.num_edges
         out = contractions[pair] = []
-        for size in range(1, ne + 1):
-            for subset in combinations(range(ne), size):
-                raw, survivors = contract_subset(graph, subset)
-                raw_data = tuple(
-                    data[i] if sign > 0 else _flip(data[i]) for i, sign in survivors
-                )
-                sub, eperm = canonical(raw, raw_data, size == 1)
-                out.append((subset, sub, _face_matrix(ne, survivors, eperm)))
+        for subset, raw, survivors in _contracted_subsets(graph):
+            raw_data = tuple(
+                data[i] if sign > 0 else _flip(data[i]) for i, sign in survivors
+            )
+            sub, eperm = canonical(raw, raw_data, len(subset) == 1)
+            out.append((subset, sub, _face_matrix(ne, survivors, eperm)))
 
     # sort_key takes per-factor slope rows, the transpose of the edge data
     ordered = sorted(found, key=lambda p: sort_key(p[0], tuple(zip(*p[1]))))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 from . import linalg as la
 from .linalg import Mat, Vec
@@ -36,6 +37,9 @@ class LinearMap:
     matrix: Mat
     source_rank: int
     target_rank: int
+    # hash((matrix, source_rank, target_rank)), the hash the dataclass would
+    # generate, computed once: maps key memo tables and sets
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.matrix) != self.target_rank or any(
@@ -45,6 +49,12 @@ class LinearMap:
                 f"matrix shape {len(self.matrix)} rows does not match "
                 f"{self.target_rank}x{self.source_rank}"
             )
+        object.__setattr__(
+            self, "_hash", hash((self.matrix, self.source_rank, self.target_rank))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -206,6 +216,15 @@ class RationalCone:
     span_eqs: tuple = field(compare=False)
     span_basis: tuple = field(compare=False)
     _faces: tuple | None = field(default=None, init=False, compare=False)
+    # hash((ambient_rank, rays)), the hash the dataclass would generate,
+    # computed once
+    _hash: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.ambient_rank, self.rays)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"RationalCone(rank={self.ambient_rank}, dim={self.dim}, rays={list(self.rays)})"
@@ -213,20 +232,30 @@ class RationalCone:
     def is_zero(self) -> bool:
         return not self.rays
 
+    # The covectors of a cone have its rank, so once a point's rank is checked
+    # the questions below sum each product without a call to `la.dot`.
+
     def contains(self, x) -> bool:
         if len(x) != self.ambient_rank:
             raise RankMismatch("point rank mismatch")
-        return all(la.dot(e, x) == 0 for e in self.span_eqs) and all(
-            la.dot(f, x) >= 0 for f in self.facets
-        )
+        for e in self.span_eqs:
+            if sum(map(mul, e, x)):
+                return False
+        for f in self.facets:
+            if sum(map(mul, f, x)) < 0:
+                return False
+        return True
 
     def contains_in_relint(self, x) -> bool:
         if len(x) != self.ambient_rank:
             raise RankMismatch("point rank mismatch")
-        return (
-            all(la.dot(e, x) == 0 for e in self.span_eqs)
-            and all(la.dot(f, x) > 0 for f in self.facets)
-        )
+        for e in self.span_eqs:
+            if sum(map(mul, e, x)):
+                return False
+        for f in self.facets:
+            if sum(map(mul, f, x)) <= 0:
+                return False
+        return True
 
     def contains_cone(self, other: "RationalCone") -> bool:
         key = (self.ambient_rank, self.rays, other.rays)
@@ -250,18 +279,17 @@ class RationalCone:
         key = (self.ambient_rank, self.rays, tuple(map(tuple, covectors)))
         face = _face_cache.get(key)
         if face is None:
-            kept = [
-                r for r in self.rays if all(la.dot(c, r) == 0 for c in key[2])
-            ]
+            if self.rays:
+                la.check_width(key[2], self.ambient_rank)
+            kept = _orthogonal(self.rays, key[2])
             face = cone_from_generators(kept, self.ambient_rank)
             _face_cache[key] = face
         return face
 
     def minimal_face_containing(self, sub: "RationalCone") -> "RationalCone":
-        active = [
-            f for f in self.facets if all(la.dot(f, r) == 0 for r in sub.rays)
-        ]
-        return self.face_at(active)
+        if sub.rays:
+            la.check_width(self.facets, sub.ambient_rank)
+        return self.face_at(_orthogonal(self.facets, sub.rays))
 
     def all_faces(self):
         """Every face of the cone, including itself and the zero cone."""
@@ -310,6 +338,19 @@ class RationalCone:
         return cone_from_generators(
             [tuple(int(x) for x in r) for r in data["rays"]], int(data["rank"])
         )
+
+
+def _orthogonal(xs, ys) -> list:
+    """The entries of xs orthogonal to every entry of ys, in order; all the
+    vectors have one length."""
+    kept = []
+    for x in xs:
+        for y in ys:
+            if sum(map(mul, x, y)):
+                break
+        else:
+            kept.append(x)
+    return kept
 
 
 def zero_cone(ambient_rank: int) -> RationalCone:
@@ -436,7 +477,9 @@ def image_cone(f: LinearMap, c: RationalCone) -> RationalCone:
     key = (f.matrix, f.target_rank, c.rays)
     img = _image_cache.get(key)
     if img is None:
-        img = cone_from_generators([f.apply(r) for r in c.rays], f.target_rank)
+        # the ranks are checked above, so the rays go to mat_vec directly
+        rays = [la.mat_vec(f.matrix, r) for r in c.rays]
+        img = cone_from_generators(rays, f.target_rank)
         _image_cache[key] = img
     return img
 

@@ -9,7 +9,9 @@ once: the factorisation is kept by `smith_factors`, which `solve_integer`,
 `kernel_basis` and the lattice index of a cone share; a new cone's whole
 frame comes from one `smith_normal_form` of its generators (see
 `exactgeom.cone_from_generators`).  `hnf_rows` is the one Hermite form of a
-row lattice, whatever basis it is given.
+row lattice, whatever basis it is given.  `dot` is the checked product of
+one pair; `mat_vec` and `mat_mul` check their shapes once per call and then
+sum each product without a call per pair.
 """
 
 from __future__ import annotations
@@ -30,12 +32,25 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in v)
 
 
+def _ragged(width: int, n: int) -> ValueError:
+    # a ragged pair raises the ValueError zip(strict=True) raises
+    side = "shorter" if n < width else "longer"
+    return ValueError(f"zip() argument 2 is {side} than argument 1")
+
+
 def dot(u, v):
     if len(u) != len(v):
-        # a ragged pair raises the ValueError zip(strict=True) raises
-        side = "shorter" if len(v) < len(u) else "longer"
-        raise ValueError(f"zip() argument 2 is {side} than argument 1")
+        raise _ragged(len(u), len(v))
     return sum(map(mul, u, v))
+
+
+def check_width(rows, n: int):
+    """Raise the ValueError `dot(row, v)` raises on a ragged pair unless every
+    row has the length n of v: the shape check of a whole product, made once
+    before its entries are summed without a call per pair."""
+    for row in rows:
+        if len(row) != n:
+            raise _ragged(len(row), n)
 
 
 def vadd(u, v):
@@ -47,14 +62,19 @@ def vscale(c, v):
 
 
 def mat_vec(m: Mat, v) -> Vec:
-    """Apply a matrix (rows index target coordinates) to a column vector."""
-    return tuple(dot(row, v) for row in m)
+    """Apply a matrix (rows index target coordinates) to a column vector;
+    a row of another length than v raises the ValueError `dot` raises."""
+    check_width(m, len(v))
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Matrix product a*b, both given as row tuples."""
+    """Matrix product a*b, both given as row tuples; a row of a whose length
+    is not the number of rows of b raises the ValueError `dot` raises."""
     bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+    if bt:
+        check_width(a, len(b))
+    return tuple(tuple([sum(map(mul, ra, cb)) for cb in bt]) for ra in a)
 
 
 def transpose(m: Mat) -> Mat:

@@ -209,11 +209,16 @@ def _contact_data(g: int, n: int, vectors) -> ContactData:
     return ContactData(g, vectors)
 
 
+_MISSING = object()
+
+
 def _kept(table: dict, key, make):
-    """table[key], made by make() and kept there when it is missing."""
-    if key not in table:
-        table[key] = make()
-    return table[key]
+    """table[key], made by make() and kept there when it is missing; a hit
+    hashes the key, often a long tuple of map types, once."""
+    value = table.get(key, _MISSING)
+    if value is _MISSING:
+        value = table[key] = make()
+    return value
 
 
 def _labelled_types(contact: ContactData, max_edges=None, base=None):

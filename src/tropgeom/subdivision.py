@@ -208,6 +208,7 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
     until stable.  Returns the cells keyed by the touched cones.  An untouched
     cone's cells are its own faces: pullback from an untouched cone adds only
     faces of a cone, which a subdivision already holds (see `_unrefined`).
+    A given cell that leaves its cone raises a GeometryError.
     """
     touched = set()
     stack = [cid for cid, fan in fans.items() if list(fan) != [cx.cones[cid]]]
@@ -222,6 +223,12 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
     for cid in touched:
         got = set()
         for c in fans.get(cid, (cx.cones[cid],)):
+            # the closure keeps cells inside their cones; a given cell that
+            # leaves its cone would be owned by a face whose cells never hold it
+            if not cx.cones[cid].contains_cone(c):
+                raise GeometryError(
+                    f"cell {c.rays} of the fan of cone {cid} leaves the cone"
+                )
             got.update(c.all_faces())
         cells[cid] = got
     for _ in range(MAX_FIXPOINT_ROUNDS):

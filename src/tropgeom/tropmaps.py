@@ -9,7 +9,7 @@ the orthant of the underlying graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from operator import mul
@@ -77,6 +77,9 @@ class RubberMapType:
     graph: DualGraph
     slopes: tuple  # per factor, a tuple of signed ints, one per edge
     contact: ContactData
+    # hash((graph, slopes, contact)), the hash the dataclass would generate,
+    # computed once: tuples of types key the sweep's tables
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slopes", tuple(tuple(s) for s in self.slopes))
@@ -87,6 +90,10 @@ class RubberMapType:
                 raise ValueError("one slope per edge required")
         if self.graph.num_legs != self.contact.num_markings:
             raise ValueError("graph markings do not match the contact data")
+        object.__setattr__(self, "_hash", hash((self.graph, self.slopes, self.contact)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_factors(self):

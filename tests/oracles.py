@@ -6,28 +6,31 @@ placement, types from every slope vector on those graphs, and classes are
 told apart by trying every vertex bijection; the types are kept by the
 hand-written graph walks the library replaced with its incidence matrix and
 a topological sort (vertex sums for balancing, a depth-first search for the
-heights, and the spanning-tree cycle equations).  The cone oracles find facets
-by subset enumeration and membership by Caratheodory subsets of rays, and
-the subdivision oracle intersects every pair of cells (`is_identity`, which
-only the tests ask, sits beside it).  The contraction
-closure builder that makes and hashes an object for every contracted edge
-subset is kept beside the library's, which keys by the canonical pair.  The
-whole-complex assembler glues every cone, where the library glues only the
-cones a step touches and copies the rest, and the whole check of a
-subdivision validates every refined cone and certifies every original cone,
-where the library checks only the cones a step glued.  The face lookups
-that a complex indexes (the embedding that stands for a face, the face maps
-into and out of a cone) are scans here, and both validators keep their nested loops over
-every face map and embedding.  The one-pass canonical labelling, which
-computes the automorphisms on every call, is kept beside the library's
-memoized labelling and automorphism tables.  The exact kernel's earlier
-paths are kept as oracles too: rational elimination, a Smith form per
-solve, column-by-column inversion, a cone's frame from one factorisation
-per piece (`cone_frame_by_solves`), double description through Fraction
-projections and with each equation inserted as a pair of inequalities, the
-box point scan and the rational sample points.  The pairwise relative
-interior test, which the chamber count of `cones_cover_exactly` replaced,
-is kept here too.  The tests compare the library against them.
+heights, and the spanning-tree cycle equations).  The cone oracles find
+facets by subset enumeration and membership by Caratheodory subsets of rays;
+the covector questions of a cone (membership, relative interior, the face
+where covectors vanish, the smallest face holding a cone) and the matrix
+products keep one `dot` call per pair.  The subdivision oracle intersects
+every pair of cells (`is_identity`, which only the tests ask, sits beside
+it).  The contraction closure builder that makes and hashes an object for
+every contracted edge subset is kept beside the library's, which keys by the
+canonical pair.  The whole-complex assembler glues every cone, where the
+library glues only the cones a step touches and copies the rest, and the
+whole check of a subdivision validates every refined cone and certifies
+every original cone, where the library checks only the cones a step glued.
+The face lookups that a complex indexes (the embedding that stands for a
+face, the face maps into and out of a cone) are scans here, and both
+validators keep their nested loops over every face map and embedding.  The
+one-pass canonical labelling, which computes the automorphisms on every
+call, is kept beside the library's memoized labelling and automorphism
+tables.  The exact kernel's earlier paths are kept as oracles too: rational
+elimination, a Smith form per solve, column-by-column inversion, a cone's
+frame from one factorisation per piece (`cone_frame_by_solves`), double
+description through Fraction projections and with each equation inserted as
+a pair of inequalities, the box point scan and the rational sample points.
+The pairwise relative interior test, which the chamber count of
+`cones_cover_exactly` replaced, is kept here too.  The tests compare the
+library against them.
 """
 
 from fractions import Fraction
@@ -61,8 +64,10 @@ from tropgeom.complexes import (
 from tropgeom.exactgeom import (
     GeometryError,
     LinearMap,
+    RankMismatch,
     RationalCone,
     _insert_halfspace,
+    cone_from_generators,
     extreme_rays_of_system,
     image_cone,
     intersect,
@@ -390,6 +395,38 @@ def contains_bruteforce(cone: RationalCone, x) -> bool:
             if all(c >= 0 for c in sol):
                 return True
     return False
+
+
+def contains_by_dot(cone: RationalCone, x) -> bool:
+    """`RationalCone.contains` through one `la.dot` per covector."""
+    if len(x) != cone.ambient_rank:
+        raise RankMismatch("point rank mismatch")
+    return all(la.dot(e, x) == 0 for e in cone.span_eqs) and all(
+        la.dot(f, x) >= 0 for f in cone.facets
+    )
+
+
+def contains_in_relint_by_dot(cone: RationalCone, x) -> bool:
+    """`RationalCone.contains_in_relint` through one `la.dot` per covector."""
+    if len(x) != cone.ambient_rank:
+        raise RankMismatch("point rank mismatch")
+    return all(la.dot(e, x) == 0 for e in cone.span_eqs) and all(
+        la.dot(f, x) > 0 for f in cone.facets
+    )
+
+
+def face_at_by_dot(cone: RationalCone, covectors) -> RationalCone:
+    """`RationalCone.face_at`, uncached, through one `la.dot` per pair."""
+    kept = [r for r in cone.rays if all(la.dot(c, r) == 0 for c in covectors)]
+    return cone_from_generators(kept, cone.ambient_rank)
+
+
+def minimal_face_containing_by_dot(cone: RationalCone, sub: RationalCone):
+    """`RationalCone.minimal_face_containing` through one `la.dot` per pair."""
+    active = [
+        f for f in cone.facets if all(la.dot(f, r) == 0 for r in sub.rays)
+    ]
+    return face_at_by_dot(cone, active)
 
 
 def verify_subdivision_pairwise(sub):
@@ -880,6 +917,17 @@ def solve(mat, target):
 def dot_zip(u, v):
     """The dot product through zip(strict=True)."""
     return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def mat_vec_by_rows(m, v):
+    """A matrix times a vector, one `dot_zip` per row."""
+    return tuple(dot_zip(row, v) for row in m)
+
+
+def mat_mul_by_rows(a, b):
+    """A matrix product, one `dot_zip` per row of a and column of b."""
+    bt = la.transpose(b)
+    return tuple(tuple(dot_zip(ra, cb) for cb in bt) for ra in a)
 
 
 def solve_integer_fresh(mat, target):

@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import moduli_cached
+from conftest import lemma_inputs, moduli_cached
 from oracles import enumerate_stable_graphs_bruteforce, validate_complex_loops
 from tropgeom import exactgeom as eg
 from tropgeom.curves import (
@@ -12,13 +13,17 @@ from tropgeom.curves import (
     DualGraph,
     NoSuchEdge,
     Unstable,
+    _contracted_subsets,
     build_complex_from_graphs,
+    build_moduli_complex,
     canonical_form,
     contract_edge,
+    contract_subset,
     enumerate_stable_graphs,
     genus,
     stabilize,
 )
+from tropgeom.pipeline import contact_types
 
 THETA = DualGraph((0, 0), ((0, 1), (0, 1), (0, 1)), ())
 
@@ -213,3 +218,27 @@ class TestModuliComplex:
     def test_graph_json_roundtrip(self):
         for graph in enumerate_stable_graphs(1, 2):
             assert DualGraph.from_json(graph.to_json()) == graph
+
+
+def test_one_merge_per_subset_matches_contract_subset():
+    """The closure builder contracts each edge subset by one merge from the
+    subset without its smallest edge; every raw graph and survivor list is
+    the one contract_subset makes, on the graphs of M_{0,6}, M_{1,3} and
+    M_{2,2} (at most three edges) and of the map types of criterion 2's
+    (1,3) runs."""
+    graphs = set()
+    for g, n in [(0, 6), (1, 3)]:
+        graphs.update(moduli_cached(g, n).graphs.values())
+    graphs.update(build_moduli_complex(2, 2, max_edges=3).graphs.values())
+    for vectors in lemma_inputs(3):
+        for types in contact_types(1, 3, vectors)[1].values():
+            graphs.update(t.graph for t in types)
+    assert len(graphs) > 300
+    for graph in graphs:
+        ne = graph.num_edges
+        got = list(_contracted_subsets(graph))
+        assert [s for s, _, _ in got] == [
+            s for k in range(1, ne + 1) for s in combinations(range(ne), k)
+        ]
+        for subset, raw, survivors in got:
+            assert (raw, survivors) == contract_subset(graph, subset)

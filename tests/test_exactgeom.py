@@ -12,6 +12,10 @@ from conftest import random_cone
 from oracles import (
     cone_frame_by_solves,
     contains_bruteforce,
+    contains_by_dot,
+    contains_in_relint_by_dot,
+    face_at_by_dot,
+    minimal_face_containing_by_dot,
     extreme_rays_of_system_fraction,
     extreme_rays_of_system_pairs,
     facets_bruteforce,
@@ -100,6 +104,54 @@ class TestMembership:
         for ask in (c.contains, c.contains_in_relint):
             with pytest.raises(eg.RankMismatch):
                 ask(wrong)
+
+    def test_covector_questions_match_one_dot_per_pair(self, rng):
+        """Membership, relative interior, the face where covectors vanish and
+        the smallest face holding a cone, against one `la.dot` per pair."""
+        for _ in range(80):
+            rank = rng.randint(1, 4)
+            c = random_cone(rng, rank, rng.randint(1, 5))
+            points = eg.sample_points(c, 3, rng) + [c.relint_point()]
+            points += [
+                tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(4)
+            ]
+            for x in points:
+                assert c.contains(x) == contains_by_dot(c, x)
+                assert c.contains_in_relint(x) == contains_in_relint_by_dot(c, x)
+            for face in c.all_faces():
+                assert c.minimal_face_containing(face) == face
+                assert minimal_face_containing_by_dot(c, face) == face
+            inside = rng.sample(c.rays, rng.randint(0, len(c.rays)))
+            for sub in (
+                eg.cone_from_generators(inside, rank),
+                random_cone(rng, rank, rng.randint(1, 3)),
+            ):
+                want = minimal_face_containing_by_dot(c, sub)
+                assert c.minimal_face_containing(sub) == want
+            for covs in (
+                rng.sample(c.facets, rng.randint(0, len(c.facets))),
+                [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(2)],
+            ):
+                assert c.face_at(covs) == face_at_by_dot(c, covs)
+
+    def test_covector_questions_keep_the_ragged_pair_error(self):
+        """A covector or a cone of another rank raises the ValueError that
+        `la.dot` raises on the pair, shorter and longer alike."""
+        c = eg.cone_from_generators([(1, 0, 0), (0, 1, 0)], 3)
+        g = eg.cone_from_generators
+        smallest = c.minimal_face_containing
+        cases = [
+            (c.face_at, face_at_by_dot, [(1, 0)]),
+            (c.face_at, face_at_by_dot, [(0, 0, 1), (1, 0, 0, 0)]),
+            (smallest, minimal_face_containing_by_dot, g([(1, 1)])),
+            (smallest, minimal_face_containing_by_dot, g([(1, 0, 0, 1)])),
+        ]
+        for ask, oracle, arg in cases:
+            with pytest.raises(ValueError) as want:
+                oracle(c, arg)
+            with pytest.raises(ValueError) as got:
+                ask(arg)
+            assert str(got.value) == str(want.value)
 
 
 class TestIntersect:

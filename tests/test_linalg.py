@@ -9,6 +9,8 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from oracles import (
     dot_zip,
     invert_unimodular_by_columns,
+    mat_mul_by_rows,
+    mat_vec_by_rows,
     rank_rational,
     saturated_row_basis,
     solve_integer_fresh,
@@ -219,6 +221,46 @@ def test_dot_matches_zip(u, v):
         assert str(got.value) == str(e)
     else:
         assert la.dot(u, v) == want
+
+
+def _rows(n):
+    """Lists of up to four rows of length n, now and then a ragged one."""
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple)
+    ragged = st.lists(st.integers(-9, 9), max_size=5).map(tuple)
+    return st.lists(st.one_of(row, row, row, ragged), max_size=4).map(tuple)
+
+
+def _same_outcome(fast, slow):
+    """fast() returns what slow() returns, or raises its ValueError message."""
+    try:
+        want = slow()
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            fast()
+        assert str(got.value) == str(e)
+    else:
+        assert fast() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_rows(n), _rows(n))))
+def test_mat_vec_matches_one_dot_per_row(case):
+    m, vs = case
+    for v in vs:
+        _same_outcome(lambda: la.mat_vec(m, v), lambda: mat_vec_by_rows(m, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda nk: st.tuples(_rows(nk[0]), st.lists(_rows(nk[1]), max_size=3))
+    )
+)
+def test_mat_mul_matches_one_dot_per_pair(case):
+    """Including a row of a whose length is not the number of rows of b."""
+    a, bs = case
+    for b in bs:
+        _same_outcome(lambda: la.mat_mul(a, b), lambda: mat_mul_by_rows(a, b))
 
 
 @settings(max_examples=300, deadline=None)

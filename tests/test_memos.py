@@ -14,6 +14,9 @@ system table of `cone_from_inequalities` and run no double description.
 on relabelled graphs and decorated types and must give the one-pass oracle,
 or the unmemoized `stabilize`, both times, the second time as the same
 object.
+`DualGraph`, `RubberMapType`, `LinearMap` and `RationalCone` key these
+tables and hash once, at construction, to the hash their dataclass would
+generate.
 """
 
 import dataclasses
@@ -39,6 +42,7 @@ from tropgeom.curves import (
     stabilize,
 )
 from tropgeom.pipeline import contact_types
+from tropgeom.tropmaps import RubberMapType
 
 seeds = st.integers(0, 2**32)
 
@@ -377,3 +381,35 @@ def test_curve_tables_are_bounded():
         assert info.maxsize is not None and info.currsize <= info.maxsize
     info = canonical_labelling.cache_info()
     assert info.currsize == info.maxsize
+
+
+def _equal_values(monkeypatch):
+    """Two equal and distinct objects of each hashed value class, built
+    from differently ordered input."""
+    t = contact_types(1, 3, ((2, 0, -2), (1, -1, 0)))[1]["Z"][-1]
+    graph = t.graph
+    shuffled = DualGraph(
+        list(graph.genera), [e[::-1] for e in reversed(graph.edges)], list(graph.legs)
+    )
+    a, b, c = (
+        eg.LinearMap(((1, 2), (0, 1)), 2, 2),
+        eg.LinearMap(((0, 1), (1, 0)), 2, 2),
+        eg.LinearMap(((1, 0), (3, 1)), 2, 2),
+    )
+    gens = [(1, 0, 2), (0, 1, 1), (1, 1, 3), (2, 1, 5)]
+    monkeypatch.setattr(eg, "_cone_cache", {})
+    cone = eg.cone_from_generators(gens)
+    monkeypatch.setattr(eg, "_cone_cache", {})
+    return [
+        (graph, shuffled),
+        (t, RubberMapType.from_edge_data(shuffled, list(t.edge_data()), t.contact)),
+        (a.compose(b).compose(c), a.compose(b.compose(c))),
+        (cone, eg.cone_from_generators(gens[::-1])),
+    ]
+
+
+def test_value_objects_hash_as_their_compared_fields(monkeypatch):
+    for x, y in _equal_values(monkeypatch):
+        assert x == y and x is not y
+        fields = tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+        assert hash(x) == hash(y) == hash(fields)

@@ -668,7 +668,8 @@ def _random_fan(rng, how):
         rays = [list(x) for x in cells[k].rays]
         ray = rng.choice(rays)
         # a coordinate whose change does more than rescale the ray; the ray
-        # stays in the orthant, since `_assemble` takes cells inside their cone
+        # stays in the orthant, since `_assemble` refuses a cell that leaves
+        # its cone (see test_a_cell_that_leaves_its_cone_is_named)
         i = rng.choice([i for i in range(r) if any(ray[:i] + ray[i + 1 :])])
         ray[i] += 1 if ray[i] == 0 else rng.choice((-1, 1))
         cells[k] = eg.cone_from_generators([tuple(x) for x in rays], r)
@@ -695,6 +696,18 @@ def test_certificate_agrees_with_the_pairwise_oracle_on_random_fans():
         assert passed == (verify_subdivision_pairwise(sub) == []), [c.rays for c in cells]
         verdicts.append(passed)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
+def test_a_cell_that_leaves_its_cone_is_named():
+    """A fan cell poking out of its cone is a GeometryError naming both,
+    not a KeyError from a face whose cells never held it."""
+    g = eg.cone_from_generators
+    cx, ids = complex_from_fan([g(la.identity_matrix(3), 3)], 3)
+    top = ids[tuple(sorted(la.identity_matrix(3)))]
+    cell = g([(1, 0, 0), (0, 1, 0), (0, -1, 1)])
+    leaves = rf"cell .*\(0, -1, 1\).* cone {top} leaves"
+    with pytest.raises(eg.GeometryError, match=leaves):
+        _assemble(cx, {top: [cell]})
 
 
 class TestCheckedOnce:
