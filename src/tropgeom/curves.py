@@ -137,6 +137,13 @@ def incidence_matrix(graph: DualGraph):
     )
 
 
+@lru_cache(maxsize=4096)
+def cycle_lattice(graph: DualGraph):
+    """A basis of the cycle lattice, the kernel of the incidence matrix, as a
+    tuple; computed once per graph and kept in an LRU table of 4096 entries."""
+    return tuple(la.kernel_basis(incidence_matrix(graph), graph.num_edges))
+
+
 def _dot(graph: DualGraph, name: str, edge_labels, leg_labels) -> str:
     """The DOT drawing of a graph: vertices by genus, labelled edges and legs."""
     lines = [f"graph {name} {{"]
@@ -608,44 +615,57 @@ def _orthant(n: int) -> RationalCone:
     return cone_from_generators(la.identity_matrix(n), n)
 
 
+@lru_cache(maxsize=4096)
+def contraction_faces(graph: DualGraph, data):
+    """What a canonical (graph, edge data) pair alone decides in the closure.
+
+    Returns (faces, automorphisms): faces holds (contracted edges, canonical
+    sub pair, face matrix) for every nonempty edge subset, by size and then
+    in combinations order.  Each subset is contracted by one merge
+    (`_contracted_subsets`) and canonicalized once.  automorphisms are the
+    edge permutation matrices of the pair's automorphism_pairs.  Every
+    closure in the process shares the LRU table of 4096 entries, so the
+    entry holds tuples only.
+    """
+    ne = graph.num_edges
+    faces = []
+    for subset, raw, survivors in _contracted_subsets(graph):
+        raw_data = tuple(
+            data[i] if sign > 0 else _flip(data[i]) for i, sign in survivors
+        )
+        cgraph, cdata, _, eperm = canonical_labelling(raw, raw_data)
+        faces.append((subset, (cgraph, cdata), _face_matrix(ne, survivors, eperm)))
+    mats = edge_perm_matrices(ne, automorphism_pairs(graph, data))
+    return tuple(faces), tuple(mats)
+
+
 def _contraction_complex(seeds, prefix: str, make, cone_of):
     """The cone complex of decorated graphs closed under edge contraction.
 
     seeds are (graph, edge data) pairs.  make(graph, data) builds the object
     that stands for a canonical pair, and cone_of(object) its cone in edge
     length coordinates.  The canonical pair is the key: make runs once per
-    new pair.  Every subset of every pair's edges is contracted once, by one
-    merge (`_contracted_subsets`); that one canonicalization gives the face
-    map and, for a single edge, finds new pairs.  Contracting several edges
-    at once must land on a pair found that way.  Cone ids are prefix + rank
-    in sort_key order.  Automorphisms are computed once per pair found.
-    Returns (complex, cone id -> object).
+    new pair.  The pair's faces and automorphism matrices come from
+    `contraction_faces`; its single edge contractions find new pairs, and
+    contracting several edges at once must land on a pair found that way.
+    Cone ids are prefix + rank in sort_key order.  The automorphisms kept
+    are those that map the pair's cone onto itself.  Returns (complex, cone
+    id -> object).
     """
     found = {}  # canonical (graph, data) -> object
-    contractions = {}  # canonical pair -> [(contracted edges, pair, face matrix)]
     queue = []
 
-    def canonical(graph, data, discover=True):
-        cgraph, cdata, _, eperm = canonical_labelling(graph, data)
-        pair = (cgraph, cdata)
-        if discover and pair not in found:
-            found[pair] = make(cgraph, cdata)
+    def discover(pair):
+        if pair not in found:
+            found[pair] = make(*pair)
             queue.append(pair)
-        return pair, eperm
 
     for graph, data in seeds:
-        canonical(graph, data)
+        discover(canonical_labelling(graph, data)[:2])
     while queue:
-        pair = queue.pop()
-        graph, data = pair
-        ne = graph.num_edges
-        out = contractions[pair] = []
-        for subset, raw, survivors in _contracted_subsets(graph):
-            raw_data = tuple(
-                data[i] if sign > 0 else _flip(data[i]) for i, sign in survivors
-            )
-            sub, eperm = canonical(raw, raw_data, len(subset) == 1)
-            out.append((subset, sub, _face_matrix(ne, survivors, eperm)))
+        for subset, sub, _ in contraction_faces(*queue.pop())[0]:
+            if len(subset) == 1:
+                discover(sub)
 
     # sort_key takes per-factor slope rows, the transpose of the edge data
     ordered = sorted(found, key=lambda p: sort_key(p[0], tuple(zip(*p[1]))))
@@ -657,9 +677,9 @@ def _contraction_complex(seeds, prefix: str, make, cone_of):
         cid = ids[pair]
         cone = cones[cid]
         ne = pair[0].num_edges
-        mats = edge_perm_matrices(ne, automorphism_pairs(*pair))
+        contractions, mats = contraction_faces(*pair)
         auts[cid] = [m for m in mats if image_cone(m, cone) == cone]
-        for subset, sub, m in contractions[pair]:
+        for subset, sub, m in contractions:
             if sub not in ids:
                 raise AssertionError(
                     f"contracting edges {subset} of {cid} at once reaches a "

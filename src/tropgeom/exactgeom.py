@@ -116,9 +116,13 @@ def _insert_halfspace(lin, rays, a, index):
     pairs, and a is the constraint numbered index, after the constraints
     numbered 0 .. index - 1.  Returns the updated pair.  All arithmetic is on integers: a
     vector x is projected along the pivot direction b onto {a = 0} as the
-    primitive vector of (a.b) x - (a.x) b.
+    primitive vector of (a.b) x - (a.x) b.  The vectors of (lin, rays) share
+    one width, so a is checked against it once and each product is summed
+    without a call to `la.dot`.
     """
-    vals = [la.dot(a, b) for b in lin]
+    if lin or rays:
+        la.check_width((a,), len(lin[0] if lin else rays[0][0]))
+    vals = [sum(map(mul, a, b)) for b in lin]
     pivot = next((i for i, v in enumerate(vals) if v != 0), None)
     if pivot is not None:
         b = lin[pivot]
@@ -131,7 +135,7 @@ def _insert_halfspace(lin, rays, a, index):
         ]
         new_rays = []
         for r, zs in rays:
-            projv = _combine(vb, r, la.dot(a, r), b)
+            projv = _combine(vb, r, sum(map(mul, a, r)), b)
             if any(projv):
                 new_rays.append([projv, zs | {index}])
         # the pivot lineality direction survives as an extreme ray on the >= 0 side
@@ -140,7 +144,7 @@ def _insert_halfspace(lin, rays, a, index):
 
     pos, zero, neg = [], [], []
     for r, zs in rays:
-        v = la.dot(a, r)
+        v = sum(map(mul, a, r))
         if v > 0:
             pos.append([r, zs, v])
         elif v < 0:
@@ -287,8 +291,9 @@ class RationalCone:
         return face
 
     def minimal_face_containing(self, sub: "RationalCone") -> "RationalCone":
-        if sub.rays:
-            la.check_width(self.facets, sub.ambient_rank)
+        if sub.rays and self.ambient_rank != sub.ambient_rank:
+            # every facet has the cone's rank: the first stands for them all
+            la.check_width(self.facets[:1], sub.ambient_rank)
         return self.face_at(_orthogonal(self.facets, sub.rays))
 
     def all_faces(self):
@@ -414,9 +419,10 @@ def cone_from_generators(vectors, ambient_rank: int | None = None) -> RationalCo
     if la.rank(dual_rays) < d:
         raise NotPointed("generated cone contains a line")
 
+    # the dual rays and the coordinates both have width d
     extremal = []
     for g, gc in zip(gens, coords):
-        active = [w for w in dual_rays if la.dot(w, gc) == 0]
+        active = [w for w in dual_rays if not sum(map(mul, w, gc))]
         if la.rank(active) == d - 1:
             extremal.append(g)
     rays = tuple(sorted(extremal))

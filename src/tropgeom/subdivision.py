@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import mul
 
 from . import linalg as la
 from .exactgeom import (
@@ -496,9 +497,11 @@ def verify_subdivision(sub: SubdivisionOf):
         for idx, m in enumerate(maxima):
             for f in m.facets:
                 walls.setdefault(m.face_at([f]).rays, []).append((idx, f))
+        # contains_cone has checked the rank of every cell's rays, so the
+        # products below need no check of their own
         for wrays, incident in walls.items():
             on_boundary = any(
-                all(la.dot(g, r) == 0 for r in wrays) for g in cone.facets
+                not any(sum(map(mul, g, r)) for r in wrays) for g in cone.facets
             )
             if on_boundary:
                 if len(incident) != 1:
@@ -507,7 +510,7 @@ def verify_subdivision(sub: SubdivisionOf):
                 out.append(f"internal wall {wrays} in {cid} shared by {len(incident)} cells")
             else:
                 (i, f), (j, _) = incident
-                if not any(la.dot(f, r) < 0 for r in maxima[j].rays):
+                if not any(sum(map(mul, f, r)) < 0 for r in maxima[j].rays):
                     out.append(
                         f"cells {maxima[i].rays} and {maxima[j].rays} in {cid} "
                         f"lie on one side of their wall {wrays}"
@@ -609,7 +612,9 @@ def _canon_covector(w):
 
 
 def _slices(cone: RationalCone, w) -> bool:
-    vals = [la.dot(w, r) for r in cone.rays]
+    if cone.rays:
+        la.check_width((w,), cone.ambient_rank)
+    vals = [sum(map(mul, w, r)) for r in cone.rays]
     return any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
 

@@ -23,6 +23,7 @@ from .curves import (
     _contraction_complex,
     _dot,
     canonical_with_data,
+    cycle_lattice,
     enumerate_stable_graphs,
     incidence_matrix,
     sort_key,
@@ -212,11 +213,10 @@ def canonical_type(t: RubberMapType):
 def cycle_equations(t: RubberMapType):
     """One row per cycle per factor: the total displacement vanishes.
 
-    The cycles are a basis of the kernel of the incidence matrix; cycle z
-    with slopes s has row z * s (entrywise), so equal types produce
-    identical matrices.
+    The cycles are the graph's cycle_lattice basis; cycle z with slopes s
+    has row z * s (entrywise), so equal types produce identical matrices.
     """
-    cycles = la.kernel_basis(incidence_matrix(t.graph), t.graph.num_edges)
+    cycles = cycle_lattice(t.graph)
     return tuple(tuple(map(mul, z, s)) for s in t.slopes for z in cycles)
 
 

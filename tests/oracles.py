@@ -10,11 +10,14 @@ heights, and the spanning-tree cycle equations).  The cone oracles find
 facets by subset enumeration and membership by Caratheodory subsets of rays;
 the covector questions of a cone (membership, relative interior, the face
 where covectors vanish, the smallest face holding a cone) and the matrix
-products keep one `dot` call per pair.  The subdivision oracle intersects
+products keep one `dot` call per pair, as do a double description step and
+the test of whether a covector slices a cone.  The subdivision oracle intersects
 every pair of cells (`is_identity`, which only the tests ask, sits beside
 it).  The contraction closure builder that makes and hashes an object for
 every contracted edge subset is kept beside the library's, which keys by the
-canonical pair.  The whole-complex assembler glues every cone, where the
+canonical pair, and so is each pair's faces and automorphism matrices
+computed afresh, as every closure once did, through the one-pass labelling
+and one contraction per subset, with no table.  The whole-complex assembler glues every cone, where the
 library glues only the cones a step touches and copies the rest, and the
 whole check of a subdivision validates every refined cone and certifies
 every original cone, where the library checks only the cones a step glued.
@@ -66,6 +69,7 @@ from tropgeom.exactgeom import (
     LinearMap,
     RankMismatch,
     RationalCone,
+    _combine,
     _insert_halfspace,
     cone_from_generators,
     extreme_rays_of_system,
@@ -578,6 +582,24 @@ def contraction_complex_by_object(seeds, prefix: str, make, cone_of):
     return ConeComplex(cones, faces, auts), {cid: obj for obj, cid in ids.items()}
 
 
+def contraction_faces_direct(graph: DualGraph, data):
+    """`curves.contraction_faces` with no table: every nonempty edge subset
+    contracted on its own (`contract_subset`) and canonicalized by the
+    one-pass labelling, which also gives the automorphisms."""
+    ne = graph.num_edges
+    faces = []
+    for size in range(1, ne + 1):
+        for subset in combinations(range(ne), size):
+            raw, survivors = contract_subset(graph, subset)
+            raw_data = tuple(
+                data[i] if sign > 0 else _flip(data[i]) for i, sign in survivors
+            )
+            cgraph, cdata, _, eperm, _ = canonical_with_data_direct(raw, raw_data)
+            faces.append((subset, (cgraph, cdata), _face_matrix(ne, survivors, eperm)))
+    auts = canonical_with_data_direct(graph, data)[4]
+    return tuple(faces), tuple(edge_perm_matrices(ne, auts))
+
+
 # ---------------------------------------------------------------------------
 # the whole-complex assembler
 
@@ -1088,6 +1110,69 @@ def extreme_rays_of_system_fraction(ineqs, eqns, rank: int):
     for index, a in enumerate(ineqs):
         lin, rays = _insert_halfspace_fraction(lin, rays, a, index, index)
     return lin, [r for r, _ in rays]
+
+
+def insert_halfspace_by_dot(lin, rays, a, index):
+    """`exactgeom._insert_halfspace` through one `la.dot` per pair."""
+    vals = [la.dot(a, b) for b in lin]
+    pivot = next((i for i, v in enumerate(vals) if v != 0), None)
+    if pivot is not None:
+        b = lin[pivot]
+        vb = vals[pivot]
+        if vb < 0:
+            b = la.vscale(-1, b)
+            vb = -vb
+        new_lin = [
+            _combine(vb, l, vals[i], b) for i, l in enumerate(lin) if i != pivot
+        ]
+        new_rays = []
+        for r, zs in rays:
+            projv = _combine(vb, r, la.dot(a, r), b)
+            if any(projv):
+                new_rays.append([projv, zs | {index}])
+        new_rays.append([la.primitive(b), frozenset(range(index))])
+        return new_lin, new_rays
+
+    pos, zero, neg = [], [], []
+    for r, zs in rays:
+        v = la.dot(a, r)
+        if v > 0:
+            pos.append([r, zs, v])
+        elif v < 0:
+            neg.append([r, zs, v])
+        else:
+            zero.append([r, zs | {index}])
+    if not neg:
+        return lin, [[r, zs] for r, zs, _ in pos] + zero
+    if not pos and not zero and not lin:
+        return lin, []
+    kept = [[r, zs] for r, zs, _ in pos] + zero
+    all_zerosets = [zs for _, zs, _ in pos] + [zs for _, zs in zero] + [
+        zs for _, zs, _ in neg
+    ]
+    for (rp, zp, vp), (rn, zn, vn) in [(p, n) for p in pos for n in neg]:
+        common = zp & zn
+        adjacent = not any(
+            zs >= common for zs in all_zerosets if zs is not zp and zs is not zn
+        )
+        if not adjacent:
+            continue
+        comb = _combine(vp, rn, vn, rp)
+        if any(comb):
+            kept.append([comb, common | {index}])
+    seen = {}
+    for r, zs in kept:
+        if r in seen:
+            seen[r] = seen[r] | zs
+        else:
+            seen[r] = zs
+    return lin, [[r, zs] for r, zs in seen.items()]
+
+
+def slices_by_dot(cone: RationalCone, w) -> bool:
+    """`subdivision._slices` through one `la.dot` per ray."""
+    vals = [la.dot(w, r) for r in cone.rays]
+    return any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
 
 def extreme_rays_of_system_pairs(ineqs, eqns, rank: int):

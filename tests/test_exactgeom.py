@@ -15,6 +15,7 @@ from oracles import (
     contains_by_dot,
     contains_in_relint_by_dot,
     face_at_by_dot,
+    insert_halfspace_by_dot,
     minimal_face_containing_by_dot,
     extreme_rays_of_system_fraction,
     extreme_rays_of_system_pairs,
@@ -152,6 +153,87 @@ class TestMembership:
             with pytest.raises(ValueError) as got:
                 ask(arg)
             assert str(got.value) == str(want.value)
+
+
+def _value_or_message(call):
+    """The value of call(), or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as e:
+        return ("raised", str(e))
+
+
+def _raised(outcome):
+    return isinstance(outcome, tuple) and outcome[:1] == ("raised",)
+
+
+def _other_width(rng, rank):
+    """A width other than rank, shorter or longer."""
+    return rng.choice([w for w in (rank - 1, rank + 1) if w > 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_double_description_step_matches_one_dot_per_pair(seed):
+    """Each insertion step against one `la.dot` per pair, on the states the
+    insertion itself reaches; a constraint of another width raises the
+    ValueError `la.dot` raises on the first pair, or nothing on an empty
+    state."""
+    rng = random.Random(seed)
+    rank = rng.randint(1, 4)
+    vector = lambda width: tuple(rng.randint(-2, 2) for _ in range(width))
+    eqns = tuple(vector(rank) for _ in range(rng.randint(0, 2)))
+    ineqs = [vector(rank) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.4:
+        ineqs.insert(rng.randint(0, len(ineqs)), vector(_other_width(rng, rank)))
+    lin, rays = la.kernel_basis(eqns, rank), []
+    for index, a in enumerate(ineqs):
+        want = _value_or_message(lambda: insert_halfspace_by_dot(lin, rays, a, index))
+        got = _value_or_message(lambda: eg._insert_halfspace(lin, rays, a, index))
+        assert got == want
+        if _raised(want):
+            break
+        lin, rays = got
+
+
+def test_double_description_step_keeps_the_ragged_pair_error():
+    lin = la.kernel_basis((), 3)
+    rays = [[(1, 0, 0), frozenset()]]
+    for state in ((lin, []), ([], rays), (lin[1:], rays)):
+        for a in ((1, 0), (1, 0, 0, 1)):
+            with pytest.raises(ValueError) as want:
+                insert_halfspace_by_dot(*state, a, 0)
+            with pytest.raises(ValueError) as got:
+                eg._insert_halfspace(*state, a, 0)
+            assert str(got.value) == str(want.value)
+    # an empty state has no pair to raise on
+    assert eg._insert_halfspace([], [], (1, 0), 0) == ([], [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_subcone_of_another_rank_keeps_the_ragged_pair_error(seed):
+    """`minimal_face_containing` compares the two ranks: a subcone of
+    another rank raises the ValueError of one `la.dot` per pair, and the
+    zero cone, which has no facets, and a subcone without rays raise none."""
+    rng = random.Random(seed)
+    rank = rng.randint(1, 4)
+    other = _other_width(rng, rank)
+
+    def nonzero_cone(width):
+        while not (c := random_cone(rng, width, rng.randint(1, 3))).rays:
+            pass
+        return c
+
+    cones = [nonzero_cone(rank), eg.zero_cone(rank)]
+    subs = [nonzero_cone(other), eg.zero_cone(other)]
+    raised = 0
+    for c in cones:
+        for sub in subs:
+            want = _value_or_message(lambda: minimal_face_containing_by_dot(c, sub))
+            assert _value_or_message(lambda: c.minimal_face_containing(sub)) == want
+            raised += _raised(want)
+    assert raised == 1
 
 
 class TestIntersect:

@@ -13,21 +13,25 @@ system table of `cone_from_inequalities` and run no double description.
 `curves.stabilize` keep theirs in bounded LRU tables.  Each is called twice
 on relabelled graphs and decorated types and must give the one-pass oracle,
 or the unmemoized `stabilize`, both times, the second time as the same
-object.
+object.  So are `curves.contraction_faces`, on every canonical pair the
+moduli and map complexes reach, against the faces computed afresh, and
+`curves.cycle_lattice` against the kernel of the incidence matrix; a map
+complex built from cold tables and from warm ones is the same complex.
 `DualGraph`, `RubberMapType`, `LinearMap` and `RationalCone` key these
 tables and hash once, at construction, to the hash their dataclass would
 generate.
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cone
-from oracles import canonical_with_data_direct
+from conftest import lemma_inputs, moduli_cached, random_cone
+from oracles import canonical_with_data_direct, contraction_faces_direct
 from tropgeom import complexes, curves
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
@@ -38,11 +42,15 @@ from tropgeom.curves import (
     automorphism_pairs,
     canonical_labelling,
     canonical_with_data,
+    build_moduli_complex,
+    contraction_faces,
+    cycle_lattice,
     enumerate_stable_graphs,
+    incidence_matrix,
     stabilize,
 )
 from tropgeom.pipeline import contact_types
-from tropgeom.tropmaps import RubberMapType
+from tropgeom.tropmaps import RubberMapType, build_map_complex
 
 seeds = st.integers(0, 2**32)
 
@@ -269,7 +277,13 @@ def test_one_identity_per_rank():
 # ---------------------------------------------------------------------------
 # canonical labelling, automorphisms and stabilization
 
-CURVE_TABLES = (canonical_labelling, automorphism_pairs, stabilize)
+CURVE_TABLES = (
+    canonical_labelling,
+    automorphism_pairs,
+    stabilize,
+    contraction_faces,
+    cycle_lattice,
+)
 
 
 def _relabelled(graph, data, rng):
@@ -361,6 +375,60 @@ def test_labelling_of_decorated_types():
     for data in (None, ((0,),) * 3):
         cgraph, cdata, _, _ = canonical_labelling(theta, data)
         assert len(automorphism_pairs(cgraph, cdata)) == 12
+
+
+def _criterion_two_type_lists(g, n):
+    """The distinct type lists, factors' and superimposed alike, of
+    criterion 2's contact data on M_{g,n}."""
+    lists = {}
+    for vectors in lemma_inputs(n):
+        for ts in contact_types(g, n, vectors)[1].values():
+            lists[tuple(ts)] = ts
+    return list(lists.values())
+
+
+def _reached_pairs(source):
+    """The canonical (graph, edge data) pairs of the cones of a complex:
+    every pair its contraction closure reaches."""
+    if source == "maps-1-3":
+        base = moduli_cached(1, 3)
+        return {
+            (t.graph, t.edge_data())
+            for ts in _criterion_two_type_lists(1, 3)
+            for t in build_map_complex(ts, base).types.values()
+        }
+    g, n, max_edges = source
+    graphs = build_moduli_complex(g, n, max_edges).graphs.values()
+    return {(h, ((),) * h.num_edges) for h in graphs}
+
+
+@pytest.mark.parametrize(
+    "source", [(0, 6, None), (1, 3, None), (2, 2, 3), "maps-1-3"], ids=str
+)
+def test_contraction_faces_and_cycle_lattice(source):
+    pairs = _reached_pairs(source)
+    decorated = 0
+    for graph, data in pairs:
+        faces = _same_twice(lambda: contraction_faces(graph, data))
+        assert faces == contraction_faces_direct(graph, data)
+        decorated += any(data)
+        lattice = _same_twice(lambda: cycle_lattice(graph))
+        assert lattice == tuple(la.kernel_basis(incidence_matrix(graph), graph.num_edges))
+    assert (decorated > 0) == (source == "maps-1-3")
+
+
+def test_cold_and_warm_tables_build_one_map_complex():
+    base = moduli_cached(1, 3)
+    for ts in _criterion_two_type_lists(1, 3):
+        contraction_faces.cache_clear()
+        cycle_lattice.cache_clear()
+        cold = json.dumps(build_map_complex(ts, base).complex.to_json(), sort_keys=True)
+        misses = [table.cache_info().misses for table in (contraction_faces, cycle_lattice)]
+        warm = json.dumps(build_map_complex(ts, base).complex.to_json(), sort_keys=True)
+        assert cold == warm
+        # the warm build finds every pair and graph in the tables
+        assert [table.cache_info().misses for table in (contraction_faces, cycle_lattice)] == misses
+        assert misses[0] > 0
 
 
 def test_unstable_graph_is_not_remembered():

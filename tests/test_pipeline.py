@@ -9,7 +9,12 @@ from oracles import is_identity, verify_subdivision_pairwise
 from tropgeom import exactgeom as eg
 from tropgeom import pipeline
 from tropgeom.complexes import ConicalSubset, is_union_of_cones
-from tropgeom.curves import DualGraph, build_complex_from_graphs, build_moduli_complex
+from tropgeom.curves import (
+    DualGraph,
+    build_complex_from_graphs,
+    build_moduli_complex,
+    contraction_faces,
+)
 from tropgeom.pipeline import (
     BOUNDARY_NOTE,
     Report,
@@ -313,13 +318,16 @@ class TestSweepTable:
         fresh = {i: _bytes(run_contacts(g, n, i[0], i[1])) for i in inputs}
         base = build_moduli_complex(g, n)
         first, second = (random.Random(s).sample(inputs, len(inputs)) for s in (1, 2))
-        built = []
+        built = []  # (type list, misses it added to the pair table)
 
         def counted(types, target):
-            built.append(tuple(types))
-            return build_map_complex(types, target)
+            misses = contraction_faces.cache_info().misses
+            mx = build_map_complex(types, target)
+            built.append((tuple(types), contraction_faces.cache_info().misses - misses))
+            return mx
 
         monkeypatch.setattr(pipeline, "build_map_complex", counted)
+        contraction_faces.cache_clear()
         for i in first:
             assert _bytes(run_contacts(g, n, *i, base=base)) == fresh[i]
         # a factor's map complex is built once per base, the superimposed
@@ -328,8 +336,14 @@ class TestSweepTable:
         for vectors, _ in inputs:
             for label, ts in contact_types(g, n, vectors)[1].items():
                 expected[tuple(ts)] = expected[tuple(ts)] + 1 if label == "Z" else 1
-        assert Counter(built) == expected
+        assert Counter(ts for ts, _ in built) == expected
         assert len(built) == builds
+        # a Z list built again adds no miss to the process's pair table
+        assert sum(misses for _, misses in built) > 0
+        seen = set()
+        for ts, misses in built:
+            assert ts not in seen or misses == 0
+            seen.add(ts)
         # the second order finds every piece in the table
         monkeypatch.setattr(pipeline, "enumerate_rubber_types", _recomputed)
         monkeypatch.setattr(pipeline, "build_map_complex", _recomputed)

@@ -4,12 +4,15 @@ import weakref
 from itertools import combinations
 
 import pytest
-from conftest import check_verdicts, lemma_inputs, moduli_cached
+from conftest import check_verdicts, lemma_inputs, moduli_cached, random_cone
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     glue_fans_whole,
     is_identity,
     parallelepiped_interior_point_scan,
     relints_intersect,
+    slices_by_dot,
     validate_complex_loops,
     verify_subdivision_pairwise,
 )
@@ -674,6 +677,28 @@ def _random_fan(rng, how):
         ray[i] += 1 if ray[i] == 0 else rng.choice((-1, 1))
         cells[k] = eg.cone_from_generators([tuple(x) for x in rays], r)
     return orthant, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_slices_matches_one_dot_per_ray(seed):
+    """Whether a covector slices a cone, against one `la.dot` per ray; a
+    covector of another width raises the ValueError `la.dot` raises on the
+    pair, except on the zero cone, which has no rays."""
+    rng = random.Random(seed)
+    rank = rng.randint(1, 4)
+    widths = [rank, rank, rank + 1] + ([rank - 1] if rank > 1 else [])
+    for c in (random_cone(rng, rank, rng.randint(1, 4)), eg.zero_cone(rank)):
+        for width in widths:
+            w = tuple(rng.randint(-2, 2) for _ in range(width))
+            try:
+                want = slices_by_dot(c, w)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    subdivision._slices(c, w)
+                assert str(got.value) == str(e)
+            else:
+                assert subdivision._slices(c, w) == want
 
 
 def test_certificate_agrees_with_the_pairwise_oracle_on_random_fans():
