@@ -76,9 +76,9 @@ class ConeComplex:
         self._embeddings = {}
         self._onto = {}  # per cone: the first embedding onto each image
         # the subdivision that cuts nothing, as (refined copy, projection
-        # assignments, cells over each cone), built on first use by
-        # subdivision._assemble: it holds nothing that refers back to this
-        # complex, so a complex that is dropped is freed at once
+        # assignments, cells over each cone, those cells by rays), built on
+        # first use by subdivision._assemble: it holds nothing that refers
+        # back to this complex, so a complex that is dropped is freed at once
         self._uncut = None
         # what validate_complex finds in the whole complex, kept by
         # subdivision.check_subdivision so an original is validated once

@@ -174,52 +174,53 @@ def genus(graph: DualGraph) -> int:
 
 
 def _flip(d):
-    return tuple(-x for x in d)
+    return tuple([-x for x in d])
 
 
-def _relabel(graph: DualGraph, edge_data, vperm):
-    """Apply a vertex permutation; returns (graph, data, eperm old->new)."""
-    genera = [0] * graph.num_vertices
-    for v, g in enumerate(graph.genera):
-        genera[vperm[v]] = g
-    legs = tuple(vperm[v] for v in graph.legs)
+def _sorted_rows(edges, edge_data, vperm):
+    """The edges and their data under a vertex permutation, as rows
+    (a, b, d, i) with a <= b, sorted: i is the input position of the edge,
+    d its data, flipped when the ends swap, so rows that tie on (a, b, d)
+    keep their input order."""
     rows = []
-    for i, (u, v) in enumerate(graph.edges):
+    for i, (u, v) in enumerate(edges):
         a, b = vperm[u], vperm[v]
-        d = edge_data[i]
         if a > b:
-            a, b = b, a
-            d = _flip(d)
-        rows.append((a, b, d, i))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    eperm = [0] * len(rows)
-    for new, (_, _, _, old) in enumerate(rows):
-        eperm[old] = new
-    new_graph = DualGraph(tuple(genera), tuple((a, b) for a, b, _, _ in rows), legs)
-    return new_graph, tuple(d for _, _, d, _ in rows), tuple(eperm)
+            rows.append((b, a, _flip(edge_data[i]), i))
+        else:
+            rows.append((a, b, edge_data[i], i))
+    rows.sort()
+    return rows
+
+
+def _key(rows):
+    """The (edges, data) key of sorted rows."""
+    return tuple([(a, b) for a, b, _, _ in rows]), tuple([d for _, _, d, _ in rows])
 
 
 def _candidate_perms(graph: DualGraph):
-    """Vertex permutations respecting the basic vertex invariant."""
+    """Vertex permutations respecting the basic vertex invariant (genus,
+    valence, legs), read off in one pass over the edges and the legs."""
     k = graph.num_vertices
-    inv = [
-        (graph.genera[v], graph.valence(v), graph.legs_at(v)) for v in range(k)
-    ]
+    valence = [0] * k
+    legs = [()] * k
+    for u, v in graph.edges:
+        valence[u] += 1
+        valence[v] += 1
+    for i, w in enumerate(graph.legs, 1):
+        valence[w] += 1
+        legs[w] += (i,)
     classes = {}
-    for v in range(k):
-        classes.setdefault(inv[v], []).append(v)
-    ordered = sorted(classes)
-    blocks = [classes[key] for key in ordered]
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += len(b)
-    for arrangement in product(*[permutations(b) for b in blocks]):
-        vperm = [0] * k
-        for block, start in zip(arrangement, starts):
-            for off, old in enumerate(block):
-                vperm[old] = start + off
+    for v, key in enumerate(zip(graph.genera, valence, legs)):
+        classes.setdefault(key, []).append(v)
+    blocks = [classes[key] for key in sorted(classes)]
+    vperm = [0] * k
+    for arrangement in product(*map(permutations, blocks)):
+        pos = 0
+        for block in arrangement:
+            for old in block:
+                vperm[old] = pos
+                pos += 1
         yield tuple(vperm)
 
 
@@ -230,17 +231,38 @@ def canonical_labelling(graph: DualGraph, edge_data=None):
     Returns (canonical graph, canonical data, vperm, eperm) where vperm and
     eperm translate the input labeling to the canonical one.  edge_data is a
     tuple with one slope tuple per edge; None stands for a bare graph.
+
+    The canonical form is the relabelling with the least (genera, edges,
+    data, legs) over the candidate vertex permutations, the first one found
+    on a tie.  Candidates are compared by (edges, data) alone, and only the
+    winner is made into a graph.  That is the same minimum.  The blocks of
+    `_candidate_perms` are sorted by an invariant whose first entry is the
+    genus, so every candidate puts the same genus at each position and the
+    genera tuple is the same for all.  The legs at a vertex are part of the
+    invariant, so every marked vertex is alone in its class and goes to the
+    same position under every candidate, and the legs tuple is the same for
+    all.  So (genera, edges, data, legs) and (edges, data) order the
+    candidates alike, and a strict < keeps the same first minimum, with the
+    same vperm and eperm.
     """
     if edge_data is None:
         edge_data = ((),) * graph.num_edges
+    edges = graph.edges
     best = None
     for vperm in _candidate_perms(graph):
-        g2, d2, eperm = _relabel(graph, edge_data, vperm)
-        key = (g2.genera, g2.edges, d2, g2.legs)
+        rows = _sorted_rows(edges, edge_data, vperm)
+        key = _key(rows)
         if best is None or key < best[0]:
-            best = (key, g2, d2, vperm, eperm)
-    _, cgraph, cdata, vperm, eperm = best
-    return cgraph, cdata, vperm, eperm
+            best = key, vperm, rows
+    (cedges, cdata), vperm, rows = best
+    genera = [0] * graph.num_vertices
+    for v, g in enumerate(graph.genera):
+        genera[vperm[v]] = g
+    eperm = [0] * len(rows)
+    for new, (_, _, _, old) in enumerate(rows):
+        eperm[old] = new
+    cgraph = DualGraph(tuple(genera), cedges, tuple(vperm[v] for v in graph.legs))
+    return cgraph, cdata, vperm, tuple(eperm)
 
 
 @lru_cache(maxsize=4096)
@@ -248,31 +270,32 @@ def automorphism_pairs(cgraph: DualGraph, cdata):
     """The (vertex perm, edge perm) automorphisms of a canonical decorated
     graph, as canonical_labelling returns it.
 
-    Parallel edges with equal decorations contribute all their matchings, so
-    the theta graph has 2 x 3! = 12 pairs.
+    A candidate vertex permutation is an automorphism when it leaves the
+    (edges, data) key unchanged; genera and legs agree for every candidate
+    (see `canonical_labelling`).  Parallel edges with equal decorations
+    contribute all their matchings, so the theta graph has 2 x 3! = 12 pairs.
     """
+    edges = cgraph.edges
+    target = (edges, cdata)
+    # the positions of each (edge, data) value, the slots an automorphism
+    # may send the edges of that value to
+    slots = {}
+    for i, (u, v) in enumerate(edges):
+        slots.setdefault((u, v, cdata[i]), []).append(i)
     aut_pairs = []
     for vp in _candidate_perms(cgraph):
-        g2, d2, _ = _relabel(cgraph, cdata, vp)
-        if (g2, d2) != (cgraph, cdata):
+        rows = _sorted_rows(edges, cdata, vp)
+        if _key(rows) != target:
             continue
-        # all matchings within groups of indistinguishable parallel edges
+        # all matchings within groups of indistinguishable parallel edges;
+        # the sorted rows list each group's edges in input order
         groups = {}
-        for i in range(len(cgraph.edges)):
-            u, v = cgraph.edges[i]
-            a, b = vp[u], vp[v]
-            d = cdata[i]
-            if a > b:
-                a, b = b, a
-                d = _flip(d)
+        for a, b, d, i in rows:
             groups.setdefault((a, b, d), []).append(i)
-        slots = {}
-        for i, (u, v) in enumerate(cgraph.edges):
-            slots.setdefault((u, v, cdata[i]), []).append(i)
         keys = sorted(groups)
         choices = [permutations(slots[key]) for key in keys]
         for assignment in product(*choices):
-            eperm2 = [0] * len(cgraph.edges)
+            eperm2 = [0] * len(edges)
             for key, targets in zip(keys, assignment):
                 for src, dst in zip(groups[key], targets):
                     eperm2[src] = dst
@@ -317,30 +340,29 @@ def _merge_vertices(graph: DualGraph, edge_index: int):
     """Contract a single edge (raw labels, no canonicalization)."""
     u, v = graph.edges[edge_index]
     genera = list(graph.genera)
+    keep = list(range(len(genera)))  # vertex label before -> after
     if u == v:
         genera[u] += 1
-        keep = lambda w: w
     else:
         # merge v into u, relabel everything above v down by one
         genera[u] += genera[v]
         del genera[v]
-
-        def keep(w):
-            if w == v:
-                return u
-            return w - 1 if w > v else w
+        keep[v] = u
+        for w in range(v + 1, len(keep)):
+            keep[w] = w - 1
 
     items = []
     for i, (a, b) in enumerate(graph.edges):
         if i == edge_index:
             continue
-        x, y = keep(a), keep(b)
-        flip = x > y
-        if flip:
-            x, y = y, x
-        items.append((x, y, i, flip))
-    items.sort(key=lambda r: (r[0], r[1]))
-    legs = tuple(keep(w) for w in graph.legs)
+        x, y = keep[a], keep[b]
+        if x > y:
+            items.append((y, x, i, True))
+        else:
+            items.append((x, y, i, False))
+    # i breaks the ties of (x, y) in input order
+    items.sort()
+    legs = tuple([keep[w] for w in graph.legs])
     # presorted, so the constructor's sort leaves positions in place
     graph2 = DualGraph(tuple(genera), tuple((x, y) for x, y, _, _ in items), legs)
     return graph2, [(i, -1 if flip else 1) for _, _, i, flip in items]

@@ -296,6 +296,14 @@ class RationalCone:
             la.check_width(self.facets[:1], sub.ambient_rank)
         return self.face_at(_orthogonal(self.facets, sub.rays))
 
+    def minimal_face_rays(self, sub: "RationalCone") -> tuple:
+        """The rays of `minimal_face_containing(sub)`, without making the
+        face: a face of a pointed cone is spanned by the cone's rays on it,
+        each extreme in the face, and these stay in the cone's sorted order."""
+        if sub.rays and self.ambient_rank != sub.ambient_rank:
+            la.check_width(self.facets[:1], sub.ambient_rank)
+        return tuple(_orthogonal(self.rays, _orthogonal(self.facets, sub.rays)))
+
     def all_faces(self):
         """Every face of the cone, including itself and the zero cone."""
         if self._faces is not None:

@@ -340,7 +340,10 @@ def _soundness_into(report: Report, verdict):
 
 def _union_verdict(sub: SubdivisionOf, family: ConicalSubset):
     """Whether the family is a union of refined cones, with the point of the
-    first witness when it is not."""
+    first witness when it is not.  A family whose pieces `refine_until_conical`
+    proved on this Γ is one; any other family is transported and checked."""
+    if sub.proved_conical(family):
+        return True, None
     chk = is_union_of_cones(sub.refined, sub.transport(family))
     return chk.ok, chk.witnesses[0][2] if chk.witnesses else None
 

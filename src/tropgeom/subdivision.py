@@ -92,8 +92,11 @@ class SubdivisionOf:
     def __post_init__(self):
         self.touched = frozenset(self.touched)
         self._cells_cache = {}
+        self._cells_index = {}  # original cone id -> cell rays -> cell
         # set by check_subdivision once the subdivision has passed its checks
         self._checked = False
+        # the (host, rays) pieces refine_until_conical proved unions of cells
+        self._conical = frozenset()
         self._owned = None  # original cone id -> the refined ids over it
 
     def refined_over(self, cid: str):
@@ -129,11 +132,32 @@ class SubdivisionOf:
         d = self.original.cones[cid].dim
         return [c for c in self.cells_over(cid) if c.cone.dim == d]
 
+    def _cell_on(self, cid: str, cell: Embedded, q: RationalCone) -> Embedded:
+        """The owner of a part q of the maximal cell over cid: the cell on
+        the smallest face of that cell holding q, looked up by the face's
+        rays (`RationalCone.minimal_face_rays`).
+
+        On a checked subdivision the cells over cid are closed under faces
+        and meet face to face, so this is the unique smallest cell holding
+        q: a cell holding q meets the maximal cell in a face of both that
+        holds q, so it holds that smallest face.
+        """
+        index = self._cells_index.get(cid)
+        if index is None:
+            index = self._cells_index[cid] = {c.cone.rays: c for c in self.cells_over(cid)}
+        owner = index.get(cell.cone.minimal_face_rays(q))
+        if owner is None:
+            raise GeometryError(
+                f"part {q.rays} of cone {cid} lies on a face of the cell "
+                f"{cell.cone.rays} that is not a cell over the cone"
+            )
+        return owner
+
     def transport(self, subset: ConicalSubset) -> ConicalSubset:
         """Re-express a conical subset of the original complex in the refined one.
 
         Each piece is cut along the refined cells and every part is hosted at
-        the smallest refined cell containing it.
+        the smallest refined cell containing it (`_cell_on`).
         """
         pieces = []
         seen = set()
@@ -151,8 +175,7 @@ class SubdivisionOf:
                     q = intersect(c.cone, p)
                     if q.is_zero():
                         continue
-                    owner = next(cc for cc in cells if cc.cone.contains_cone(q))
-                    parts.append((owner, q))
+                    parts.append((self._cell_on(host, c, q), q))
             for owner, q in parts:
                 back = pull_back_cone(owner.map, self.refined.cones[owner.src], q)
                 key = (owner.src, back.rays)
@@ -160,6 +183,14 @@ class SubdivisionOf:
                     seen.add(key)
                     pieces.append((owner.src, back))
         return ConicalSubset(self.refined, tuple(pieces))
+
+    def proved_conical(self, subset: ConicalSubset) -> bool:
+        """Whether `refine_until_conical` proved every piece of the subset a
+        union of refined cones on this subdivision.  Transport and the union
+        check treat each piece on its own, so the subset's check would pass."""
+        return subset.complex is self.original and self._conical.issuperset(
+            (host, p.rays) for host, p in subset.pieces
+        )
 
     def summary(self) -> dict:
         return {
@@ -335,7 +366,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
     if not cells:
-        cx._uncut = (refined, assignments, {})
+        cx._uncut = (refined, assignments, {}, {})
         return _uncut_view(cx)
     return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments), cells)
 
@@ -350,9 +381,9 @@ def _uncut_view(cx: ConeComplex) -> SubdivisionOf:
     would make every complex subdivided once, such as the superimposed map
     complex of one run, a reference cycle left for the cycle collector.
     """
-    refined, assignments, cells = cx._uncut
+    refined, assignments, cells, index = cx._uncut
     sub = SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments), ())
-    sub._cells_cache = cells
+    sub._cells_cache, sub._cells_index = cells, index
     return sub
 
 
@@ -855,7 +886,8 @@ def refine_until_conical(
     equations) of the pieces; optionally unimodularizes afterwards by
     repeated stellar subdivision.  Only the final subdivision is checked,
     not the steps that compose it, and the subset is asked once, on the
-    checked result, whether it is a union of cones.
+    checked result, whether it is a union of cones.  The pieces it proved
+    are recorded on the result (`proved_conical`).
     """
     covs = {}
     for host, piece in subset.pieces:
@@ -869,6 +901,7 @@ def refine_until_conical(
     check = is_union_of_cones(sub.refined, sub.transport(subset))
     if not check.ok:
         raise GeometryError(f"refinement failed to make the subset conical: {check.witnesses}")
+    sub._conical = frozenset((host, p.rays) for host, p in subset.pieces)
     return sub
 
 

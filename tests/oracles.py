@@ -26,7 +26,12 @@ face, the face maps into and out of a cone) are scans here, and both
 validators keep their nested loops over every face map and embedding.  The
 one-pass canonical labelling, which computes the automorphisms on every
 call, is kept beside the library's memoized labelling and automorphism
-tables.  The exact kernel's earlier paths are kept as oracles too: rational
+tables, with its own copies of the per-vertex invariant (one scan of the
+edges and legs per vertex) and of the relabelling that makes a graph of
+every candidate to compare the whole (genera, edges, data, legs) key.  The
+transport that finds each part's owner by scanning the cells over its host
+for the first that contains it is kept, and so is a family's union verdict
+asked afresh through it.  The exact kernel's earlier paths are kept as oracles too: rational
 elimination, a Smith form per solve, column-by-column inversion, a cone's
 frame from one factorisation per piece (`cone_frame_by_solves`), double
 description through Fraction projections and with each equation inserted as
@@ -43,10 +48,8 @@ from math import gcd
 from tropgeom import linalg as la
 from tropgeom.curves import (
     DualGraph,
-    _candidate_perms,
     _face_matrix,
     _flip,
-    _relabel,
     automorphism_pairs,
     canonical_labelling,
     check_stable_range,
@@ -59,7 +62,9 @@ from tropgeom.curves import (
 from tropgeom.complexes import (
     ComplexMorphism,
     ConeComplex,
+    ConicalSubset,
     FaceMap,
+    is_union_of_cones,
     maps_agree_on,
     pull_back_cone,
     validate_complex,
@@ -128,6 +133,53 @@ def _isomorphic(a: DualGraph, b: DualGraph) -> bool:
     return False
 
 
+def _relabel_direct(graph: DualGraph, edge_data, vperm):
+    """Apply a vertex permutation; returns (graph, data, eperm old->new)."""
+    genera = [0] * graph.num_vertices
+    for v, g in enumerate(graph.genera):
+        genera[vperm[v]] = g
+    legs = tuple(vperm[v] for v in graph.legs)
+    rows = []
+    for i, (u, v) in enumerate(graph.edges):
+        a, b = vperm[u], vperm[v]
+        d = edge_data[i]
+        if a > b:
+            a, b = b, a
+            d = _flip(d)
+        rows.append((a, b, d, i))
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    eperm = [0] * len(rows)
+    for new, (_, _, _, old) in enumerate(rows):
+        eperm[old] = new
+    new_graph = DualGraph(tuple(genera), tuple((a, b) for a, b, _, _ in rows), legs)
+    return new_graph, tuple(d for _, _, d, _ in rows), tuple(eperm)
+
+
+def _candidate_perms_direct(graph: DualGraph):
+    """Vertex permutations respecting the basic vertex invariant, each
+    vertex's valence and legs read by its own scan of the edges and legs."""
+    k = graph.num_vertices
+    inv = [
+        (graph.genera[v], graph.valence(v), graph.legs_at(v)) for v in range(k)
+    ]
+    classes = {}
+    for v in range(k):
+        classes.setdefault(inv[v], []).append(v)
+    ordered = sorted(classes)
+    blocks = [classes[key] for key in ordered]
+    starts = []
+    pos = 0
+    for b in blocks:
+        starts.append(pos)
+        pos += len(b)
+    for arrangement in product(*[permutations(b) for b in blocks]):
+        vperm = [0] * k
+        for block, start in zip(arrangement, starts):
+            for off, old in enumerate(block):
+                vperm[old] = start + off
+        yield tuple(vperm)
+
+
 def canonical_with_data_direct(graph: DualGraph, edge_data=None):
     """Canonical relabeling of a (decorated) graph plus its automorphisms,
     in one pass and with nothing remembered.
@@ -141,16 +193,16 @@ def canonical_with_data_direct(graph: DualGraph, edge_data=None):
     if edge_data is None:
         edge_data = ((),) * graph.num_edges
     best = None
-    for vperm in _candidate_perms(graph):
-        g2, d2, eperm = _relabel(graph, edge_data, vperm)
+    for vperm in _candidate_perms_direct(graph):
+        g2, d2, eperm = _relabel_direct(graph, edge_data, vperm)
         key = (g2.genera, g2.edges, d2, g2.legs)
         if best is None or key < best[0]:
             best = (key, g2, d2, vperm, eperm)
     _, cgraph, cdata, vperm, eperm = best
 
     aut_pairs = []
-    for vp in _candidate_perms(cgraph):
-        g2, d2, _ = _relabel(cgraph, cdata, vp)
+    for vp in _candidate_perms_direct(cgraph):
+        g2, d2, _ = _relabel_direct(cgraph, cdata, vp)
         if (g2, d2) != (cgraph, cdata):
             continue
         # all matchings within groups of indistinguishable parallel edges
@@ -491,6 +543,44 @@ def verify_subdivision_pairwise(sub):
         if len(seen) != len(maxima):
             out.append(f"maximal cells over {cid} are not wall connected")
     return out
+
+
+def transport_by_scan(sub: SubdivisionOf, subset: ConicalSubset) -> ConicalSubset:
+    """`SubdivisionOf.transport` with each part's owner found by scanning the
+    cells over its host, in (dim, rays) order, for the first that contains
+    the part."""
+    pieces = []
+    seen = set()
+    for host, p in subset.pieces:
+        cells = sub.cells_over(host)
+        if p.is_zero():
+            zero_cell = next(c for c in cells if c.cone.is_zero())
+            parts = [(zero_cell, p)]
+        else:
+            d = sub.original.cones[host].dim
+            parts = []
+            for c in cells:
+                if c.cone.dim != d:
+                    continue
+                q = intersect(c.cone, p)
+                if q.is_zero():
+                    continue
+                owner = next(cc for cc in cells if cc.cone.contains_cone(q))
+                parts.append((owner, q))
+        for owner, q in parts:
+            back = pull_back_cone(owner.map, sub.refined.cones[owner.src], q)
+            key = (owner.src, back.rays)
+            if key not in seen:
+                seen.add(key)
+                pieces.append((owner.src, back))
+    return ConicalSubset(sub.refined, tuple(pieces))
+
+
+def union_verdict_by_transport(sub: SubdivisionOf, family: ConicalSubset):
+    """`pipeline._union_verdict` asked afresh: the family transported by the
+    scan and checked, with the point of the first witness when it fails."""
+    chk = is_union_of_cones(sub.refined, transport_by_scan(sub, family))
+    return chk.ok, chk.witnesses[0][2] if chk.witnesses else None
 
 
 def is_identity(sub: SubdivisionOf) -> bool:

@@ -49,6 +49,22 @@ def test_enumerate_graphs_output_pinned(capsys, g, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "g, n, digest",
+    [
+        ("0", "6", "23a366945f95b03470417b647480eafd073936bfabfbc0f1e871b289d07701f6"),
+        ("1", "3", "484ef4821fdb4992b4913eb5eb9d8247423c27812cce7d3e89679e26c1b41c4b"),
+        ("2", "2", "65ecd4be349531bcfcab433e0e7c584adf919f5aa2d5fd09c14d8dae343c4826"),
+    ],
+)
+def test_moduli_complex_output_pinned(capsys, g, n, digest):
+    # the canonical labelling decides the cone ids, and its eperm tie-breaks
+    # the face matrices and automorphisms
+    code, out = run(capsys, "moduli-complex", g, n)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_graphs_dot(capsys):
     code, out = run(capsys, "enumerate-graphs", "1", "1", "--format", "dot")
     assert code == 0

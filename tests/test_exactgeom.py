@@ -122,6 +122,7 @@ class TestMembership:
             for face in c.all_faces():
                 assert c.minimal_face_containing(face) == face
                 assert minimal_face_containing_by_dot(c, face) == face
+                assert c.minimal_face_rays(face) == face.rays
             inside = rng.sample(c.rays, rng.randint(0, len(c.rays)))
             for sub in (
                 eg.cone_from_generators(inside, rank),
@@ -129,6 +130,7 @@ class TestMembership:
             ):
                 want = minimal_face_containing_by_dot(c, sub)
                 assert c.minimal_face_containing(sub) == want
+                assert c.minimal_face_rays(sub) == want.rays
             for covs in (
                 rng.sample(c.facets, rng.randint(0, len(c.facets))),
                 [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(2)],
@@ -146,6 +148,8 @@ class TestMembership:
             (c.face_at, face_at_by_dot, [(0, 0, 1), (1, 0, 0, 0)]),
             (smallest, minimal_face_containing_by_dot, g([(1, 1)])),
             (smallest, minimal_face_containing_by_dot, g([(1, 0, 0, 1)])),
+            (c.minimal_face_rays, minimal_face_containing_by_dot, g([(1, 1)])),
+            (c.minimal_face_rays, minimal_face_containing_by_dot, g([(1, 0, 0, 1)])),
         ]
         for ask, oracle, arg in cases:
             with pytest.raises(ValueError) as want:

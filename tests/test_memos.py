@@ -377,6 +377,53 @@ def test_labelling_of_decorated_types():
         assert len(automorphism_pairs(cgraph, cdata)) == 12
 
 
+def _random_decorated(rng):
+    """A random decorated graph, not always connected or stable: two to
+    five vertices of genus 0 or 1, at most six edges (loops too), each
+    repeated up to three times, up to two legs, and 0 to 2 slopes per edge
+    in {-1, 0, 1}, or no data at all.  Loops, parallel edges with equal and
+    with unequal data, and unmarked vertices of equal genus and valence all
+    come up."""
+    k = rng.randint(2, 5)
+    edges = []
+    for _ in range(rng.randint(0, 4)):
+        edges += [(rng.randrange(k), rng.randrange(k))] * rng.randint(1, 3)
+    del edges[6:]
+    graph = DualGraph(
+        tuple(rng.choice((0, 0, 1)) for _ in range(k)),
+        tuple(edges),
+        tuple(rng.randrange(k) for _ in range(rng.randint(0, 2))),
+    )
+    width = rng.randint(0, 2)
+    slopes = [tuple(rng.randint(-1, 1) for _ in range(width)) for _ in range(2)]
+    data = tuple(rng.choice(slopes) for _ in graph.edges)
+    return graph, None if rng.random() < 0.2 else data
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds)
+def test_labelling_of_random_decorated_graphs(seed):
+    # held to the oracle's own per-vertex invariant and one relabelled graph
+    # per candidate: the same canonical form, vperm and eperm, and the same
+    # automorphism pairs in the same order
+    _check_labelling(*_random_decorated(random.Random(seed)))
+
+
+def test_random_decorated_graphs_reach_ties():
+    loops = parallel = ties = 0
+    for seed in range(300):
+        graph, _ = _random_decorated(random.Random(seed))
+        edges = graph.edges
+        loops += any(u == v for u, v in edges)
+        parallel += any(edges[i] == edges[i - 1] for i in range(1, len(edges)))
+        invariants = [
+            (g, graph.valence(v), graph.legs_at(v)) for v, g in enumerate(graph.genera)
+        ]
+        ties += len(set(invariants)) < len(invariants)
+    # of 300 draws, 130 have a loop, 218 parallel edges and 113 a tie
+    assert min(loops, parallel, ties) > 100
+
+
 def _criterion_two_type_lists(g, n):
     """The distinct type lists, factors' and superimposed alike, of
     criterion 2's contact data on M_{g,n}."""

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import lemma_inputs, moduli_cached
-from oracles import is_identity, verify_subdivision_pairwise
+from oracles import is_identity, union_verdict_by_transport, verify_subdivision_pairwise
 from tropgeom import exactgeom as eg
 from tropgeom import pipeline
 from tropgeom.complexes import ConicalSubset, is_union_of_cones
@@ -203,6 +203,25 @@ class TestRuns:
         assert [(c.name, c.passed, len(c.witness)) for c in support] == [
             ("support is a union of cones", False, 3)
         ]
+
+    def test_union_verdict_reads_what_the_refinement_proved(self, monkeypatch):
+        # criterion 2's runs on a fresh M_{1,3}, 15 of whose 20 Γ cut the
+        # base: every family's verdict is the one its re-transport gives,
+        # and no family is checked again
+        base = build_moduli_complex(1, 3)
+        uncut = hyperplane_refine(base.complex, {})
+        monkeypatch.setattr(pipeline, "is_union_of_cones", None)
+        for vectors in lemma_inputs(3):
+            report = run_contacts(1, 3, vectors, base=base)
+            union = [c for c in report.checks if c.name == "image family union of cones"]
+            assert union and all(c.passed and c.witness is None for c in union)
+            sub = report.subdivision_data
+            for family in contact_families(1, 3, vectors, base=base).families.values():
+                assert sub.proved_conical(family)
+                assert pipeline._union_verdict(sub, family) == (True, None)
+                assert union_verdict_by_transport(sub, family) == (True, None)
+                # a Γ that refine_until_conical did not make proves nothing
+                assert uncut.proved_conical(family) == (not family.pieces)
 
     def test_report_json_shape(self):
         report = single_factor_run(1, 1, (0,))

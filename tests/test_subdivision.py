@@ -1,10 +1,10 @@
 import gc
 import random
 import weakref
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
-from conftest import check_verdicts, lemma_inputs, moduli_cached, random_cone
+from conftest import check_verdicts, contact_vectors, lemma_inputs, moduli_cached, random_cone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -13,6 +13,7 @@ from oracles import (
     parallelepiped_interior_point_scan,
     relints_intersect,
     slices_by_dot,
+    transport_by_scan,
     validate_complex_loops,
     verify_subdivision_pairwise,
 )
@@ -34,6 +35,8 @@ from tropgeom.curves import build_moduli_complex
 from tropgeom.pipeline import (
     contact_families,
     contact_types,
+    figure1_demo,
+    product_run,
     run_contacts,
     single_factor_run,
     soundness_verdict,
@@ -733,6 +736,75 @@ def test_a_cell_that_leaves_its_cone_is_named():
     leaves = rf"cell .*\(0, -1, 1\).* cone {top} leaves"
     with pytest.raises(eg.GeometryError, match=leaves):
         _assemble(cx, {top: [cell]})
+
+
+class TestTransportByRays:
+    """`SubdivisionOf.transport` looks each part's owner up by the rays of
+    the part's smallest face in its maximal cell; the scan it replaced
+    (`oracles.transport_by_scan`) must find the same pieces."""
+
+    @pytest.fixture
+    def transports(self, monkeypatch):
+        """Every (subdivision, subset, result) that transport gives while
+        the test runs."""
+        calls = []
+        real = SubdivisionOf.transport
+
+        def recording(sub, subset):
+            calls.append((sub, subset, real(sub, subset)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(SubdivisionOf, "transport", recording)
+        return calls
+
+    @staticmethod
+    def _agree(calls):
+        assert calls
+        for sub, subset, got in calls:
+            want = transport_by_scan(sub, subset)
+            assert got.complex is want.complex is sub.refined
+            assert got.pieces == want.pieces
+
+    @staticmethod
+    def _families(report, g, n, vectors, base, max_edges=None):
+        # every family of the run, transported over its Γ: the run's own
+        # union check reads the verdict refine_until_conical found
+        assert report.all_passed
+        cf = contact_families(g, n, vectors, max_edges, base)
+        for family in cf.families.values():
+            report.subdivision_data.transport(family)
+
+    def test_worked_examples(self, transports):
+        assert figure1_demo().all_passed
+        base = build_moduli_complex(2, 2, 3)
+        report = single_factor_run(2, 2, (3, -3), unimodularize=True, max_edges=3, base=base)
+        self._families(report, 2, 2, [(3, -3)], base, max_edges=3)
+        self._agree(transports)
+
+    def test_criterion_three(self, transports):
+        for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (1, 3)]:
+            base = moduli_cached(g, n)
+            for a1, a2 in combinations_with_replacement(contact_vectors(n, 2), 2):
+                report = product_run(g, n, a1, a2, base=base)
+                self._families(report, g, n, [a1, a2], base)
+        self._agree(transports)
+
+    def test_unimodular_m13(self, transports):
+        base = moduli_cached(1, 3)
+        for a in M13_VECTORS:
+            report = single_factor_run(1, 3, a, unimodularize=True, base=base)
+            self._families(report, 1, 3, [a], base)
+        self._agree(transports)
+
+    def test_a_part_on_no_cell_is_named(self, orthant3):
+        cx, top = orthant3
+        s = stellar_subdivide(cx, top, (1, 1, 1))
+        diag = eg.cone_from_generators([(1, 1, 1)], 3)
+        # the new ray is the owner of the diagonal; without it the scan
+        # would settle for a larger cell
+        s._cells_cache[top] = [c for c in s.cells_over(top) if c.cone != diag]
+        with pytest.raises(eg.GeometryError, match=rf"part \(\(1, 1, 1\),\) of cone {top}"):
+            s.transport(ConicalSubset(cx, ((top, diag),)))
 
 
 class TestCheckedOnce:
