@@ -85,11 +85,19 @@ def _dump(data) -> str:
 
 
 def _emit(text: str, args):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write the output to --out or stdout.  A failed write names where it
+    went: an OSError raised by a write, unlike one raised by `open`, carries
+    no file name."""
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = args.out or "<stdout>"
+        raise
 
 
 def _report_out(report, args) -> int:

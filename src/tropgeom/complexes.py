@@ -56,7 +56,8 @@ class ConeComplex:
     def __init__(self, cones: dict, faces, auts: dict | None = None):
         self.cones = dict(cones)
         # one canonical order, (sub, sup, matrix): serialisation and the
-        # covector fixpoint of hyperplane_refine read the faces in it
+        # covector fixpoint (subdivision.closed_arrangement) read the faces
+        # in it
         faces = {FaceMap(*f) for f in faces}
         self.faces = tuple(sorted(faces, key=lambda f: (f.sub, f.sup, f.map.matrix)))
         # indexes by target and by source cone, built on first use: a refined
@@ -83,6 +84,9 @@ class ConeComplex:
         # what validate_complex finds in the whole complex, kept by
         # subdivision.check_subdivision so an original is validated once
         self._problems = None
+        # the closed covector arrangement of each given arrangement, kept by
+        # subdivision.closed_arrangement so its fixpoint runs once per input
+        self._arrangements = {}
 
     def ids(self):
         return sorted(self.cones)

@@ -615,7 +615,8 @@ class CurveModuliComplex:
     graphs: dict  # cone id -> canonical DualGraph
     _ids: dict = field(init=False, repr=False, compare=False)
     # the pipeline's per-base table (map types, the factors' map complexes,
-    # image families, check verdicts); the runs of a sweep share a base, so
+    # image families, covector arrangements, Γ subdivisions, check
+    # verdicts); the runs of a sweep share a base, so
     # this is the sweep's memory, and it goes when the base goes
     _sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -42,11 +42,14 @@ from .subdivision import (
     SubdivisionOf,
     UnsoundSample,
     check_subdivision,
+    closed_arrangement,
     cones_cover_exactly,
+    prove_conical,
     pullback_subdivision,
     refine_until_conical,
     soundness_sample,
     stellar_subdivide,
+    supporting_covectors,
 )
 from .tropmaps import (
     ContactData,
@@ -144,13 +147,39 @@ def image_family(mx: MapModuliComplex) -> ConicalSubset:
     return ConicalSubset(mx.target.complex, tuple(pieces.values()))
 
 
-def _merged_pieces(images) -> dict:
-    """The pieces of all the families, each once, by (host, rays)."""
+_MISSING = object()
+
+
+def _kept(table: dict, key, make):
+    """table[key], made by make() and kept there when it is missing; a hit
+    hashes the key, often a long tuple of map types, once."""
+    value = table.get(key, _MISSING)
+    if value is _MISSING:
+        value = table[key] = make()
+    return value
+
+
+def _gamma_of(base: CurveModuliComplex, images, unimodularize: bool):
+    """The union of the families' pieces, each once, and the key of its Γ
+    over base: the closed arrangement of the union's supporting covectors
+    (`closed_arrangement`) and the unimodularize flag.
+
+    Equal arrangements give byte-equal Γs, whichever families cut them
+    out, and in whatever order.  The base keeps the arrangement of each set
+    of pieces, so a run that repeats a set finds its key without
+    canonicalizing the covectors again; the complex keeps the closed form
+    of each given arrangement, so building Γ runs no second fixpoint.
+    """
     merged = {}
     for fam in images:
         for host, cone in fam.pieces:
             merged[(host, cone.rays)] = (host, cone)
-    return merged
+    union = ConicalSubset(base.complex, tuple(merged.values()))
+    arrangement = _kept(
+        base._sweep, ("arrangement", tuple(sorted(merged))),
+        lambda: closed_arrangement(base.complex, supporting_covectors(union)),
+    )
+    return union, ("gamma", arrangement, unimodularize)
 
 
 def build_gamma_subdivision(
@@ -161,16 +190,17 @@ def build_gamma_subdivision(
     The union of all families drives the refinement. The union check and
     transport treat each piece on its own, so a conical union makes every
     family conical, which is what the simultaneous statement needs.
+
+    The base keeps each Γ under its key (`_gamma_of`), so the runs of a
+    sweep build and check each distinct Γ once.  A Γ read from the table
+    is asked whether this union is conical on it (`prove_conical`); the
+    union's facets lie in the arrangement, so it is, but it is still asked.
     """
-    union = ConicalSubset(base.complex, tuple(_merged_pieces(images).values()))
-    return refine_until_conical(base.complex, union, unimodularize=unimodularize)
-
-
-def _gamma_key(images, unimodularize: bool):
-    """What determines Γ over a given base: the merged pieces of the
-    families, sorted, and the unimodularize flag.  The order of the families
-    does not change Γ."""
-    return tuple(sorted(_merged_pieces(images))), unimodularize
+    union, key = _gamma_of(base, images, unimodularize)
+    if key in base._sweep:
+        return prove_conical(base._sweep[key], union)
+    sub = base._sweep[key] = refine_until_conical(base.complex, union, unimodularize)
+    return sub
 
 
 def pullback_map_complexes(complexes, sub: SubdivisionOf):
@@ -207,18 +237,6 @@ def _contact_data(g: int, n: int, vectors) -> ContactData:
         if len(a) != n:
             raise ValueError(f"contact vector {list(a)} must have length n = {n}")
     return ContactData(g, vectors)
-
-
-_MISSING = object()
-
-
-def _kept(table: dict, key, make):
-    """table[key], made by make() and kept there when it is missing; a hit
-    hashes the key, often a long tuple of map types, once."""
-    value = table.get(key, _MISSING)
-    if value is _MISSING:
-        value = table[key] = make()
-    return value
 
 
 def _labelled_types(contact: ContactData, max_edges=None, base=None):
@@ -443,16 +461,19 @@ def run_contacts(
     two or more, their superimposition) and verify the hypotheses on every
     factor.
 
-    Γ is built on every run.  The base keeps the verdicts of its runs, keyed
-    by what they depend on: the Γ key and a factor's types, or the Γ key and
-    the seed.  A verdict it lacks is made here, from map complexes pulled
-    back along Γ, and the report is assembled from the verdicts.
+    Γ is asked for on every run, and the base keeps one Γ per key
+    (`build_gamma_subdivision`).  The base also keeps the verdicts of its
+    runs, keyed by what they depend on: the Γ key and a factor's types, or
+    the Γ key and the seed.  A verdict it lacks is made here, from map
+    complexes pulled back along Γ, and the report is assembled from the
+    verdicts.
     """
     t0 = time.perf_counter()
     cf = contact_families(g, n, vectors, max_edges, base)
     table = cf.base._sweep
-    sub = build_gamma_subdivision(cf.base, list(cf.families.values()), unimodularize)
-    gamma = _gamma_key(cf.families.values(), unimodularize)
+    images = list(cf.families.values())
+    sub = build_gamma_subdivision(cf.base, images, unimodularize)
+    _, gamma = _gamma_of(cf.base, images, unimodularize)
     keys = {label: ("semistable", gamma, tuple(ts)) for label, ts in cf.types.items()}
     missing = {label: cf.map_complex(label) for label, key in keys.items() if key not in table}
     for label, pb in pullback_map_complexes(missing, sub).items():

@@ -95,7 +95,7 @@ class SubdivisionOf:
         self._cells_index = {}  # original cone id -> cell rays -> cell
         # set by check_subdivision once the subdivision has passed its checks
         self._checked = False
-        # the (host, rays) pieces refine_until_conical proved unions of cells
+        # the (host, rays) pieces prove_conical proved unions of cells
         self._conical = frozenset()
         self._owned = None  # original cone id -> the refined ids over it
 
@@ -185,8 +185,8 @@ class SubdivisionOf:
         return ConicalSubset(self.refined, tuple(pieces))
 
     def proved_conical(self, subset: ConicalSubset) -> bool:
-        """Whether `refine_until_conical` proved every piece of the subset a
-        union of refined cones on this subdivision.  Transport and the union
+        """Whether `prove_conical` proved every piece of the subset a union
+        of refined cones on this subdivision.  Transport and the union
         check treat each piece on its own, so the subset's check would pass."""
         return subset.complex is self.original and self._conical.issuperset(
             (host, p.rays) for host, p in subset.pieces
@@ -669,21 +669,39 @@ def _chambers(cone: RationalCone, covectors):
     return sorted(seen.values(), key=lambda c: c.rays)
 
 
-def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf:
-    """Slice each cone by an arrangement of covectors.
+def closed_arrangement(cx: ConeComplex, covectors_by_cone: dict) -> tuple:
+    """The covector arrangement that slices the complex so its fans glue.
 
-    Covector sets are first closed under automorphisms, restriction to faces,
-    and transport across shared faces (fixpoint), so the sliced fans glue.
-    When no covector slices its cone nothing is cut, and `_assemble` returns
-    the complex's unrefined subdivision.  The result is a step, not checked.
+    The given covectors of each cone that slice it are closed under
+    automorphisms, restriction to faces, and transport across shared faces
+    (fixpoint).  Returns the closed sets in a canonical, hashable form: a
+    (cone id, sorted covectors) pair for each cone with any, in id order.
+    Equal arrangements give equal fans (`hyperplane_refine`), so the
+    arrangement stands for the refinement.
+
+    The complex keeps the closed form of each given arrangement, in the same
+    canonical form (`ConeComplex._arrangements`), so the fixpoint runs once
+    per arrangement: a caller that asks for the closed form before it
+    refines pays for one fixpoint, not two.
     """
-    covs = {cid: set() for cid in cx.cones}
+    given = {}
     for cid, ws in covectors_by_cone.items():
+        cone = cx.cones[cid]
         for w in ws:
             w = _canon_covector(tuple(w))
-            if _slices(cx.cones[cid], w):
-                covs[cid].add(w)
+            if _slices(cone, w):
+                given.setdefault(cid, set()).add(w)
+    key = tuple((cid, tuple(sorted(given[cid]))) for cid in sorted(given))
+    closed = cx._arrangements.get(key)
+    if closed is None:
+        closed = cx._arrangements[key] = _closed_covectors(cx, given)
+    return closed
 
+
+def _closed_covectors(cx: ConeComplex, given: dict) -> tuple:
+    """The fixpoint of `closed_arrangement`, from the canonical covectors
+    that slice each cone."""
+    covs = {cid: set(given.get(cid, ())) for cid in cx.cones}
     added = {}  # cone id -> covectors added to it in the current round
 
     def add(cid, w):
@@ -733,13 +751,17 @@ def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf
             f"covector transport did not stabilize in {MAX_FIXPOINT_ROUNDS} rounds; "
             f"covectors still added in the last round: {still}"
         )
+    return tuple((cid, tuple(sorted(covs[cid]))) for cid in cx.ids() if covs[cid])
 
-    fans = {
-        cid: _chambers(cx.cones[cid], sorted(covs[cid]))
-        for cid in cx.ids()
-        if covs[cid]
-    }
-    return _assemble(cx, fans)
+
+def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf:
+    """Slice each cone by its closed arrangement (`closed_arrangement`).
+
+    When no covector slices its cone nothing is cut, and `_assemble` returns
+    the complex's unrefined subdivision.  The result is a step, not checked.
+    """
+    arrangement = closed_arrangement(cx, covectors_by_cone)
+    return _assemble(cx, {cid: _chambers(cx.cones[cid], ws) for cid, ws in arrangement})
 
 
 def _extend_covector(m: LinearMap, sub_cone: RationalCone, w):
@@ -876,32 +898,50 @@ def pullback_subdivision(phi: ComplexMorphism, s: SubdivisionOf) -> PullbackResu
 # making a conical subset a union of cones
 
 
+def supporting_covectors(subset: ConicalSubset) -> dict:
+    """The supporting covectors (facets and span equations) of the subset's
+    pieces, by host cone: the arrangement that makes the subset a union of
+    cones."""
+    covs = {}
+    for host, piece in subset.pieces:
+        ws = covs.setdefault(host, set())
+        ws.update(piece.facets)
+        ws.update(piece.span_eqs)
+    return covs
+
+
 def refine_until_conical(
     cx: ConeComplex, subset: ConicalSubset, unimodularize: bool = False
 ) -> SubdivisionOf:
     """A checked subdivision of the complex in which the subset is a union
     of cones.
 
-    Uses the arrangement of all supporting covectors (facets and span
-    equations) of the pieces; optionally unimodularizes afterwards by
-    repeated stellar subdivision.  Only the final subdivision is checked,
-    not the steps that compose it, and the subset is asked once, on the
-    checked result, whether it is a union of cones.  The pieces it proved
-    are recorded on the result (`proved_conical`).
+    Slices the complex by the arrangement of the subset's supporting
+    covectors (`supporting_covectors`); optionally unimodularizes afterwards
+    by repeated stellar subdivision.  Only the final subdivision is checked,
+    not the steps that compose it, and the subset is then proved conical on
+    it (`prove_conical`).
     """
-    covs = {}
-    for host, piece in subset.pieces:
-        ws = covs.setdefault(host, set())
-        ws.update(piece.facets)
-        ws.update(piece.span_eqs)
-    sub = hyperplane_refine(cx, covs)
+    sub = hyperplane_refine(cx, supporting_covectors(subset))
     if unimodularize:
         sub = _unimodularize(sub)
-    check_subdivision(sub)
-    check = is_union_of_cones(sub.refined, sub.transport(subset))
-    if not check.ok:
-        raise GeometryError(f"refinement failed to make the subset conical: {check.witnesses}")
-    sub._conical = frozenset((host, p.rays) for host, p in subset.pieces)
+    return prove_conical(check_subdivision(sub), subset)
+
+
+def prove_conical(sub: SubdivisionOf, subset: ConicalSubset) -> SubdivisionOf:
+    """Ask once whether the subset is a union of cones of the checked
+    subdivision, and return the subdivision.
+
+    A subset whose pieces are already proved (`proved_conical`) is not asked
+    again.  Otherwise it is transported and checked; a subset that is not a
+    union of cones raises a GeometryError, and the pieces of one that is are
+    added to those the subdivision records.
+    """
+    if not sub.proved_conical(subset):
+        check = is_union_of_cones(sub.refined, sub.transport(subset))
+        if not check.ok:
+            raise GeometryError(f"refinement failed to make the subset conical: {check.witnesses}")
+        sub._conical |= {(host, p.rays) for host, p in subset.pieces}
     return sub
 
 

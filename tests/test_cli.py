@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -89,6 +90,31 @@ def test_dot_output_pinned(capsys, argv, digest):
     # graphs and map types are drawn by one writer; these are the bytes of
     # the two writers it replaced
     code, out = run(capsys, *argv, "--format", "dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("subdivide", "1", "3", "2,0,-2"),
+            "4da8e7c7fb6d049a0f4e7c218f4dfa920445f403e0451d74945ff3540c5c7bdc",
+        ),
+        (
+            # other families, one arrangement: the same Γ
+            ("subdivide", "1", "3", "2,0,-2", "1,-1,0"),
+            "4da8e7c7fb6d049a0f4e7c218f4dfa920445f403e0451d74945ff3540c5c7bdc",
+        ),
+        (
+            ("subdivide", "2", "2", "3,-3", "--max-edges", "3", "--unimodularize"),
+            "2bdfe5d045ce17167257da184622a02b5cbb0b35a4386a2c1620154679d3585a",
+        ),
+    ],
+)
+def test_subdivide_output_pinned(capsys, argv, digest):
+    # the bytes of Γ: the refined complex and its projection
+    code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -219,6 +245,22 @@ def test_unwritable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_broken_stdout_is_named(capsys, monkeypatch):
+    # a write to stdout raises an OSError without a file name, as when the
+    # reader of a pipe has gone; the error line names the stream
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert main(["moduli-complex", "1", "1"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: cannot write <stdout>: {os.strerror(errno.EPIPE)}"]
 
 
 def test_help_exits_zero(capsys):

@@ -7,7 +7,7 @@ import pytest
 from conftest import lemma_inputs, moduli_cached
 from oracles import is_identity, union_verdict_by_transport, verify_subdivision_pairwise
 from tropgeom import exactgeom as eg
-from tropgeom import pipeline
+from tropgeom import pipeline, subdivision
 from tropgeom.complexes import ConicalSubset, is_union_of_cones
 from tropgeom.curves import (
     DualGraph,
@@ -321,8 +321,9 @@ def _recomputed(*args, **kwargs):
 
 class TestSweepTable:
     """A base keeps the types, the factors' map complexes, the image
-    families and the check verdicts of the runs made on it; the runs of a
-    sweep share the base, so each piece is made once per sweep."""
+    families, the Γ of each arrangement and the check verdicts of the runs
+    made on it; the runs of a sweep share the base, so each piece is made
+    once per sweep."""
 
     @pytest.mark.parametrize(
         "g, n, unimodularize, builds",
@@ -363,22 +364,88 @@ class TestSweepTable:
         for ts, misses in built:
             assert ts not in seen or misses == 0
             seen.add(ts)
-        # the second order finds every piece in the table
+        # the second order finds every piece in the table, Γ and its
+        # arrangement included
         monkeypatch.setattr(pipeline, "enumerate_rubber_types", _recomputed)
         monkeypatch.setattr(pipeline, "build_map_complex", _recomputed)
+        monkeypatch.setattr(pipeline, "closed_arrangement", _recomputed)
+        monkeypatch.setattr(pipeline, "refine_until_conical", _recomputed)
         for i in second:
             assert _bytes(run_contacts(g, n, *i, base=base)) == fresh[i]
 
     def test_gamma_does_not_depend_on_the_family_order(self):
-        # so the sorted merged pieces can stand for Γ in the table's keys
-        cf = contact_families(1, 3, [(2, 0, -2), (1, -1, 0)], base=moduli_cached(1, 3))
-        families = list(cf.families.values())
-        subs = [
-            build_gamma_subdivision(cf.base, order)
-            for order in (families, families[::-1], families[1:] + families[:1])
-        ]
+        # Γ's key, the closed arrangement of the merged pieces, does not
+        # see the order either; each order is built on a base of its own,
+        # so no Γ is read from a table
+        vectors = [(2, 0, -2), (1, -1, 0)]
+        subs = []
+        for turn in range(3):
+            cf = contact_families(1, 3, vectors, base=build_moduli_complex(1, 3))
+            families = list(cf.families.values())
+            order = (families, families[::-1], families[1:] + families[:1])[turn]
+            subs.append(build_gamma_subdivision(cf.base, order))
         assert len(subs[0].refined.cones) > len(cf.base.complex.cones)
         assert all(sub.to_json() == subs[0].to_json() for sub in subs)
+
+    @pytest.mark.parametrize("g, n", [(1, 3), (0, 4)])
+    def test_shared_gamma_has_the_bytes_of_a_fresh_refinement(self, g, n):
+        # criterion 2's inputs, each plain and unimodularized: a Γ read from
+        # the shared base's table is the one refine_until_conical makes on a
+        # fresh base for the run's own union
+        base = build_moduli_complex(g, n)
+        for vectors in lemma_inputs(n):
+            families = list(contact_families(g, n, vectors, base=base).families.values())
+            fresh = contact_families(g, n, vectors)
+            union = {
+                (host, p.rays): (host, p)
+                for fam in fresh.families.values() for host, p in fam.pieces
+            }
+            subset = ConicalSubset(fresh.base.complex, tuple(union.values()))
+            for uni in (False, True):
+                shared = build_gamma_subdivision(base, families, uni)
+                alone = refine_until_conical(fresh.base.complex, subset, unimodularize=uni)
+                assert shared.to_json() == alone.to_json()
+
+    def test_one_gamma_per_arrangement(self, monkeypatch):
+        # criterion 2's 20 runs on M_{1,3} cut out 7 distinct Γ
+        built, fixpoints = [], []
+
+        def counted(*args, **kwargs):
+            built.append(refine_until_conical(*args, **kwargs))
+            return built[-1]
+
+        def closing(*args):
+            fixpoints.append(args)
+            return closing.real(*args)
+
+        closing.real = subdivision._closed_covectors
+        monkeypatch.setattr(pipeline, "refine_until_conical", counted)
+        monkeypatch.setattr(subdivision, "_closed_covectors", closing)
+        base = build_moduli_complex(1, 3)
+        reports = {vectors: run_contacts(1, 3, vectors, base=base) for vectors in lemma_inputs(3)}
+        assert len(built) == 7
+        # the fixpoint runs at most once per set of pieces, none for a build
+        assert len(fixpoints) <= sum(1 for key in base._sweep if key[0] == "arrangement")
+        assert {id(r.subdivision_data) for r in reports.values()} == {id(s) for s in built}
+        # a shared Γ holds every family of every run that read it proved
+        pieces = {}
+        for vectors, report in reports.items():
+            families = contact_families(1, 3, vectors, base=base).families.values()
+            pieces[vectors] = {(host, p.rays) for fam in families for host, p in fam.pieces}
+            assert all(report.subdivision_data.proved_conical(fam) for fam in families)
+        # two runs whose families differ but cut one arrangement share Γ
+        single, pair = ((2, -1, -1),), ((1, 0, -1), (2, -1, -1))
+        assert reports[single].subdivision_data is reports[pair].subdivision_data
+        assert pieces[single] != pieces[pair]
+
+    def test_the_key_keeps_unimodularize_apart(self):
+        base = build_moduli_complex(1, 3)
+        families = list(contact_families(1, 3, [(3, -3, 0)], base=base).families.values())
+        plain = build_gamma_subdivision(base, families)
+        uni = build_gamma_subdivision(base, families, unimodularize=True)
+        assert len(uni.refined.cones) > len(plain.refined.cones)
+        assert build_gamma_subdivision(base, families) is plain
+        assert build_gamma_subdivision(base, families, unimodularize=True) is uni
 
     def test_failed_verdicts_replay_with_their_witnesses(self, monkeypatch):
         # without Γ the union check fails with a point, and an injected

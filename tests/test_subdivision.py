@@ -48,10 +48,12 @@ from tropgeom.subdivision import (
     _assemble,
     _parallelepiped_interior_point,
     check_subdivision,
+    closed_arrangement,
     cones_cover_exactly,
     common_refinement,
     compose_subdivisions,
     hyperplane_refine,
+    prove_conical,
     pullback_subdivision,
     refine_until_conical,
     soundness_sample,
@@ -117,6 +119,21 @@ class TestHyperplaneRefine:
         cx, top = orthant2
         s = hyperplane_refine(cx, {top: [(1, -1)]})
         assert len(s.max_cells_over(top)) == 2
+
+    def test_closed_arrangement_is_canonical(self, orthant3):
+        # each covector also slices one square face; the closed form lists
+        # the cones with their covectors sorted, it is a fixpoint, and
+        # scaled or negated covectors in another order give it
+        cx, top = orthant3
+        arrangement = closed_arrangement(cx, {top: [(1, -1, 0), (0, 1, -1)]})
+        assert [(cx.cones[cid].rays, ws) for cid, ws in arrangement] == [
+            (((0, 0, 1), (0, 1, 0)), ((0, 1, -1),)),
+            (((0, 1, 0), (1, 0, 0)), ((1, -1, 0),)),
+            (((0, 0, 1), (0, 1, 0), (1, 0, 0)), ((0, 1, -1), (1, -1, 0))),
+        ]
+        assert closed_arrangement(cx, dict(arrangement)) == arrangement
+        assert closed_arrangement(cx, {top: [(0, -2, 2), (-1, 1, 0)]}) == arrangement
+        assert closed_arrangement(cx, {top: [(1, 0, 0)]}) == ()
 
     def test_empty_covectors_identity(self, orthant2):
         cx, top = orthant2
@@ -333,6 +350,24 @@ class TestRefineUntilConical:
             for c in sub.cells_over(cid):
                 assert eg.image_cone(c.map, sub.refined.cones[c.src]) == c.cone
 
+    def test_prove_conical_adds_to_what_is_proved(self, orthant3, monkeypatch):
+        # the braid arrangement that the diagonal cuts out has the wall
+        # spanned by (1, 0, 0) and the diagonal as a cell too, but not the
+        # ray (1, 2, 3)
+        cx, top = orthant3
+        cone = lambda *rays: ConicalSubset(cx, ((top, eg.cone_from_generators(rays, 3)),))
+        diag, edge, skew = cone((1, 1, 1)), cone((1, 0, 0), (1, 1, 1)), cone((1, 2, 3))
+        s = refine_until_conical(cx, diag)
+        assert s.proved_conical(diag) and not s.proved_conical(edge)
+        assert prove_conical(s, edge) is s
+        assert s.proved_conical(diag) and s.proved_conical(edge)
+        with pytest.raises(eg.GeometryError, match="failed to make the subset conical"):
+            prove_conical(s, skew)
+        assert not s.proved_conical(skew) and s.proved_conical(diag)
+        # a proved subset is not asked again
+        monkeypatch.setattr(subdivision, "is_union_of_cones", None)
+        assert prove_conical(s, edge) is s
+
     @pytest.mark.parametrize("unimodularize", [False, True])
     def test_failed_union_raises_with_its_witness(self, monkeypatch, unimodularize):
         cf = contact_families(1, 3, [(2, 0, -2)], base=moduli_cached(1, 3))
@@ -542,6 +577,10 @@ class TestFixpointDiagnostics:
         monkeypatch.setattr(subdivision, "MAX_FIXPOINT_ROUNDS", 2)
         assert len(hyperplane_refine(cx, {top: [(1, -1, 0)]}).max_cells_over(top)) == 2
         monkeypatch.setattr(subdivision, "MAX_FIXPOINT_ROUNDS", 1)
+        # the complex keeps the closed arrangement, so it runs no fixpoint
+        # for the same covectors again; a fresh copy runs it
+        assert len(hyperplane_refine(cx, {top: [(1, -1, 0)]}).max_cells_over(top)) == 2
+        cx, top, face = self._face12()
         with pytest.raises(eg.GeometryError) as info:
             hyperplane_refine(cx, {top: [(1, -1, 0)]})
         message = str(info.value)
