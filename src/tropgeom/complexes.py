@@ -58,7 +58,7 @@ class ConeComplex:
         # one canonical order, (sub, sup, matrix): serialisation and the
         # covector fixpoint (subdivision.closed_arrangement) read the faces
         # in it
-        faces = {FaceMap(*f) for f in faces}
+        faces = {f if type(f) is FaceMap else FaceMap(*f) for f in faces}
         self.faces = tuple(sorted(faces, key=lambda f: (f.sub, f.sup, f.map.matrix)))
         # indexes by target and by source cone, built on first use: a refined
         # copy that is only pulled back never asks for them
@@ -77,9 +77,10 @@ class ConeComplex:
         self._embeddings = {}
         self._onto = {}  # per cone: the first embedding onto each image
         # the subdivision that cuts nothing, as (refined copy, projection
-        # assignments, cells over each cone, those cells by rays), built on
-        # first use by subdivision._assemble: it holds nothing that refers
-        # back to this complex, so a complex that is dropped is freed at once
+        # assignments, cells over each cone, those cells by rays, lattice
+        # lifts of the cells), built on first use by subdivision._assemble:
+        # it holds nothing that refers back to this complex, so a complex
+        # that is dropped is freed at once
         self._uncut = None
         # what validate_complex finds in the whole complex, kept by
         # subdivision.check_subdivision so an original is validated once
@@ -115,7 +116,8 @@ class ConeComplex:
         """All embedded copies of complex cones inside the cone cid.
 
         Includes the identity embedding and every automorphism composite;
-        deduplicated by (source id, matrix).
+        deduplicated by (source id, matrix).  The identity automorphism
+        takes each embedding as it is.
         """
         if cid in self._embeddings:
             return self._embeddings[cid]
@@ -126,6 +128,9 @@ class ConeComplex:
         out = {}
         for g in self.auts[cid]:
             for emb in base:
+                if g.is_identity:
+                    out.setdefault((emb.src, emb.map.matrix), emb)
+                    continue
                 m = g.compose(emb.map)
                 key = (emb.src, m.matrix)
                 if key not in out:

@@ -40,6 +40,9 @@ class LinearMap:
     # hash((matrix, source_rank, target_rank)), the hash the dataclass would
     # generate, computed once: maps key memo tables and sets
     _hash: int = field(init=False, repr=False, compare=False)
+    # whether the map is the identity of its lattice, decided once: `compose`
+    # and the complexes' automorphism loops take an identity as it is
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.matrix) != self.target_rank or any(
@@ -51,6 +54,12 @@ class LinearMap:
             )
         object.__setattr__(
             self, "_hash", hash((self.matrix, self.source_rank, self.target_rank))
+        )
+        object.__setattr__(
+            self,
+            "is_identity",
+            self.source_rank == self.target_rank
+            and self.matrix == la.identity_matrix(self.source_rank),
         )
 
     def __hash__(self):
@@ -68,9 +77,14 @@ class LinearMap:
         return la.mat_vec(self.matrix, v)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other (cached by the two matrices)."""
+        """self after other (cached by the two matrices); when either is an
+        identity the composite is the other one."""
         if other.target_rank != self.source_rank:
             raise RankMismatch("composition rank mismatch")
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         key = (self.matrix, other.matrix, other.source_rank)
         m = _compose_cache.get(key)
         if m is None:
@@ -327,9 +341,14 @@ class RationalCone:
         return [f for f in self.all_faces() if f.rays != self.rays]
 
     def is_face_of(self, other: "RationalCone") -> bool:
+        """Whether self is a face of other: the smallest face of other
+        holding self has self's rays (`minimal_face_rays`, no face built)."""
         if not other.contains_cone(self):
             return False
-        return other.minimal_face_containing(self) == self
+        return (
+            self.ambient_rank == other.ambient_rank
+            and other.minimal_face_rays(self) == self.rays
+        )
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.dim
@@ -509,8 +528,13 @@ def preimage_cone(f: LinearMap, c: RationalCone, domain: RationalCone) -> Ration
     return cone_from_inequalities(ineqs, eqns, domain.ambient_rank)
 
 
+@lru_cache(maxsize=4096)
 def is_unimodular(c: RationalCone) -> bool:
-    """Whether c is simplicial with rays extending to a basis of its span lattice."""
+    """Whether c is simplicial with rays extending to a basis of its span lattice.
+
+    The answers are kept in an LRU table of 4096 entries, like
+    `lattice_surjective`, so a rescan of cones already asked reads the table.
+    """
     return c.is_simplicial() and c.lattice_index() == 1
 
 

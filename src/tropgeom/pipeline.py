@@ -542,9 +542,7 @@ def dr_support(g: int, n: int, a, unimodularize: bool = False,
         inputs={"genus": g, "markings": n, "contacts": [list(a)], "types": len(cf.types["X"])},
         subdivision=sub.summary(),
     )
-    chk = is_union_of_cones(sub.refined, transported)
-    witness = chk.witnesses[0][2] if chk.witnesses else None
-    report.add("support is a union of cones", "base", chk.ok, witness)
+    report.add("support is a union of cones", "base", *_union_verdict(sub, fam))
     report.elapsed = time.perf_counter() - t0
     return SupportResult(fam, sub, strata, report)
 

@@ -98,6 +98,7 @@ class SubdivisionOf:
         # the (host, rays) pieces prove_conical proved unions of cells
         self._conical = frozenset()
         self._owned = None  # original cone id -> the refined ids over it
+        self._lifts = {}  # (refined id, cell map matrix) -> lattice_lift
 
     def refined_over(self, cid: str):
         """The refined ids over the original cone cid, in id order (indexed
@@ -152,6 +153,21 @@ class SubdivisionOf:
                 f"{cell.cone.rays} that is not a cell over the cone"
             )
         return owner
+
+    def lattice_lift(self, cell: Embedded):
+        """The matrix basisᵀ · p that sends a lattice point y of the cell's
+        span to the point of the refined cone cell.src that cell.map sends
+        to y: basis is that cone's span basis (nonempty) and p is
+        `la.projection_to_lattice` of its image under cell.map.  Kept per
+        (refined id, cell map matrix) for the life of the subdivision: the
+        basis belongs to the refined cone, not to its rays."""
+        key = (cell.src, cell.map.matrix)
+        lift = self._lifts.get(key)
+        if lift is None:
+            basis = self.refined.cones[cell.src].span_basis
+            proj = la.projection_to_lattice(tuple(cell.map.apply(b) for b in basis))
+            lift = self._lifts[key] = la.mat_mul(la.transpose(basis), proj)
+        return lift
 
     def transport(self, subset: ConicalSubset) -> ConicalSubset:
         """Re-express a conical subset of the original complex in the refined one.
@@ -267,6 +283,8 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
         changed = set()
         for cid in touched:
             for g in cx.auts[cid]:
+                if g.is_identity:
+                    continue
                 for c in list(cells[cid]):
                     img = image_cone(g, c)
                     if img not in cells[cid]:
@@ -350,7 +368,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
     for (owner, _), nid in ids.items():
         rep = new_cones[nid]
         new_auts[nid] = [
-            g for g in cx.auts[owner] if image_cone(g, rep) == rep
+            g for g in cx.auts[owner] if g.is_identity or image_cone(g, rep) == rep
         ]
         assignments[nid] = (
             owner,
@@ -366,7 +384,7 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
 
     refined = ConeComplex(new_cones, new_faces, new_auts)
     if not cells:
-        cx._uncut = (refined, assignments, {}, {})
+        cx._uncut = (refined, assignments, {}, {}, {})
         return _uncut_view(cx)
     return SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments), cells)
 
@@ -381,9 +399,9 @@ def _uncut_view(cx: ConeComplex) -> SubdivisionOf:
     would make every complex subdivided once, such as the superimposed map
     complex of one run, a reference cycle left for the cycle collector.
     """
-    refined, assignments, cells, index = cx._uncut
+    refined, assignments, cells, index, lifts = cx._uncut
     sub = SubdivisionOf(cx, refined, ComplexMorphism(refined, cx, assignments), ())
-    sub._cells_cache, sub._cells_index = cells, index
+    sub._cells_cache, sub._cells_index, sub._lifts = cells, index, lifts
     return sub
 
 
@@ -415,7 +433,8 @@ def _unrefined(cx: ConeComplex, cid: str, nid: str, ids: dict):
             raise GeometryError(
                 f"face {face.rays} of cone {cid} is cut, but cone {cid} is not"
             )
-        yield FaceMap(sub_id, nid, emb.map.compose(inverse(cx.auts[emb.src][0])))
+        h = cx.auts[emb.src][0]
+        yield FaceMap(sub_id, nid, emb.map if h.is_identity else emb.map.compose(inverse(h)))
 
 
 def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
@@ -880,10 +899,8 @@ def pullback_subdivision(phi: ComplexMorphism, s: SubdivisionOf) -> PullbackResu
         if best is None:
             raise GeometryError(f"image of refined cone {rid} is not in a refined cell")
         t_rep = s.refined.cones[best.src]
-        basis = t_rep.span_basis
-        if basis:
-            proj = la.projection_to_lattice(tuple(best.map.apply(b) for b in basis))
-            rows = la.mat_mul(la.mat_mul(la.transpose(basis), proj), full.matrix)
+        if t_rep.span_basis:
+            rows = la.mat_mul(s.lattice_lift(best), full.matrix)
         else:
             rows = tuple(la.zero_vec(full.source_rank) for _ in range(t_rep.ambient_rank))
         n = LinearMap(rows, full.source_rank, t_rep.ambient_rank)

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import check_subdivision_whole
+from tropgeom import complexes, pipeline
 from tropgeom import exactgeom as eg
 from tropgeom.curves import build_moduli_complex
 from tropgeom.subdivision import SubdivisionOf, check_subdivision
@@ -97,3 +99,49 @@ def lemma_inputs(n):
         for a1, a2 in combinations_with_replacement(vectors, 2)
         if degree(a1) + degree(a2) <= 3
     ]
+
+
+@pytest.fixture(scope="session")
+def ladder():
+    """What the benchmark's four ladder inputs build, from fresh bases:
+    criterion 2's sweeps on M_{0,5} and M_{1,3}, the worked example on
+    M_{2,2} (graphs of at most three edges) and the single factor runs on
+    M_{1,3}, both unimodularized, and M_{0,6}.  Holds every cone complex
+    made on the way (`complexes`), the Γ of each run and the source
+    subdivision of each pullback (`subdivisions`), and each pullback as
+    (morphism, Γ, result) (`pullbacks`)."""
+    built, pullbacks, gammas = [], [], []
+    init = complexes.ConeComplex.__init__
+    pull_back = pipeline.pullback_subdivision
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def recorded_pullback(phi, s):
+        result = pull_back(phi, s)
+        pullbacks.append((phi, s, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes.ConeComplex, "__init__", recorded_init)
+        mp.setattr(pipeline, "pullback_subdivision", recorded_pullback)
+        for g, n in ((0, 5), (1, 3)):
+            base = build_moduli_complex(g, n)
+            for vectors in lemma_inputs(n):
+                gammas.append(pipeline.run_contacts(g, n, vectors, base=base).subdivision_data)
+        base = build_moduli_complex(2, 2, 3)
+        gammas.append(pipeline.single_factor_run(
+            2, 2, (3, -3), unimodularize=True, base=base, max_edges=3
+        ).subdivision_data)
+        base = build_moduli_complex(1, 3)
+        for a in contact_vectors(3, 3):
+            gammas.append(pipeline.single_factor_run(
+                1, 3, a, unimodularize=True, base=base
+            ).subdivision_data)
+        build_moduli_complex(0, 6)
+    subdivisions = {id(s): s for s in gammas}
+    subdivisions.update((id(r.subdivision), r.subdivision) for _, _, r in pullbacks)
+    return SimpleNamespace(
+        complexes=built, subdivisions=list(subdivisions.values()), pullbacks=pullbacks
+    )

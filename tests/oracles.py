@@ -24,6 +24,12 @@ every original cone, where the library checks only the cones a step glued.
 The face lookups that a complex indexes (the embedding that stands for a
 face, the face maps into and out of a cone) are scans here, and both
 validators keep their nested loops over every face map and embedding.  The
+paths that take an identity as it is keep their earlier form: a cone's
+embeddings composed with every automorphism, the identity too, and applied
+to each image; a composite as the product of the two matrices; whether a
+cone is a face of another through the face `minimal_face_containing`
+builds; and a pullback's lattice lift computed afresh for every refined
+cone, where the library keeps one per target cell on the subdivision.  The
 one-pass canonical labelling, which computes the automorphisms on every
 call, is kept beside the library's memoized labelling and automorphism
 tables, with its own copies of the per-vertex invariant (one scan of the
@@ -36,6 +42,7 @@ elimination, a Smith form per solve, column-by-column inversion, a cone's
 frame from one factorisation per piece (`cone_frame_by_solves`), double
 description through Fraction projections and with each equation inserted as
 a pair of inequalities, the box point scan and the rational sample points.
+Whether a cone is unimodular is asked of the gcd of its maximal minors.
 The pairwise relative interior test, which the chamber count of
 `cones_cover_exactly` replaced, is kept here too.  The tests compare the
 library against them.
@@ -485,6 +492,14 @@ def minimal_face_containing_by_dot(cone: RationalCone, sub: RationalCone):
     return face_at_by_dot(cone, active)
 
 
+def is_face_of_by_minimal_face(a: RationalCone, b: RationalCone) -> bool:
+    """`RationalCone.is_face_of` through the face `minimal_face_containing`
+    builds, compared as a cone."""
+    if not b.contains_cone(a):
+        return False
+    return b.minimal_face_containing(a) == a
+
+
 def verify_subdivision_pairwise(sub):
     """Check that the refined cells partition every original cone.
 
@@ -818,6 +833,24 @@ def embedding_onto_scan(cx: ConeComplex, cid: str, face: RationalCone):
     return next((e for e in cx.embeddings_into(cid) if e.cone == face), None)
 
 
+def embeddings_into_every_automorphism(cx: ConeComplex, cid: str):
+    """`ConeComplex.embeddings_into` with every automorphism, the identity
+    too, composed with every embedding and applied to its image."""
+    cone = cx.cones[cid]
+    base = [(cone, cid, LinearMap.identity(cone.ambient_rank))]
+    for f in cx.faces:
+        if f.sup == cid:
+            base.append((image_cone(f.map, cx.cones[f.sub]), f.sub, f.map))
+    out = {}
+    for g in cx.auts[cid]:
+        for img, src, m in base:
+            gm = compose_by_mat_mul(g, m)
+            key = (src, gm.matrix)
+            if key not in out:
+                out[key] = (image_cone(g, img), src, gm)
+    return sorted(out.values(), key=lambda e: (e[0].dim, e[1], e[2].matrix))
+
+
 def face_maps_into_scan(cx: ConeComplex, cid: str):
     return sorted(
         (f for f in cx.faces if f.sup == cid), key=lambda f: (f.sub, f.map.matrix)
@@ -1003,6 +1036,31 @@ def _rref(rows):
     return pivots, [tuple(row) for row in m[:r]]
 
 
+def _det_leibniz(m) -> int:
+    """The determinant of a small square integer matrix, by the Leibniz sum."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def is_unimodular_by_minors(cone: RationalCone) -> bool:
+    """Whether the cone is simplicial and the gcd of the maximal minors of
+    its rays is 1, which is its lattice index: the rays then extend to a
+    basis of the lattice of the span."""
+    d = len(cone.rays)
+    if d != cone.dim:
+        return False
+    index = 0
+    for cols in combinations(range(cone.ambient_rank), d):
+        index = gcd(index, _det_leibniz([[r[c] for c in cols] for r in cone.rays]))
+    return index == 1
+
+
 def rank_rational(rows) -> int:
     """Rank by rational row reduction."""
     if not rows:
@@ -1040,6 +1098,39 @@ def mat_mul_by_rows(a, b):
     """A matrix product, one `dot_zip` per row of a and column of b."""
     bt = la.transpose(b)
     return tuple(tuple(dot_zip(ra, cb) for cb in bt) for ra in a)
+
+
+def compose_by_mat_mul(a: LinearMap, b: LinearMap) -> LinearMap:
+    """`LinearMap.compose` with no table and no identity shortcut: a after b
+    as the product of the two matrices."""
+    if b.target_rank != a.source_rank:
+        raise RankMismatch("composition rank mismatch")
+    return LinearMap(la.mat_mul(a.matrix, b.matrix), b.source_rank, a.target_rank)
+
+
+def pullback_assignments_fresh(phi: ComplexMorphism, s: SubdivisionOf, sub_src: SubdivisionOf):
+    """The assignments of `pullback_subdivision(phi, s).refined_map`, given
+    its source subdivision sub_src, with each refined cone's lattice lift
+    computed afresh, as basisᵀ · `la.projection_to_lattice` of the image of
+    the target cell's span basis."""
+    out = {}
+    for rid in sub_src.refined.ids():
+        owner, pm = sub_src.projection.assignments[rid]
+        rep = sub_src.refined.cones[rid]
+        _, m = phi.assignments[owner]
+        full = compose_by_mat_mul(m, pm)
+        img = image_cone(full, rep)
+        best = next(c for c in s.cells_over(phi.assignments[owner][0])
+                    if c.cone.contains_cone(img))
+        t_rep = s.refined.cones[best.src]
+        basis = t_rep.span_basis
+        if basis:
+            proj = la.projection_to_lattice(tuple(best.map.apply(b) for b in basis))
+            rows = la.mat_mul(la.mat_mul(la.transpose(basis), proj), full.matrix)
+        else:
+            rows = tuple(la.zero_vec(full.source_rank) for _ in range(t_rep.ambient_rank))
+        out[rid] = (best.src, LinearMap(rows, full.source_rank, t_rep.ambient_rank))
+    return out
 
 
 def solve_integer_fresh(mat, target):

@@ -119,6 +119,27 @@ def test_subdivide_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("dr-support", "1", "3", "2,0,-2"),
+            "5fccbe19059bb6593404faf0047f2ad5af29b1a3c434320ff660c03364ba4c5d",
+        ),
+        (
+            # the run behind the unimodular-g2n2 benchmark's slowest run:
+            # refinement, stellar steps, checks and pullbacks
+            ("verify", "2", "2", "3,-3", "--max-edges", "3", "--unimodularize"),
+            "effd1bbe97bef34ba850a7ed9cc5966ccd7828e9ec4f32c6919f13f18808cafb",
+        ),
+    ],
+)
+def test_report_output_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_moduli_complex_json_roundtrip(capsys):
     code, out = run(capsys, "moduli-complex", "1", "1")
     assert code == 0

@@ -1,6 +1,7 @@
 import pytest
 from conftest import lemma_inputs, moduli_cached
 from oracles import (
+    embeddings_into_every_automorphism,
     embedding_onto_scan,
     face_maps_into_scan,
     face_maps_out_of_scan,
@@ -206,6 +207,17 @@ def test_face_map_indexes_match_the_scans(criterion_two_complexes):
         for cid in cx.ids():
             assert list(cx.face_maps_into(cid)) == face_maps_into_scan(cx, cid)
             assert list(cx.face_maps_out_of(cid)) == face_maps_out_of_scan(cx, cid)
+
+
+def test_embeddings_into_match_every_automorphism(ladder):
+    # the identity automorphism takes each embedding as it is; on a trivial
+    # group that is the whole table
+    trivial = 0
+    for cx in ladder.complexes:
+        for cid in cx.ids():
+            trivial += len(cx.auts[cid]) == 1
+            assert list(cx.embeddings_into(cid)) == embeddings_into_every_automorphism(cx, cid)
+    assert 0 < trivial < sum(len(cx.cones) for cx in ladder.complexes)
 
 
 def test_validators_match_the_loops(criterion_two_complexes):

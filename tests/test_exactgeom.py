@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import random_cone
 from oracles import (
+    compose_by_mat_mul,
     cone_frame_by_solves,
     contains_bruteforce,
     contains_by_dot,
     contains_in_relint_by_dot,
     face_at_by_dot,
     insert_halfspace_by_dot,
+    is_face_of_by_minimal_face,
     minimal_face_containing_by_dot,
     extreme_rays_of_system_fraction,
     extreme_rays_of_system_pairs,
@@ -93,6 +95,9 @@ class TestMembership:
         assert z.contains((0, 0, 0))
         assert not z.contains((1, 0, 0))
         assert z.is_face_of(eg.cone_from_generators([(1, 0, 0)], 3))
+        # the zero cone of another rank is not a face
+        for c in (eg.cone_from_generators([(1, 0)], 2), eg.cone_from_generators([(1, 0, 0, 0)], 4)):
+            assert not z.is_face_of(c) and not is_face_of_by_minimal_face(z, c)
 
     @pytest.mark.parametrize(
         "gens, rank, inside, wrong",
@@ -123,6 +128,7 @@ class TestMembership:
                 assert c.minimal_face_containing(face) == face
                 assert minimal_face_containing_by_dot(c, face) == face
                 assert c.minimal_face_rays(face) == face.rays
+                assert face.is_face_of(c)
             inside = rng.sample(c.rays, rng.randint(0, len(c.rays)))
             for sub in (
                 eg.cone_from_generators(inside, rank),
@@ -131,6 +137,7 @@ class TestMembership:
                 want = minimal_face_containing_by_dot(c, sub)
                 assert c.minimal_face_containing(sub) == want
                 assert c.minimal_face_rays(sub) == want.rays
+                assert sub.is_face_of(c) == is_face_of_by_minimal_face(sub, c)
             for covs in (
                 rng.sample(c.facets, rng.randint(0, len(c.facets))),
                 [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(2)],
@@ -584,3 +591,63 @@ def test_integer_sample_points_scale_the_rational_ones(seed, rank, gens):
         assert p == tuple(scale * x for x in q)
         assert cone.contains(p) and cone.contains(q)
         assert cone.contains_in_relint(p) == cone.contains_in_relint(q)
+
+
+# ---------------------------------------------------------------------------
+# the identity and face shortcuts on what the benchmark's inputs build
+
+
+def test_compose_matches_the_matrix_product(ladder):
+    """Every automorphism after every embedding and automorphism of its cone,
+    and every projection after the automorphisms of its refined cone, against
+    the product of the matrices; an identity factor gives the other back."""
+    pairs = []
+    for cx in ladder.complexes:
+        for cid in cx.ids():
+            group = cx.auts[cid]
+            pairs += [(g, h) for g in group for h in group]
+            pairs += [(g, e.map) for g in group for e in cx.embeddings_into(cid)]
+    for sub in ladder.subdivisions:
+        for rid, (_, m) in sub.projection.assignments.items():
+            pairs += [(m, h) for h in sub.refined.auts[rid]]
+    identities = 0
+    for a, b in pairs:
+        got = a.compose(b)
+        assert got == compose_by_mat_mul(a, b)
+        if a.is_identity or b.is_identity:
+            identities += 1
+            assert got is (b if a.is_identity else a)
+    assert 0 < identities < len(pairs)
+
+
+def test_identity_is_decided_at_construction():
+    for n in range(4):
+        assert eg.LinearMap(la.identity_matrix(n), n, n).is_identity
+        assert eg.LinearMap.identity(n).is_identity
+    assert not eg.LinearMap(((0, 1), (1, 0)), 2, 2).is_identity
+    assert not eg.LinearMap(((1, 0),), 2, 1).is_identity
+    assert not eg.LinearMap(((1,), (0,)), 1, 2).is_identity
+    with pytest.raises(eg.RankMismatch):
+        eg.LinearMap.identity(2).compose(eg.LinearMap.identity(3))
+
+
+def test_is_face_of_matches_the_minimal_face(ladder):
+    """Each cell over an original cone, asked whether it is a face of the
+    cone and of each maximal cell there, and each embedded cone of a complex,
+    asked whether it is a face of its cone."""
+    answers = set()
+    for sub in ladder.subdivisions:
+        for cid in sub.original.ids():
+            cone = sub.original.cones[cid]
+            cells = [c.cone for c in sub.cells_over(cid)]
+            maxima = [c for c in cells if c.dim == cone.dim]
+            for a in cells:
+                for b in [cone] + maxima:
+                    got = a.is_face_of(b)
+                    assert got == is_face_of_by_minimal_face(a, b)
+                    answers.add(got)
+    for cx in ladder.complexes:
+        for cid, cone in cx.cones.items():
+            for e in cx.embeddings_into(cid):
+                assert e.cone.is_face_of(cone) and is_face_of_by_minimal_face(e.cone, cone)
+    assert answers == {True, False}

@@ -3,10 +3,12 @@
 `image_cone`, `LinearMap.compose`, `RationalCone.contains_cone`,
 `RationalCone.face_at` and `complexes.pull_back_cone` keep their results
 under canonical keys, and `exactgeom.lattice_surjective` in a bounded LRU
-table, as does `exactgeom.inverse`, which `validate_complex` and the
-assembler share; `LinearMap.identity` is one map per rank.  Each is called
-twice on random maps and cones and must give the direct computation both
-times; a call that raises must raise again.
+table, as do `exactgeom.inverse`, which `validate_complex` and the
+assembler share, and `exactgeom.is_unimodular`, which unimodularization
+asks of every refined cone after each stellar step; `LinearMap.identity` is
+one map per rank.  Each is called twice on random maps and cones and must
+give the direct computation both times; a call that raises must raise
+again.
 `exactgeom.intersect` keeps no table of its own: a repeat must find the
 system table of `cone_from_inequalities` and run no double description.
 `curves.canonical_labelling`, `curves.automorphism_pairs` and
@@ -31,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lemma_inputs, moduli_cached, random_cone
-from oracles import canonical_with_data_direct, contraction_faces_direct
+from oracles import canonical_with_data_direct, contraction_faces_direct, is_unimodular_by_minors
 from tropgeom import complexes, curves
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
@@ -229,6 +231,16 @@ def test_failed_lattice_surjective_is_not_remembered():
     ray = eg.cone_from_generators([(1,)], 1)
     assert eg.lattice_surjective(eg.LinearMap(((1,),), 1, 1), ray) is True
     assert eg.lattice_surjective.cache_info().maxsize == 4096
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_is_unimodular(seed):
+    rng = random.Random(seed)
+    for c in _faces(rng, rng.randint(1, 4), 3):
+        _twice(lambda: eg.is_unimodular(c), is_unimodular_by_minors(c))
+    info = eg.is_unimodular.cache_info()
+    assert info.maxsize == 4096 and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("seed", range(4))

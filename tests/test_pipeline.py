@@ -265,6 +265,23 @@ class TestDrSupport:
         for s in result.strata:
             assert s["codim"] == s["host_dim"] - s["support_dim"] >= 0
 
+    def test_support_asks_its_union_question_once(self, monkeypatch):
+        # Γ proves the family conical (prove_conical); the check line reads
+        # that proof, as the runs' union verdicts do, and is not asked again
+        calls = []
+        for module in (subdivision, pipeline):
+            monkeypatch.setattr(
+                module,
+                "is_union_of_cones",
+                lambda cx, subset, ask=module.is_union_of_cones: calls.append(subset) or ask(cx, subset),
+            )
+        result = dr_support(1, 3, (2, 0, -2))
+        assert len(calls) == 1
+        assert [(c.name, c.passed, c.witness) for c in result.report.checks] == [
+            ("support is a union of cones", True, None)
+        ]
+        assert result.subdivision.proved_conical(result.subset)
+
     def test_strata_table_matches_transport(self):
         result = dr_support(1, 2, (1, -1))
         for s in result.strata:

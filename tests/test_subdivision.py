@@ -11,6 +11,7 @@ from oracles import (
     glue_fans_whole,
     is_identity,
     parallelepiped_interior_point_scan,
+    pullback_assignments_fresh,
     relints_intersect,
     slices_by_dot,
     transport_by_scan,
@@ -273,6 +274,35 @@ class TestPullback:
         )
         pb = pullback_subdivision(phi, hyperplane_refine(rcx, {}))
         assert is_identity(pb.subdivision)
+
+
+def test_pullback_lifts_match_the_fresh_lift(ladder):
+    """Every pullback the benchmark's inputs make assigns each refined cone
+    the map that a lattice lift computed afresh gives."""
+    assert ladder.pullbacks
+    for phi, s, result in ladder.pullbacks:
+        assert result.refined_map.assignments == pullback_assignments_fresh(
+            phi, s, result.subdivision
+        )
+
+
+def test_pullbacks_lift_each_target_cell_once(monkeypatch):
+    """A Γ keeps the lattice lift of each (refined id, cell map): the
+    pullbacks of a run compute each once, and a repeat computes none."""
+    calls = []
+    projection = la.projection_to_lattice
+    monkeypatch.setattr(
+        la, "projection_to_lattice", lambda rows: calls.append(rows) or projection(rows)
+    )
+    report = run_contacts(1, 3, ((2, 0, -2), (1, -1, 0)), base=build_moduli_complex(1, 3))
+    gamma = report.subdivision_data
+    assert 0 < len(calls) == len(gamma._lifts)
+    mx = contact_families(1, 3, ((2, 0, -2),), base=build_moduli_complex(1, 3)).map_complex("X")
+    before = len(calls)
+    first = pullback_subdivision(mx.forgetful, gamma)
+    again = pullback_subdivision(mx.forgetful, gamma)
+    assert len(calls) == before
+    assert first.refined_map.assignments == again.refined_map.assignments
 
 
 def test_extended_covectors_restrict_to_the_face():
