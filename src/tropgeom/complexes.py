@@ -18,7 +18,7 @@ from .exactgeom import (
     LinearMap,
     RationalCone,
     RankMismatch,
-    cone_from_generators,
+    _cone_from_extreme,
     image_cone,
     intersect,
     inverse,
@@ -264,12 +264,19 @@ _pullback_cache: dict = {}
 
 
 def pull_back_cone(m: LinearMap, source_cone: RationalCone, cone: RationalCone):
-    """Pull a cone contained in m(source_cone) back through the embedding m."""
+    """Pull a cone contained in m(source_cone) back through the embedding m.
+
+    m is injective on the span of source_cone, so the preimages of the
+    cone's rays are the extreme rays of the pullback, and the covectors
+    f∘m of the cone's facets f are its facet normals (`_cone_from_extreme`).
+    """
     key = (m.matrix, source_cone.ambient_rank, source_cone.rays, cone.rays)
     back = _pullback_cache.get(key)
     if back is None:
-        gens = [preimage_in_span(m, source_cone, r) for r in cone.rays]
-        back = cone_from_generators(gens, source_cone.ambient_rank)
+        rays = [preimage_in_span(m, source_cone, r) for r in cone.rays]
+        cols = la.transpose(m.matrix)
+        normals = [la.mat_vec(cols, f) for f in cone.facets]
+        back = _cone_from_extreme(rays, normals, source_cone.ambient_rank)
         _pullback_cache[key] = back
     return back
 
@@ -340,6 +347,9 @@ def validate_complex(cx: ConeComplex, scope=None):
         )
     out = []
     ill_formed = set()
+    # the rays of each face of a target cone, from the face lattice that the
+    # representation check below builds on every cone in scope
+    face_rays = {}
     for f in faces:
         if f.sub not in cx.cones or f.sup not in cx.cones:
             out.append(f"face map {f.sub}->{f.sup} references unknown cones")
@@ -351,7 +361,10 @@ def validate_complex(cx: ConeComplex, scope=None):
             ill_formed.add(f)
             continue
         img = image_cone(f.map, sub)
-        if not img.is_face_of(sup):
+        lattice = face_rays.get(f.sup)
+        if lattice is None:
+            lattice = face_rays[f.sup] = {face.rays for face in sup.all_faces()}
+        if img.rays not in lattice:
             out.append(f"face map {f.sub}->{f.sup} does not land on a face")
             continue
         if img.dim != sub.dim or not lattice_surjective(f.map, sub):

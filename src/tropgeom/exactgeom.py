@@ -1,10 +1,25 @@
 """Pointed rational polyhedral cones with exact dual descriptions.
 
-Cones carry both extremal primitive rays and a canonical facet description,
-computed by incremental double description (Motzkin style insertion with a
-combinatorial adjacency test, on integers only: Bareiss, Math. Comp. 22,
-1968; Fukuda-Prodon, LNCS 1120, 1996).  All values are immutable after
-construction and all arithmetic is exact.
+Cones carry both extremal primitive rays and a canonical facet description.
+Each cone runs at most one double description (Motzkin style insertion with
+a combinatorial adjacency test on bit-set zero sets, on integers only:
+Bareiss, Math. Comp. 22, 1968; Fukuda-Prodon, LNCS 1120, 1996):
+- `cone_from_generators` (images, stellar cells, JSON) runs it on the dual
+  cone for the facets and keeps the generators whose active facet sets are
+  maximal as the rays;
+- `cone_from_inequalities` (intersections, preimages, map cones) runs it on
+  the system for the rays and reads the facets off the inequalities;
+- faces (`RationalCone.face_at`, `all_faces`) and pullbacks
+  (`complexes.pull_back_cone`) already hold their extreme rays and a set of
+  covectors containing their facet normals, and run none;
+- each side of a slice (`halves`) is one insertion step on the parent's
+  rays and their zero sets.
+All but the first build through `_cone_from_extreme`, which picks the
+covectors with maximal zero sets on the rays as the facet normals
+(Kaibel-Pfetsch, Comput. Geom. 23, 2002).  A cone's frame is one Smith form
+of the generators that first reached it, and a cone built from its extreme
+rays has every field `cone_from_generators` of those rays gives.  All values
+are immutable after construction and all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -128,14 +143,16 @@ def _insert_halfspace(lin, rays, a, index):
 
     lin is a list of lineality basis vectors, rays a list of [vector, zeroset]
     pairs, and a is the constraint numbered index, after the constraints
-    numbered 0 .. index - 1.  Returns the updated pair.  All arithmetic is on integers: a
-    vector x is projected along the pivot direction b onto {a = 0} as the
-    primitive vector of (a.b) x - (a.x) b.  The vectors of (lin, rays) share
-    one width, so a is checked against it once and each product is summed
-    without a call to `la.dot`.
+    numbered 0 .. index - 1.  A zero set is an integer bit set: bit k is set
+    when constraint k vanishes on the ray.  Returns the updated pair.  All
+    arithmetic is on integers: a vector x is projected along the pivot
+    direction b onto {a = 0} as the primitive vector of (a.b) x - (a.x) b.
+    The vectors of (lin, rays) share one width, so a is checked against it
+    once and each product is summed without a call to `la.dot`.
     """
     if lin or rays:
         la.check_width((a,), len(lin[0] if lin else rays[0][0]))
+    bit = 1 << index
     vals = [sum(map(mul, a, b)) for b in lin]
     pivot = next((i for i, v in enumerate(vals) if v != 0), None)
     if pivot is not None:
@@ -151,9 +168,9 @@ def _insert_halfspace(lin, rays, a, index):
         for r, zs in rays:
             projv = _combine(vb, r, sum(map(mul, a, r)), b)
             if any(projv):
-                new_rays.append([projv, zs | {index}])
+                new_rays.append([projv, zs | bit])
         # the pivot lineality direction survives as an extreme ray on the >= 0 side
-        new_rays.append([la.primitive(b), frozenset(range(index))])
+        new_rays.append([la.primitive(b), bit - 1])
         return new_lin, new_rays
 
     pos, zero, neg = [], [], []
@@ -164,25 +181,26 @@ def _insert_halfspace(lin, rays, a, index):
         elif v < 0:
             neg.append([r, zs, v])
         else:
-            zero.append([r, zs | {index}])
+            zero.append([r, zs | bit])
     if not neg:
         return lin, [[r, zs] for r, zs, _ in pos] + zero
     if not pos and not zero and not lin:
         return lin, []
     kept = [[r, zs] for r, zs, _ in pos] + zero
-    all_zerosets = [zs for _, zs, _ in pos] + [zs for _, zs in zero] + [
-        zs for _, zs, _ in neg
-    ]
-    for (rp, zp, vp), (rn, zn, vn) in [(p, n) for p in pos for n in neg]:
-        common = zp & zn
-        adjacent = not any(
-            zs >= common for zs in all_zerosets if zs is not zp and zs is not zn
-        )
-        if not adjacent:
-            continue
-        comb = _combine(vp, rn, vn, rp)
-        if any(comb):
-            kept.append([comb, common | {index}])
+    # the zero sets of every ray, by position: pos, then zero, then neg
+    zsets = [zs for _, zs, _ in pos] + [zs for _, zs in zero] + [zs for _, zs, _ in neg]
+    first_neg = len(zsets) - len(neg)
+    for i, (rp, zp, vp) in enumerate(pos):
+        for j, (rn, zn, vn) in enumerate(neg, first_neg):
+            # adjacent when no third ray vanishes on every constraint both do
+            common = zp & zn
+            for k, zs in enumerate(zsets):
+                if zs & common == common and k != i and k != j:
+                    break
+            else:
+                comb = _combine(vp, rn, vn, rp)
+                if any(comb):
+                    kept.append([comb, common | bit])
     # dedupe rays that coincide after combination
     seen = {}
     for r, zs in kept:
@@ -224,7 +242,11 @@ class RationalCone:
             iff all of these vanish).
         span_basis: saturated lattice basis of the linear span (rows), from
             the Smith form of the sorted generators the cone was first built
-            from: a function of that generator set, not of its order.
+            from: a function of that generator set, not of its order.  The
+            cones built from their extreme rays (faces, slices, pullbacks,
+            inequality systems) take it from their sorted rays, as
+            `cone_from_generators` of the rays does; a cone the generator
+            path reached first keeps that path's frame.
     """
 
     ambient_rank: int
@@ -293,14 +315,16 @@ class RationalCone:
         return p
 
     def face_at(self, covectors) -> "RationalCone":
-        """The face where the given cone-nonnegative covectors vanish."""
+        """The face where the given cone-nonnegative covectors vanish: the
+        cone's rays on it are its extreme rays, and the cone's facets hold
+        its facet normals (`_cone_from_extreme`)."""
         key = (self.ambient_rank, self.rays, tuple(map(tuple, covectors)))
         face = _face_cache.get(key)
         if face is None:
             if self.rays:
                 la.check_width(key[2], self.ambient_rank)
             kept = _orthogonal(self.rays, key[2])
-            face = cone_from_generators(kept, self.ambient_rank)
+            face = _cone_from_extreme(kept, self.facets, self.ambient_rank)
             _face_cache[key] = face
         return face
 
@@ -401,12 +425,48 @@ _image_cache: dict = {}  # image_cone
 _cone_cache: dict = {}
 
 
+def _zeros(x, vectors) -> int:
+    """The bit set of the positions k where vectors[k].x vanishes (one width)."""
+    z = 0
+    for k, y in enumerate(vectors):
+        if not sum(map(mul, x, y)):
+            z |= 1 << k
+    return z
+
+
+def _maximal(z: int, sets) -> bool:
+    """Whether no bit set in sets strictly contains the bit set z."""
+    return not any(y != z and y & z == z for y in sets)
+
+
+def _frame(gens: tuple, ambient_rank: int):
+    """(d, span_basis, lift, span_eqs, pivots) of the span of the sorted
+    primitive generators.
+
+    A spanning set gets the standard basis, no lift and no equations.
+    Otherwise the frame is one Smith form u*G*v = D of G: row i of u*G is
+    diag[i] times the primitive row i of v^-1, g*v[:, :d] the coordinates of
+    g, v[:, :d] the lift and v[:, d:] the annihilator, whose HNF (with its
+    pivots) gives the span equations.
+    """
+    if la.rank(gens) == ambient_rank:
+        return ambient_rank, tuple(la.identity_matrix(ambient_rank)), None, (), ()
+    diag, u, v = la.smith_normal_form(gens)
+    d = sum(1 for x in diag if x)
+    span_basis = tuple(map(la.primitive, la.mat_mul(u[:d], gens)))
+    lift = tuple(row[:d] for row in v)
+    span_eqs, pivots = la.hnf_rows(la.transpose(v)[d:])
+    return d, span_basis, lift, tuple(span_eqs), pivots
+
+
 def cone_from_generators(vectors, ambient_rank: int | None = None) -> RationalCone:
     """Canonical pointed cone spanned by the given integer vectors.
 
     Redundant generators are dropped and every ray is reduced to its primitive
     representative; raises NotPointed if the generators span a line.  Results
-    are cached (cones are immutable).
+    are cached (cones are immutable).  The facets come from a double
+    description of the dual cone inside the span; a generator is extreme when
+    no other generator lies on a strict superset of its facets.
     """
     vectors = [tuple(v) for v in vectors]
     if ambient_rank is None:
@@ -427,52 +487,66 @@ def cone_from_generators(vectors, ambient_rank: int | None = None) -> RationalCo
     if cached is not None:
         return cached
 
-    if la.rank(gens) == ambient_rank:
-        span_basis = tuple(la.identity_matrix(ambient_rank))
-        d = ambient_rank
-        coords = list(gens)
-    else:
-        # the frame is one Smith form u*G*v = D of the sorted generators G:
-        # row i of u*G is diag[i] times the primitive row i of v^-1, g*v[:, :d]
-        # the coordinates of g, v[:, :d] the lift and v[:, d:] the annihilator
-        diag, u, v = la.smith_normal_form(key[1])
-        d = sum(1 for x in diag if x)
-        span_basis = tuple(map(la.primitive, la.mat_mul(u[:d], key[1])))
-        lift = tuple(row[:d] for row in v)
-        coords = la.mat_mul(gens, lift)
+    d, span_basis, lift, span_eqs, pivots = _frame(key[1], ambient_rank)
+    coords = gens if lift is None else la.mat_mul(gens, lift)
     # facets of the cone = extreme rays of the dual cone inside the span
     lin, dual_rays = extreme_rays_of_system(coords, [], d)
     assert not lin, "dual cone of a spanning set is pointed"
     if la.rank(dual_rays) < d:
         raise NotPointed("generated cone contains a line")
 
-    # the dual rays and the coordinates both have width d
-    extremal = []
-    for g, gc in zip(gens, coords):
-        active = [w for w in dual_rays if not sum(map(mul, w, gc))]
-        if la.rank(active) == d - 1:
-            extremal.append(g)
-    rays = tuple(sorted(extremal))
+    # a generator spans a ray of the cone exactly when its active set (the
+    # facets it lies on) is inclusion-maximal among the generators' active
+    # sets; the dual rays and the coordinates have width d
+    active = [_zeros(gc, dual_rays) for gc in coords]
+    rays = tuple(sorted(g for g, z in zip(gens, active) if _maximal(z, active)))
 
-    if d == ambient_rank:
-        facets = list(dual_rays)
-        span_eqs = []
+    if lift is None:
+        facets = dual_rays
     else:
-        span_eqs, ann_pivots = la.hnf_rows(la.transpose(v)[d:])
-        facets = [
-            la.reduce_mod_lattice(la.mat_vec(lift, w), span_eqs, ann_pivots)
-            for w in dual_rays
-        ]
-    cone = RationalCone(
-        ambient_rank,
-        rays,
-        d,
-        tuple(sorted(facets)),
-        tuple(span_eqs),
-        span_basis,
-    )
+        facets = [la.reduce_mod_lattice(la.mat_vec(lift, w), span_eqs, pivots) for w in dual_rays]
+    cone = RationalCone(ambient_rank, rays, d, tuple(sorted(facets)), span_eqs, span_basis)
     _cone_cache[key] = cone
     _cone_cache[(ambient_rank, rays)] = cone
+    return cone
+
+
+def _cone_from_extreme(rays, normals, ambient_rank: int) -> RationalCone:
+    """The canonical cone with the given extreme rays (primitive, distinct),
+    from covectors nonnegative on it among which are all its facet normals.
+
+    No double description is run.  The facets are the normals whose zero
+    sets on the rays are proper and inclusion-maximal (one per zero set).
+    Each is restricted to the coordinates of the span basis, made primitive,
+    lifted and reduced as `cone_from_generators` does with a dual ray, and
+    the frame is the one of the sorted rays; so every field is the one
+    `cone_from_generators(rays)` gives.  The cone cache keeps the frame of
+    whichever builder reached a cone first.
+    """
+    if not rays:
+        return zero_cone(ambient_rank)
+    key = (ambient_rank, tuple(sorted(rays)))
+    cached = _cone_cache.get(key)
+    if cached is not None:
+        return cached
+    full = (1 << len(key[1])) - 1
+    by_zeros = {}
+    for a in normals:
+        z = _zeros(a, key[1])
+        if z != full:
+            by_zeros.setdefault(z, a)
+    d, span_basis, lift, span_eqs, pivots = _frame(key[1], ambient_rank)
+    facets = []
+    for z, a in by_zeros.items():
+        if not _maximal(z, by_zeros):
+            continue
+        if lift is None:
+            facets.append(la.primitive(a))
+        else:
+            w = la.primitive([sum(map(mul, a, b)) for b in span_basis])
+            facets.append(la.reduce_mod_lattice(la.mat_vec(lift, w), span_eqs, pivots))
+    cone = RationalCone(ambient_rank, key[1], d, tuple(sorted(facets)), span_eqs, span_basis)
+    _cone_cache[key] = cone
     return cone
 
 
@@ -482,7 +556,9 @@ _system_cache: dict = {}
 def cone_from_inequalities(ineqs, eqns, ambient_rank: int) -> RationalCone:
     """The pointed cone {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqns}.
 
-    Results are cached under the exact system, in the given order.
+    One double description gives the extreme rays, and the facets are read
+    from the inequalities (`_cone_from_extreme`).  Results are cached under
+    the exact system, in the given order.
     """
     key = (ambient_rank, tuple(map(tuple, ineqs)), tuple(map(tuple, eqns)))
     cone = _system_cache.get(key)
@@ -490,9 +566,26 @@ def cone_from_inequalities(ineqs, eqns, ambient_rank: int) -> RationalCone:
         lin, rays = extreme_rays_of_system(key[1], key[2], ambient_rank)
         if lin:
             raise NotPointed("inequality system has a nontrivial lineality space")
-        cone = cone_from_generators(rays, ambient_rank)
+        cone = _cone_from_extreme(rays, key[1], ambient_rank)
         _system_cache[key] = cone
     return cone
+
+
+def halves(cone: RationalCone, w) -> tuple:
+    """The two sides cone ∩ {w >= 0} and cone ∩ {w <= 0} of a cone that w
+    slices (positive on one ray, negative on another).
+
+    Each side is one double description step on the cone's rays, with their
+    zero sets on its facets, and takes its facets from those of the cone and
+    the cut (`_cone_from_extreme`).
+    """
+    facets = cone.facets
+    rays = [[r, _zeros(r, facets)] for r in cone.rays]
+    out = []
+    for side in (tuple(w), la.vscale(-1, w)):
+        _, piece = _insert_halfspace([], rays, side, len(facets))
+        out.append(_cone_from_extreme([r for r, _ in piece], facets + (side,), cone.ambient_rank))
+    return tuple(out)
 
 
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:

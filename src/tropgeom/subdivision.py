@@ -41,7 +41,7 @@ from .exactgeom import (
     LinearMap,
     RationalCone,
     cone_from_generators,
-    cone_from_inequalities,
+    halves,
     image_cone,
     intersect,
     inverse,
@@ -676,11 +676,7 @@ def _chambers(cone: RationalCone, covectors):
             if not _slices(c, w):
                 nxt.append(c)
                 continue
-            for side in (w, la.vscale(-1, w)):
-                piece = cone_from_inequalities(
-                    list(c.facets) + [side], list(c.span_eqs), c.ambient_rank
-                )
-                nxt.append(piece)
+            nxt.extend(halves(c, w))
         cells = nxt
     seen = {}
     for c in cells:

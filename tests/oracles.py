@@ -43,6 +43,11 @@ frame from one factorisation per piece (`cone_frame_by_solves`), double
 description through Fraction projections and with each equation inserted as
 a pair of inequalities, the box point scan and the rational sample points.
 Whether a cone is unimodular is asked of the gcd of its maximal minors.
+The builders that ran a double description per cone are kept as well: the
+generated cone with one `la.rank` per generator for extremality and no
+cache, and through it an inequality cone, a face, the two sides of a slice
+and a pullback, where the library reads the facets off the rays and
+covectors it already holds.
 The pairwise relative interior test, which the chamber count of
 `cones_cover_exactly` replaced, is kept here too.  The tests compare the
 library against them.
@@ -73,12 +78,14 @@ from tropgeom.complexes import (
     FaceMap,
     is_union_of_cones,
     maps_agree_on,
+    preimage_in_span,
     pull_back_cone,
     validate_complex,
 )
 from tropgeom.exactgeom import (
     GeometryError,
     LinearMap,
+    NotPointed,
     RankMismatch,
     RationalCone,
     _combine,
@@ -88,6 +95,7 @@ from tropgeom.exactgeom import (
     image_cone,
     intersect,
     lattice_surjective,
+    zero_cone,
 )
 from tropgeom.subdivision import MAX_FIXPOINT_ROUNDS, SubdivisionOf, verify_subdivision
 from tropgeom.tropmaps import ContactData, RubberMapType
@@ -1420,3 +1428,85 @@ def sample_points_fraction(cone: RationalCone, count: int, rng):
             )
         )
     return pts
+
+
+# ---------------------------------------------------------------------------
+# the cone builders that ran a double description per cone
+
+
+def cone_from_generators_by_rank(vectors, ambient_rank: int) -> RationalCone:
+    """`exactgeom.cone_from_generators` as it was, with no cone cache: the
+    facets from a double description of the dual cone in the frame of the
+    sorted primitive generators, and a generator extreme when its active
+    facets have rank d - 1 (one `la.rank` per generator)."""
+    gens = sorted({la.primitive(tuple(v)) for v in vectors if any(v)})
+    if not gens:
+        return zero_cone(ambient_rank)
+    if la.rank(gens) == ambient_rank:
+        span_basis = tuple(la.identity_matrix(ambient_rank))
+        d = ambient_rank
+        coords = gens
+    else:
+        diag, u, v = la.smith_normal_form(tuple(gens))
+        d = sum(1 for x in diag if x)
+        span_basis = tuple(map(la.primitive, la.mat_mul(u[:d], tuple(gens))))
+        lift = tuple(row[:d] for row in v)
+        coords = la.mat_mul(gens, lift)
+    lin, dual_rays = extreme_rays_of_system(coords, [], d)
+    assert not lin
+    if la.rank(dual_rays) < d:
+        raise NotPointed("generated cone contains a line")
+    rays = tuple(
+        g
+        for g, gc in zip(gens, coords)
+        if la.rank([w for w in dual_rays if la.dot(w, gc) == 0]) == d - 1
+    )
+    if d == ambient_rank:
+        span_eqs, facets = (), dual_rays
+    else:
+        span_eqs, pivots = la.hnf_rows(la.transpose(v)[d:])
+        facets = [la.reduce_mod_lattice(la.mat_vec(lift, w), span_eqs, pivots) for w in dual_rays]
+    return RationalCone(ambient_rank, rays, d, tuple(sorted(facets)), tuple(span_eqs), span_basis)
+
+
+def cone_from_inequalities_by_generators(ineqs, eqns, ambient_rank: int) -> RationalCone:
+    """`exactgeom.cone_from_inequalities` as it was, uncached: the rays of
+    one double description, then a second one for the facets."""
+    lin, rays = extreme_rays_of_system(ineqs, eqns, ambient_rank)
+    if lin:
+        raise NotPointed("inequality system has a nontrivial lineality space")
+    return cone_from_generators_by_rank(rays, ambient_rank)
+
+
+def face_at_by_generators(cone: RationalCone, covectors) -> RationalCone:
+    """`RationalCone.face_at` as it was, uncached: the generated cone of the
+    rays on the face."""
+    kept = [r for r in cone.rays if all(la.dot(c, r) == 0 for c in covectors)]
+    return cone_from_generators_by_rank(kept, cone.ambient_rank)
+
+
+def chambers_by_inequalities(cone: RationalCone, covectors):
+    """`subdivision._chambers` as it was: each side of a slice a fresh cone
+    of the parent's facets and span equations plus the cut."""
+    cells = [cone]
+    for w in covectors:
+        nxt = []
+        for c in cells:
+            if not slices_by_dot(c, w):
+                nxt.append(c)
+                continue
+            for side in (w, la.vscale(-1, w)):
+                nxt.append(
+                    cone_from_inequalities_by_generators(
+                        list(c.facets) + [side], list(c.span_eqs), c.ambient_rank
+                    )
+                )
+        cells = nxt
+    return sorted({c.rays: c for c in cells}.values(), key=lambda c: c.rays)
+
+
+def pull_back_cone_by_generators(m: LinearMap, source_cone: RationalCone, cone: RationalCone):
+    """`complexes.pull_back_cone` as it was, uncached: the generated cone of
+    the preimages of the rays."""
+    gens = [preimage_in_span(m, source_cone, r) for r in cone.rays]
+    return cone_from_generators_by_rank(gens, source_cone.ambient_rank)

@@ -15,6 +15,7 @@ from tropgeom.complexes import (
     ComplexMorphism,
     ConeComplex,
     ConicalSubset,
+    FaceMap,
     check_weak_semistable,
     complex_from_fan,
     is_union_of_cones,
@@ -227,6 +228,36 @@ def test_validators_match_the_loops(criterion_two_complexes):
     for sub in subs:
         phi = sub.projection
         assert validate_morphism(phi) == validate_morphism_loops(phi) == []
+
+
+def test_landing_on_a_face_is_read_from_the_face_lattice(ladder):
+    """`validate_complex` asks whether a face map lands on a face of its
+    target by the rays of the target's faces; on every complex the
+    benchmark's inputs build, and on a copy of each with one face map
+    negated (its image leaves the target), it finds what the loops find
+    through `is_face_of`."""
+    broken = 0
+    for cx in ladder.complexes:
+        for f in cx.faces:
+            sup = cx.cones[f.sup]
+            img = eg.image_cone(f.map, cx.cones[f.sub])
+            assert img.is_face_of(sup) == (img.rays in {c.rays for c in sup.all_faces()})
+        assert validate_complex(cx) == validate_complex_loops(cx, deep=False)
+        f = next((f for f in cx.faces if cx.cones[f.sub].rays), None)
+        if f is None:
+            continue
+        neg = eg.LinearMap(
+            tuple(tuple(-x for x in row) for row in f.map.matrix),
+            f.map.source_rank,
+            f.map.target_rank,
+        )
+        faces = [g if g != f else FaceMap(f.sub, f.sup, neg) for g in cx.faces]
+        bad = ConeComplex(cx.cones, faces, cx.auts)
+        found = validate_complex(bad)
+        assert found == validate_complex_loops(bad, deep=False)
+        assert f"face map {f.sub}->{f.sup} does not land on a face" in found
+        broken += 1
+    assert broken > 100
 
 
 def _without_a_composite():

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import random_cone
 from oracles import (
+    chambers_by_inequalities,
     compose_by_mat_mul,
+    cone_from_generators_by_rank,
+    cone_from_inequalities_by_generators,
     cone_frame_by_solves,
     contains_bruteforce,
     contains_by_dot,
@@ -21,13 +24,16 @@ from oracles import (
     minimal_face_containing_by_dot,
     extreme_rays_of_system_fraction,
     extreme_rays_of_system_pairs,
+    face_at_by_generators,
     facets_bruteforce,
+    pull_back_cone_by_generators,
     sample_points_fraction,
 )
+from tropgeom import complexes
 from tropgeom import exactgeom as eg
 from tropgeom import linalg as la
-from tropgeom.complexes import complex_from_fan
-from tropgeom.subdivision import hyperplane_refine, soundness_sample
+from tropgeom.complexes import complex_from_fan, pull_back_cone
+from tropgeom.subdivision import _chambers, hyperplane_refine, soundness_sample
 
 
 class TestConeFromGenerators:
@@ -183,13 +189,25 @@ def _other_width(rng, rank):
     return rng.choice([w for w in (rank - 1, rank + 1) if w > 0])
 
 
+def _index_sets(state):
+    """A double description state with its zero sets read as index sets:
+    bit k of an integer zero set is index k of a frozenset one."""
+    if _raised(state):
+        return state
+    lin, rays = state
+    as_set = lambda zs: zs if isinstance(zs, frozenset) else frozenset(
+        k for k in range(zs.bit_length()) if zs >> k & 1
+    )
+    return lin, [[r, as_set(zs)] for r, zs in rays]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32))
 def test_double_description_step_matches_one_dot_per_pair(seed):
-    """Each insertion step against one `la.dot` per pair, on the states the
-    insertion itself reaches; a constraint of another width raises the
-    ValueError `la.dot` raises on the first pair, or nothing on an empty
-    state."""
+    """Each insertion step against one `la.dot` per pair on frozenset zero
+    sets, on the states the insertion itself reaches, the zero sets compared
+    as index sets; a constraint of another width raises the ValueError
+    `la.dot` raises on the first pair, or nothing on an empty state."""
     rng = random.Random(seed)
     rank = rng.randint(1, 4)
     vector = lambda width: tuple(rng.randint(-2, 2) for _ in range(width))
@@ -198,18 +216,35 @@ def test_double_description_step_matches_one_dot_per_pair(seed):
     if rng.random() < 0.4:
         ineqs.insert(rng.randint(0, len(ineqs)), vector(_other_width(rng, rank)))
     lin, rays = la.kernel_basis(eqns, rank), []
+    old_rays = []
     for index, a in enumerate(ineqs):
-        want = _value_or_message(lambda: insert_halfspace_by_dot(lin, rays, a, index))
+        want = _value_or_message(lambda: insert_halfspace_by_dot(lin, old_rays, a, index))
         got = _value_or_message(lambda: eg._insert_halfspace(lin, rays, a, index))
-        assert got == want
+        assert _index_sets(got) == want
         if _raised(want):
             break
         lin, rays = got
+        old_rays = want[1]
+
+
+def test_double_description_step_excludes_the_pair_by_position():
+    """p and q lie on the same constraints; n lies on another.  Every ray
+    vanishes on what p and n share (nothing), so q, at another position
+    with p's zero set, makes the pair (p, n) non-adjacent, and p does the
+    same for (q, n): the cut adds no ray.  Excluding by value would skip q
+    along with p and combine p with n."""
+    p, q, n = (1, 0, 0), (1, 1, 0), (-1, 0, 1)
+    a = (1, 0, 0)
+    rays = [[p, 0b01], [q, 0b01], [n, 0b10]]
+    old_rays = [[p, frozenset({0})], [q, frozenset({0})], [n, frozenset({1})]]
+    got = eg._insert_halfspace([], rays, a, 2)
+    assert got == ([], [[p, 0b01], [q, 0b01]])
+    assert _index_sets(got) == insert_halfspace_by_dot([], old_rays, a, 2)
 
 
 def test_double_description_step_keeps_the_ragged_pair_error():
     lin = la.kernel_basis((), 3)
-    rays = [[(1, 0, 0), frozenset()]]
+    rays = [[(1, 0, 0), 0]]
     for state in ((lin, []), ([], rays), (lin[1:], rays)):
         for a in ((1, 0), (1, 0, 0, 1)):
             with pytest.raises(ValueError) as want:
@@ -651,3 +686,196 @@ def test_is_face_of_matches_the_minimal_face(ladder):
             for e in cx.embeddings_into(cid):
                 assert e.cone.is_face_of(cone) and is_face_of_by_minimal_face(e.cone, cone)
     assert answers == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# cones built from known rays and facet normals, against the double
+# description per cone they replaced
+
+
+def _fields(cone):
+    return cone.rays, cone.dim, cone.facets, cone.span_eqs, cone.span_basis
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty cone, system, face and pullback tables, so that every cone a
+    test asks for is built by the path under test."""
+
+    def clear():
+        for name in ("_cone_cache", "_system_cache", "_face_cache"):
+            monkeypatch.setattr(eg, name, {})
+        monkeypatch.setattr(complexes, "_pullback_cache", {})
+
+    clear()
+    return clear
+
+
+def _system(rng):
+    """An inequality system of rank 1..5, with equations in half the cases."""
+    rank = rng.randint(1, 5)
+    row = lambda: tuple(rng.randint(-3, 3) for _ in range(rank))
+    ineqs = [row() for _ in range(rng.randint(rank, rank + 3))]
+    eqns = [row() for _ in range(rng.randint(1, 2))] if rng.random() < 0.5 else []
+    return ineqs, eqns, rank
+
+
+def _pointed_cones(rng, count):
+    """(system, cone) for `count` seeded systems whose cone is pointed and
+    nonzero, through `cone_from_inequalities`."""
+    found = []
+    while len(found) < count:
+        ineqs, eqns, rank = _system(rng)
+        try:
+            cone = eg.cone_from_inequalities(ineqs, eqns, rank)
+        except eg.NotPointed:
+            continue
+        if cone.rays:
+            found.append(((ineqs, eqns, rank), cone))
+    return found
+
+
+def test_inequality_cones_and_their_faces_match_the_generator_path(cold_tables):
+    """150 seeded systems (rank <= 5, about half with equations): the cone
+    and every face of it, field by field, against a second double
+    description; and the face where a random set of its facets vanishes
+    against the generated cone of the rays on it."""
+    rng = random.Random(30)
+    with_eqns = 0
+    for (ineqs, eqns, rank), cone in _pointed_cones(rng, 150):
+        with_eqns += bool(eqns)
+        assert _fields(cone) == _fields(cone_from_inequalities_by_generators(ineqs, eqns, rank))
+        for face in cone.all_faces():
+            assert _fields(face) == _fields(cone_from_generators_by_rank(face.rays, rank))
+        covectors = rng.sample(cone.facets, rng.randint(0, len(cone.facets)))
+        assert _fields(cone.face_at(covectors)) == _fields(face_at_by_generators(cone, covectors))
+    assert 30 < with_eqns < 120
+
+
+def test_a_line_is_still_not_pointed():
+    with pytest.raises(eg.NotPointed):
+        eg.cone_from_inequalities([(1, 0)], [], 2)
+    with pytest.raises(eg.NotPointed):
+        eg.cone_from_inequalities([(1, 0, 0)], [(0, 0, 1)], 3)
+    with pytest.raises(eg.NotPointed):
+        eg.cone_from_generators([(1, 1), (-1, -1)], 2)
+
+
+def test_slices_match_fresh_inequality_cones(cold_tables):
+    """Both sides of a random slice, and the chambers of a few random cuts,
+    against a fresh `cone_from_inequalities` per side on the parent's facets
+    and span equations plus the cut; 150 slices."""
+    rng = random.Random(31)
+    sliced = 0
+    for (_, _, rank), cone in _pointed_cones(rng, 400):
+        if sliced >= 150:
+            break
+        ws = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 3))]
+        w = ws[0]
+        values = [la.dot(w, r) for r in cone.rays]
+        if min(values) < 0 < max(values):
+            sliced += 1
+            want = [
+                cone_from_inequalities_by_generators(
+                    list(cone.facets) + [side], list(cone.span_eqs), rank
+                )
+                for side in (w, la.vscale(-1, w))
+            ]
+            assert [_fields(c) for c in eg.halves(cone, w)] == [_fields(c) for c in want]
+        got = _chambers(cone, ws)
+        assert [_fields(c) for c in got] == [_fields(c) for c in chambers_by_inequalities(cone, ws)]
+    assert sliced == 150
+
+
+def test_extremality_by_active_sets_matches_one_rank_per_generator(cold_tables):
+    """Generator sets with redundant generators, full rank and not: the
+    rays picked by maximal active sets against one `la.rank` per generator,
+    with every other field; 200 cases."""
+    rng = random.Random(32)
+    cases = 0
+    while cases < 200:
+        rank = rng.randint(1, 5)
+        spanning = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, rank))]
+        gens = [
+            tuple(sum(rng.randint(0, 2) * v[i] for v in spanning) for i in range(rank))
+            for _ in range(rng.randint(1, 6))
+        ]
+        try:
+            want = cone_from_generators_by_rank(gens, rank)
+        except eg.NotPointed:
+            with pytest.raises(eg.NotPointed):
+                eg.cone_from_generators(gens, rank)
+            continue
+        cases += 1
+        assert _fields(eg.cone_from_generators(gens, rank)) == _fields(want)
+
+
+def test_pullbacks_through_face_maps_match_the_generator_path(ladder, cold_tables):
+    """Every face of the image of a face map's source, pulled back through
+    the map, for the face maps of the complexes the benchmark's inputs
+    build (a seeded sample of 400 distinct pullbacks), against the
+    generated cone of the preimages of its rays."""
+    cases = {}
+    for cx in ladder.complexes:
+        for f in cx.faces:
+            sub = cx.cones[f.sub]
+            for q in eg.image_cone(f.map, sub).all_faces():
+                cases.setdefault((f.map.matrix, sub.rays, q.rays), (f.map, sub, q))
+    picked = random.Random(33).sample(sorted(cases), 400)
+    cold_tables()
+    for key in picked:
+        m, sub, q = cases[key]
+        got = pull_back_cone(m, sub, q)
+        assert _fields(got) == _fields(pull_back_cone_by_generators(m, sub, q))
+        assert eg.image_cone(m, got) == q
+
+
+def test_the_first_builder_keeps_its_frame(cold_tables):
+    """A cone reached first by the generator path keeps the frame of its
+    generators, redundant ones included, when an inequality system, a
+    pullback or a slice reaches it later; reached first from its rays and
+    facets, it is the cone `cone_from_generators` of its rays returns.  200
+    seeded cones with redundant generators in ranks 2..5, most of them of
+    lower dimension, where the frames can differ."""
+    rng = random.Random(34)
+    differs = sliced = cases = 0
+    while cases < 200:
+        rank = rng.randint(2, 5)
+        spanning = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, rank))]
+        gens = [
+            tuple(sum(rng.randint(0, 2) * v[i] for v in spanning) for i in range(rank))
+            for _ in range(rng.randint(2, 6))
+        ]
+        cold_tables()
+        try:
+            first = eg.cone_from_generators(gens, rank)
+        except eg.NotPointed:
+            continue
+        if not first.rays:
+            continue
+        cases += 1
+        rays_frame = cone_from_generators_by_rank(first.rays, rank)
+        differs += _fields(rays_frame) != _fields(first)
+        assert eg.cone_from_inequalities(first.facets, first.span_eqs, rank) is first
+        assert pull_back_cone(eg.LinearMap.identity(rank), first, first) is first
+        w = tuple(rng.randint(-2, 2) for _ in range(rank))
+        values = [la.dot(w, r) for r in first.rays]
+        if min(values) < 0 < max(values):
+            sliced += 1
+            sides = [
+                cone_from_inequalities_by_generators(
+                    list(first.facets) + [side], list(first.span_eqs), rank
+                )
+                for side in (w, la.vscale(-1, w))
+            ]
+            # each side first reached through generators with an extra one inside
+            made = [eg.cone_from_generators(list(c.rays) + [c.relint_point()], rank) for c in sides]
+            assert [c.rays for c in made] == [c.rays for c in sides]
+            assert list(eg.halves(first, w)) == made
+            assert all(a is b for a, b in zip(eg.halves(first, w), made))
+        cold_tables()
+        later = eg.cone_from_inequalities(first.facets, first.span_eqs, rank)
+        assert _fields(later) == _fields(rays_frame)
+        assert eg.cone_from_generators(first.rays, rank) is later
+    assert differs > 0 and sliced > 20
+
