@@ -9,9 +9,15 @@ projection morphism.
 The work is local.  The assembler glues only the touched cones: the cones
 whose fan is not the cone alone, and their faces.  It copies every other
 cone unchanged.  A stellar step looks for copies of its ray only in the star
-of the ray's host cone, so a step costs the star and its faces plus a copy
-of the rest of the complex (De Loera, Rambau and Santos, *Triangulations*,
-Springer 2010: a stellar step changes only the star of its ray).
+of the ray's host cone (De Loera, Rambau and Santos, *Triangulations*,
+Springer 2010: a stellar step changes only the star of its ray), and does
+not cut a simplex of the star that has each copy as a ray.  A chain of
+stellar steps (`_unimodularize`) hands each step only the star and the
+star's faces, and carries every other cone from step to step under the id
+it was born with, so a step costs its star; the refined complex, its ids
+and its projection are built once, when the chain ends.  The chambers of a
+closed arrangement glue as they are (`hyperplane_refine`); the fans of the
+other refinements are closed first (`_closure_of_fans`).
 
 A step that cuts nothing returns a view of the one unrefined copy of its
 complex, which is built on first use and kept on the complex.
@@ -30,6 +36,7 @@ passes whenever its original does.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -244,19 +251,16 @@ MAX_FIXPOINT_ROUNDS = 64
 MAX_UNIMODULAR_STEPS = 500
 
 
-def _closure_of_fans(cx: ConeComplex, fans: dict):
-    """The cells of the touched cones, closed under faces, automorphisms and
-    pullback along face maps.
+def _touched_cells(cx: ConeComplex, fans: dict):
+    """The cells of the touched cones, closed under faces.
 
     A cone is cut when its fan is not the cone alone, and touched when it is
     cut or a face of a cut cone; the touched cones are found by walking the
-    face maps downwards from the cut ones.  The given cells are face-closed
-    (a touched cone without a fan starts from its own faces), then closed
-    under automorphisms and pullback along the face maps out of touched cones
-    until stable.  Returns the cells keyed by the touched cones.  An untouched
-    cone's cells are its own faces: pullback from an untouched cone adds only
-    faces of a cone, which a subdivision already holds (see `_unrefined`).
-    A given cell that leaves its cone raises a GeometryError.
+    face maps downwards from the cut ones.  Each touched cone's cells are the
+    faces of its given cells (a touched cone without a fan starts from its
+    own faces), keyed by the touched cones.  An untouched cone's cells are
+    its own faces (see `_unrefined`).  A given cell that leaves its cone
+    raises a GeometryError.
     """
     touched = set()
     stack = [cid for cid, fan in fans.items() if list(fan) != [cx.cones[cid]]]
@@ -265,10 +269,8 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
         if cid not in touched:
             touched.add(cid)
             stack.extend(f.sub for f in cx.face_maps_into(cid))
-    touched = sorted(touched)
-    face_maps = [f for cid in touched for f in cx.face_maps_into(cid)]
     cells = {}
-    for cid in touched:
+    for cid in sorted(touched):
         got = set()
         for c in fans.get(cid, (cx.cones[cid],)):
             # the closure keeps cells inside their cones; a given cell that
@@ -279,6 +281,22 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
                 )
             got.update(c.all_faces())
         cells[cid] = got
+    return cells
+
+
+def _closure_of_fans(cx: ConeComplex, fans: dict):
+    """The cells of the touched cones (`_touched_cells`), closed under
+    automorphisms and pullback along the face maps out of touched cones
+    until stable.
+
+    Pullback from an untouched cone adds only faces of a cone, which a
+    subdivision already holds.  A fan that is not an arrangement's chambers
+    needs the rounds: the faces of a stellar or pullback fan need not glue
+    across a shared face or be closed under the automorphisms.
+    """
+    cells = _touched_cells(cx, fans)
+    touched = sorted(cells)
+    face_maps = [f for cid in touched for f in cx.face_maps_into(cid)]
     for _ in range(MAX_FIXPOINT_ROUNDS):
         changed = set()
         for cid in touched:
@@ -308,21 +326,30 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
 
 
 def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
-    """Build the refined complex from per-cone fans of cells (unchecked).
+    """Build the refined complex from per-cone fans of cells (unchecked):
+    close the fans (`_closure_of_fans`) and glue their cells (`_glue`)."""
+    return _glue(cx, _closure_of_fans(cx, fans))
 
-    Only the touched cones, those a fan cuts and their faces, are glued (see
-    `_closure_of_fans`).  A cell whose relative interior meets the relative
-    interior of its host cone is owned by that host; every other cell is
-    pulled back to the face that owns it.  One cone is stored per
-    automorphism orbit of owned cells, and the cells owned by cone cid get
-    the ids cid.0, cid.1, ... in (dimension, rays) order.  Every untouched
-    cone cid is copied as the single cone cid.0 (see `_unrefined`).  A step
-    that cuts no cone returns a view of the complex's one unrefined copy,
-    which is built on first use (see `_uncut_view`).  The ids, face maps,
-    automorphisms and projection are those that gluing every cone gives; the
-    glued cones are the result's `touched`.
+
+def _glue(cx: ConeComplex, cells: dict) -> SubdivisionOf:
+    """Build the refined complex from the cells of the touched cones
+    (unchecked).
+
+    The cells are keyed by the touched cones and closed under faces,
+    automorphisms and pullback along face maps: `_closure_of_fans` closes a
+    fan, and the chambers of a closed arrangement are closed once their
+    faces are (`hyperplane_refine`).  Only the touched cones are glued.  A
+    cell whose relative interior meets the relative interior of its host
+    cone is owned by that host; every other cell is pulled back to the face
+    that owns it.  One cone is stored per automorphism orbit of owned cells,
+    and the cells owned by cone cid get the ids cid.0, cid.1, ... in
+    (dimension, rays) order.  Every untouched cone cid is copied as the
+    single cone cid.0 with its whole group, which fixes the cone (see
+    `_unrefined`).  A step that cuts no cone returns a view of the complex's
+    one unrefined copy, which is built on first use (see `_uncut_view`).
+    The ids, face maps, automorphisms and projection are those that gluing
+    every cone gives; the glued cones are the result's `touched`.
     """
-    cells = _closure_of_fans(cx, fans)
     if not cells and cx._uncut is not None:
         return _uncut_view(cx)
 
@@ -367,16 +394,17 @@ def _assemble(cx: ConeComplex, fans: dict) -> SubdivisionOf:
     assignments = {}
     for (owner, _), nid in ids.items():
         rep = new_cones[nid]
-        new_auts[nid] = [
-            g for g in cx.auts[owner] if g.is_identity or image_cone(g, rep) == rep
-        ]
         assignments[nid] = (
             owner,
             LinearMap.identity(cx.cones[owner].ambient_rank),
         )
         if owner not in owned:
+            new_auts[nid] = cx.auts[owner]
             new_faces.update(_unrefined(cx, owner, nid, ids))
             continue
+        new_auts[nid] = [
+            g for g in cx.auts[owner] if g.is_identity or image_cone(g, rep) == rep
+        ]
         for face in rep.proper_faces():
             sub_owner, sub_rep, sub_map = cell_info[(owner, face.rays)]
             sub_id = ids[(sub_owner, sub_rep.rays)]
@@ -448,8 +476,9 @@ def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
     subdivision that passed is marked, so checking it again does nothing.
 
     An untouched cone c needs neither check.  `_assemble` copies it as the
-    one cone c.0 with every automorphism of c that fixes it, which is all of
-    them once the original passes.  c.0 gets one face map per proper face F
+    one cone c.0 with the group of c, whose elements all fix c once the
+    original passes (an automorphism that moves its cone is a problem of the
+    original, found there).  c.0 gets one face map per proper face F
     of c: the embedding s -> c that stands for F composed with the inverse
     of an automorphism of s (`_unrefined`).  `_unrefined` raises when a face
     of c is cut, so the source of that map is the whole cone of s, one cell.
@@ -461,7 +490,10 @@ def check_subdivision(sub: SubdivisionOf) -> SubdivisionOf:
     its whole cone as a cell, which is then its one maximal cell, every
     other cell being a face of it; an untouched face is the same case one
     dimension lower.  So the cells over c are the faces of c, and checks 1-3
-    of `verify_subdivision` hold over c.
+    of `verify_subdivision` hold over c.  The same holds along a chain of
+    steps (`compose_subdivisions`, `_unimodularize`): a cone that no step
+    glued is a copy of a copy, and the copy rule keeps each face map an
+    embedding of the face composed with an automorphism of its source.
     """
     if sub._checked:
         return sub
@@ -618,9 +650,11 @@ def stellar_subdivide(cx: ConeComplex, cone_id: str, ray) -> SubdivisionOf:
     (`ConeComplex.embedding_onto`): s itself and every cone that a face map
     out of s reaches (`ConeComplex.face_maps_out_of`).  Those are the
     cones whose `embeddings_into` has an entry from s, so no other cone holds
-    a copy of the ray and no other cone is visited.  `_assemble` then glues
-    the star and the faces of its cones, and copies the rest of the complex.
-    The result is a step, not checked; see `check_subdivision`.
+    a copy of the ray and no other cone is visited.  A simplex of the star
+    that has each copy as a ray keeps its faces, so it is not cut.
+    `_assemble` then glues the cut cones and their faces, and copies the rest
+    of the complex.  The result is a step, not checked; see
+    `check_subdivision`.
     """
     cone = cx.cones[cone_id]
     ray = la.primitive(tuple(ray))
@@ -642,10 +676,14 @@ def stellar_subdivide(cx: ConeComplex, cone_id: str, ray) -> SubdivisionOf:
                 continue
             for r in orbit:
                 copies.add(la.primitive(e.map.apply(r)))
-        cells = cx.cones[cid].all_faces()
+        faces = cx.cones[cid].all_faces()
+        cells = faces
         for r in sorted(copies):
             cells = _stellar_fan(cells, r)
-        fans[cid] = cells
+        # a cone that has each copy as a ray and is simplicial is not cut:
+        # pulling a vertex of a simplex gives its faces back
+        if set(cells) != set(faces):
+            fans[cid] = cells
     return _assemble(cx, fans)
 
 
@@ -772,11 +810,28 @@ def _closed_covectors(cx: ConeComplex, given: dict) -> tuple:
 def hyperplane_refine(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf:
     """Slice each cone by its closed arrangement (`closed_arrangement`).
 
+    The faces of the chambers are handed to `_assemble` as they are: the
+    automorphism and pullback rounds of `_closure_of_fans` add nothing to
+    the chambers of a closed arrangement.  Take a cone C with arrangement
+    A_C, an automorphism g of C and a face map f from F onto a face of C.
+    A_C holds g^T w for every covector w in it, so g permutes the
+    hyperplanes and sends each chamber, and each face of one, to a chamber
+    or a face of one.  A_F holds the restriction f^T w of every covector w
+    of A_C that slices F, and every covector of A_F is such a restriction:
+    the lift that `closed_arrangement` adds, unless a covector of A_C already
+    restricts to it.  The cells of C inside the face f(F) are the cells of
+    the arrangement that A_C cuts out on that face, so they are the images
+    under f of F's cells, and pulling one back gives a cell F already has.
+    A cone that no covector slices is cut by no restriction either, and its
+    cells are its faces.  (Stellar, pullback and common-refinement fans are
+    not arrangements; they keep the rounds.)
+
     When no covector slices its cone nothing is cut, and `_assemble` returns
     the complex's unrefined subdivision.  The result is a step, not checked.
     """
     arrangement = closed_arrangement(cx, covectors_by_cone)
-    return _assemble(cx, {cid: _chambers(cx.cones[cid], ws) for cid, ws in arrangement})
+    fans = {cid: _chambers(cx.cones[cid], ws) for cid, ws in arrangement}
+    return _glue(cx, _touched_cells(cx, fans))
 
 
 def _extend_covector(m: LinearMap, sub_cone: RationalCone, w):
@@ -989,31 +1044,192 @@ def _parallelepiped_interior_point(cone: RationalCone):
 
 
 def _unimodularize(sub: SubdivisionOf) -> SubdivisionOf:
-    for taken in range(MAX_UNIMODULAR_STEPS + 1):
-        bad = None
-        for rid in sorted(
-            sub.refined.ids(), key=lambda r: (sub.refined.cones[r].dim, r)
-        ):
-            cone = sub.refined.cones[rid]
+    """Refine the subdivision by stellar steps until every refined cone is
+    unimodular.
+
+    Each step takes the first refined cone of positive dimension that is not
+    unimodular, in (dimension, id) order.  A simplicial one is subdivided at
+    its box point (`_parallelepiped_interior_point`), which lies in its
+    relative interior; any other at its first ray, which pulls the cone into
+    simplices.  A cone that still is not unimodular after
+    MAX_UNIMODULAR_STEPS steps raises a GeometryError naming its id, its
+    rays and why: not simplicial, or its lattice index.
+
+    The result is the composite of the steps `stellar_subdivide` would take
+    on the whole refined complex, one after another, but a step costs its
+    star.  The chain keeps each cone under the id it was born with; a cone
+    born k steps ago has that id with k suffixes ".0", which keeps the
+    (dimension, id) order, so a queue in that order replaces the rescan: it
+    asks `is_unimodular` of each cone once, when the rescan would first
+    reach it, and drops the cones found unimodular.  A step hands
+    `stellar_subdivide` only the star of its ray's host (the cone itself, or
+    its first ray's cone) and the faces of the star, under their current
+    ids, as a `ConeComplex` of their own: that is every cone a
+    whole-complex step glues, and it glues them as it would.  The cones
+    outside are copies, whose face maps each step changes by the copy rule
+    of `_unrefined`; the chain applies the rule when a cone enters a star or
+    the chain ends (`_copied`), and builds the refined complex and its
+    projection once, at the end.
+    """
+    start = sub.refined
+    cones, auts = dict(start.cones), dict(start.auts)
+    born = dict.fromkeys(cones, 0)
+    root = {cid: cid for cid in cones}  # the cone of start a cone lies in
+    # a cone's face maps and the step they belong to; the cones with a face
+    # map from each cone
+    faces = {cid: (0, start.face_maps_into(cid)) for cid in cones}
+    cofaces = {cid: {f.sup for f in start.face_maps_out_of(cid)} for cid in cones}
+    touched = set()
+    taken = 0
+
+    def name(cid):
+        return cid + ".0" * (taken - born[cid])
+
+    def order(cid):
+        return cones[cid].dim, name(cid)
+
+    # the cones not yet found unimodular, in (dimension, id) order, which no
+    # step changes; each is asked once, as the rescan reached it
+    queue = sorted(cones, key=order)
+
+    def first_bad():
+        while queue:
+            cone = cones[queue[0]]
             if cone.dim > 0 and not is_unimodular(cone):
-                bad = rid
-                break
-        if bad is None:
-            return sub
-        cone = sub.refined.cones[bad]
+                return queue[0]
+            del queue[0]
+        return None
+
+    def current(cid):
+        step, maps = faces[cid]
+        if step < taken:
+            maps = _copied(maps, taken - step, cones, auts)
+            faces[cid] = (taken, maps)
+        return maps
+
+    while (worst := first_bad()) is not None:
+        cone = cones[worst]
         if taken == MAX_UNIMODULAR_STEPS:
             why = "not simplicial"
             if cone.is_simplicial():
                 why = f"lattice index {cone.lattice_index()}"
             raise GeometryError(
                 f"unimodularization did not finish in {MAX_UNIMODULAR_STEPS} stellar "
-                f"steps; refined cone {bad} with rays {list(cone.rays)} is still "
-                f"not unimodular ({why})"
+                f"steps; refined cone {name(worst)} with rays {list(cone.rays)} is "
+                f"still not unimodular ({why})"
             )
-        if not cone.is_simplicial():
-            ray = cone.rays[0]
-        else:
+        if cone.is_simplicial():
             ray = _parallelepiped_interior_point(cone)
             assert ray is not None, "minimal non-unimodular cell has an interior box point"
-        step = stellar_subdivide(sub.refined, bad, ray)
-        sub = compose_subdivisions(sub, step)
+            host = worst
+        else:
+            ray = cone.rays[0]
+            host = next(
+                f.sub for f in faces[worst][1]
+                if image_cone(f.map, cones[f.sub]).rays == (ray,)
+            )
+        closed = set()
+        stack = [host, *cofaces[host]]
+        while stack:
+            cid = stack.pop()
+            if cid not in closed:
+                closed.add(cid)
+                stack.extend(f.sub for f in faces[cid][1])
+        names = {cid: name(cid) for cid in closed}
+        star = ConeComplex(
+            {names[c]: cones[c] for c in closed},
+            [FaceMap(names[f.sub], names[c], f.map) for c in closed for f in current(c)],
+            {names[c]: auts[c] for c in closed},
+        )
+        step = stellar_subdivide(star, names[worst], ray)
+        taken += 1
+        named = {names[c]: c for c in closed}
+        touched.update(root[named[n]] for n in step.touched)
+
+        # the star's cones out, their cells in; a cone whose one cell is the
+        # whole cone keeps its id
+        for c in closed:
+            for f in faces[c][1]:
+                cofaces[f.sub].discard(c)
+        ids = {}
+        for c in closed:
+            cells = step.refined_over(names[c])
+            if len(cells) == 1 and step.refined.cones[cells[0]] == cones[c]:
+                ids[cells[0]] = c
+                cones[c] = step.refined.cones[cells[0]]
+                continue
+            i = bisect_left(queue, order(c), key=order)
+            if i < len(queue) and queue[i] == c:
+                del queue[i]
+            over = root.pop(c)
+            for table in (cones, auts, born, faces, cofaces):
+                del table[c]
+            for rid in cells:
+                ids[rid] = rid
+                cones[rid], auts[rid] = step.refined.cones[rid], step.refined.auts[rid]
+                born[rid], root[rid], cofaces[rid] = taken, over, set()
+                insort(queue, rid, key=order)
+        for rid, c in ids.items():
+            maps = tuple(
+                FaceMap(ids[f.sub], c, f.map) for f in step.refined.face_maps_into(rid)
+            )
+            faces[c] = (taken, maps)
+            for f in maps:
+                cofaces[f.sub].add(c)
+
+    if not taken:
+        return sub
+    names = {cid: name(cid) for cid in sorted(cones, key=name)}
+    refined = ConeComplex(
+        {names[c]: cones[c] for c in names},
+        [FaceMap(names[f.sub], names[c], f.map) for c in names for f in current(c)],
+        {names[c]: auts[c] for c in names},
+    )
+    projection = ComplexMorphism(
+        refined,
+        start,
+        {names[c]: (root[c], LinearMap.identity(cones[c].ambient_rank)) for c in names},
+    )
+    return compose_subdivisions(sub, SubdivisionOf(start, refined, projection, touched))
+
+
+def _copied(maps, steps: int, cones: dict, auts: dict):
+    """The face maps into a cone that `steps` more stellar steps copy, from
+    its face maps `maps` (one per proper face, as `_assemble` makes them).
+
+    The copy rule (`_unrefined`) sends a complex's face maps into the cone
+    to those of its copy, with the same sources, and depends on nothing
+    else the steps change.  So the face maps repeat with some period, and
+    the rule runs until they first repeat.
+    """
+    seen, states = {}, []
+    for k in range(steps):
+        key = tuple(sorted((f.sub, f.map.matrix) for f in maps))
+        if key in seen:
+            first = seen[key]
+            return states[first + (steps - first) % (k - first)]
+        seen[key] = k
+        states.append(maps)
+        maps = _copy_once(maps, cones, auts)
+    return maps
+
+
+def _copy_once(maps, cones: dict, auts: dict):
+    """One step's copy rule on the face maps into a cone (see `_copied`).
+
+    With one face map per proper face, the embedding that stands for a face
+    of a cone whose group is the identity alone is the face map onto it;
+    for a larger group `_unrefined` finds it among the embeddings.
+    """
+    if not maps:
+        return maps
+    cid = maps[0].sup
+    if len(auts[cid]) == 1:
+        out = []
+        for f in maps:
+            h = auts[f.sub][0]
+            out.append(f if h.is_identity else FaceMap(f.sub, cid, f.map.compose(inverse(h))))
+        return tuple(out)
+    near = {cid, *(f.sub for f in maps)}
+    cx = ConeComplex({c: cones[c] for c in near}, maps, {c: auts[c] for c in near})
+    return tuple(_unrefined(cx, cid, cid, {(c, cones[c].rays): c for c in near}))

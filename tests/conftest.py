@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import check_subdivision_whole
-from tropgeom import complexes, pipeline
+from tropgeom import complexes, pipeline, subdivision
 from tropgeom import exactgeom as eg
 from tropgeom.curves import build_moduli_complex
 from tropgeom.subdivision import SubdivisionOf, check_subdivision
@@ -108,11 +108,17 @@ def ladder():
     M_{2,2} (graphs of at most three edges) and the single factor runs on
     M_{1,3}, both unimodularized, and M_{0,6}.  Holds every cone complex
     made on the way (`complexes`), the Γ of each run and the source
-    subdivision of each pullback (`subdivisions`), and each pullback as
-    (morphism, Γ, result) (`pullbacks`)."""
-    built, pullbacks, gammas = [], [], []
+    subdivision of each pullback (`subdivisions`), each pullback as
+    (morphism, Γ, result) (`pullbacks`), each hyperplane refinement as
+    (complex, covectors, result) (`hyperplanes`), and each unimodularization
+    as (subdivision, result, steps), a step being (cone id, ray, stellar
+    subdivision) (`chains`)."""
+    built, pullbacks, gammas, hyperplanes, chains, steps = [], [], [], [], [], []
     init = complexes.ConeComplex.__init__
     pull_back = pipeline.pullback_subdivision
+    refine = subdivision.hyperplane_refine
+    unimodularize = subdivision._unimodularize
+    stellar = subdivision.stellar_subdivide
 
     def recorded_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -123,9 +129,27 @@ def ladder():
         pullbacks.append((phi, s, result))
         return result
 
+    def recorded_refine(cx, covectors):
+        result = refine(cx, covectors)
+        hyperplanes.append((cx, covectors, result))
+        return result
+
+    def recorded_stellar(cx, cid, ray):
+        steps.append((cid, ray, stellar(cx, cid, ray)))
+        return steps[-1][2]
+
+    def recorded_unimodularize(sub):
+        steps.clear()
+        result = unimodularize(sub)
+        chains.append((sub, result, list(steps)))
+        return result
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes.ConeComplex, "__init__", recorded_init)
         mp.setattr(pipeline, "pullback_subdivision", recorded_pullback)
+        mp.setattr(subdivision, "hyperplane_refine", recorded_refine)
+        mp.setattr(subdivision, "_unimodularize", recorded_unimodularize)
+        mp.setattr(subdivision, "stellar_subdivide", recorded_stellar)
         for g, n in ((0, 5), (1, 3)):
             base = build_moduli_complex(g, n)
             for vectors in lemma_inputs(n):
@@ -143,5 +167,9 @@ def ladder():
     subdivisions = {id(s): s for s in gammas}
     subdivisions.update((id(r.subdivision), r.subdivision) for _, _, r in pullbacks)
     return SimpleNamespace(
-        complexes=built, subdivisions=list(subdivisions.values()), pullbacks=pullbacks
+        complexes=built,
+        subdivisions=list(subdivisions.values()),
+        pullbacks=pullbacks,
+        hyperplanes=hyperplanes,
+        chains=chains,
     )

@@ -21,6 +21,11 @@ and one contraction per subset, with no table.  The whole-complex assembler glue
 library glues only the cones a step touches and copies the rest, and the
 whole check of a subdivision validates every refined cone and certifies
 every original cone, where the library checks only the cones a step glued.
+The unimodularization that rescans the whole refined complex and takes
+each stellar step on all of it is kept, where the library hands each step
+only its star and builds the refined complex once, and so is the hyperplane
+refinement that closes the chambers of its closed arrangement again by the
+automorphism and pullback rounds.
 The face lookups that a complex indexes (the embedding that stands for a
 face, the face maps into and out of a cone) are scans here, and both
 validators keep their nested loops over every face map and embedding.  The
@@ -97,7 +102,18 @@ from tropgeom.exactgeom import (
     lattice_surjective,
     zero_cone,
 )
-from tropgeom.subdivision import MAX_FIXPOINT_ROUNDS, SubdivisionOf, verify_subdivision
+from tropgeom.subdivision import (
+    MAX_FIXPOINT_ROUNDS,
+    MAX_UNIMODULAR_STEPS,
+    SubdivisionOf,
+    _assemble,
+    _chambers,
+    _parallelepiped_interior_point,
+    closed_arrangement,
+    compose_subdivisions,
+    stellar_subdivide,
+    verify_subdivision,
+)
 from tropgeom.tropmaps import ContactData, RubberMapType
 
 _oracle_cache = {}
@@ -830,6 +846,43 @@ def check_subdivision_whole(sub: SubdivisionOf):
     cone, touched or not."""
     whole = SubdivisionOf(sub.original, sub.refined, sub.projection, sub.original.cones)
     return validate_complex(sub.refined) + verify_subdivision(whole)
+
+
+def hyperplane_refine_by_fixpoint(cx: ConeComplex, covectors_by_cone: dict) -> SubdivisionOf:
+    """`subdivision.hyperplane_refine` with the closure rounds: the faces of
+    the chambers of the closed arrangement are closed again under
+    automorphisms and pullback along face maps (`_closure_of_fans`) before
+    they are glued."""
+    arrangement = closed_arrangement(cx, covectors_by_cone)
+    fans = {cid: _chambers(cx.cones[cid], ws) for cid, ws in arrangement}
+    return _assemble(cx, fans)
+
+
+def unimodularize_whole(sub: SubdivisionOf):
+    """Unimodularize by whole-complex steps, one after another: rescan every
+    refined cone for the first that is not unimodular in (dimension, id)
+    order, subdivide the whole refined complex at its box point (its first
+    ray when it is not simplicial) and compose.  Returns the composite and
+    the steps, each as (cone id, ray, step subdivision)."""
+    steps = []
+    for _ in range(MAX_UNIMODULAR_STEPS):
+        cx = sub.refined
+        bad = next(
+            (
+                rid
+                for rid in sorted(cx.ids(), key=lambda r: (cx.cones[r].dim, r))
+                if cx.cones[rid].dim > 0 and not is_unimodular_by_minors(cx.cones[rid])
+            ),
+            None,
+        )
+        if bad is None:
+            return sub, steps
+        cone = cx.cones[bad]
+        ray = cone.rays[0] if not cone.is_simplicial() else _parallelepiped_interior_point(cone)
+        step = stellar_subdivide(cx, bad, ray)
+        steps.append((bad, ray, step))
+        sub = compose_subdivisions(sub, step)
+    raise GeometryError(f"unimodularization did not finish in {MAX_UNIMODULAR_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     glue_fans_whole,
+    hyperplane_refine_by_fixpoint,
     is_identity,
     parallelepiped_interior_point_scan,
     pullback_assignments_fresh,
     relints_intersect,
     slices_by_dot,
     transport_by_scan,
+    unimodularize_whole,
     validate_complex_loops,
     verify_subdivision_pairwise,
 )
@@ -1136,38 +1138,46 @@ def _orthant_quotient(maximal, group):
 
 class TestLocalAssembler:
     """The assembler, which glues only the touched cones, against the
-    whole-complex glue of the oracle on every call a run makes."""
+    whole-complex glue of the oracle on every call a run makes: the glue of
+    closed fans and of the chambers of closed arrangements alike."""
 
     def _calls(self, monkeypatch, run):
         calls = []
-        assemble = subdivision._assemble
+        glue = subdivision._glue
 
-        def recorded(cx, fans):
-            calls.append((cx, fans, assemble(cx, fans)))
+        def recorded(cx, cells):
+            calls.append((cx, cells, glue(cx, cells)))
             return calls[-1][2]
 
-        monkeypatch.setattr(subdivision, "_assemble", recorded)
+        monkeypatch.setattr(subdivision, "_glue", recorded)
         run()
         assert calls
         return calls
 
     def _agree(self, calls):
-        local = 0
-        for cx, fans, sub in calls:
-            assert _same_subdivision(sub, glue_fans_whole(cx, fans))
-            local += len(subdivision._closure_of_fans(cx, fans)) < len(cx.cones)
-        return local
+        for cx, cells, sub in calls:
+            assert _same_subdivision(sub, glue_fans_whole(cx, cells))
 
     def test_genus_two_worked_example(self, monkeypatch):
         base = build_moduli_complex(2, 2, 3)
+        stellar, stars, runs = subdivision.stellar_subdivide, [], []
+        monkeypatch.setattr(
+            subdivision,
+            "stellar_subdivide",
+            lambda cx, cid, ray: stars.append(len(cx.cones)) or stellar(cx, cid, ray),
+        )
         calls = self._calls(
             monkeypatch,
-            lambda: single_factor_run(
+            lambda: runs.append(single_factor_run(
                 2, 2, (3, -3), unimodularize=True, max_edges=3, base=base
-            ),
+            )),
         )
-        # most stellar steps leave cones of the complex untouched
-        assert self._agree(calls) > len(calls) // 2
+        self._agree(calls)
+        # a stellar step of the chain is handed the star of its ray and the
+        # star's faces, for most steps a small part of the refined complex
+        size = len(runs[0].subdivision_data.refined.cones)
+        assert len(stars) == 4 and max(stars) < size
+        assert sum(n < size // 4 for n in stars) > len(stars) // 2
 
     @pytest.mark.parametrize("a", M13_VECTORS)
     def test_unimodular_m13(self, a, monkeypatch):
@@ -1285,6 +1295,153 @@ class TestLocalAssembler:
         assert len(step.max_cells_over(ids[near.rays])) == 2
         assert _same_subdivision(step, glue_fans_whole(cx, fans_given[0]))
         assert check_subdivision(step) is step
+
+
+def _chain_input(monkeypatch, run):
+    """The subdivision that a run hands to `_unimodularize`."""
+    given = []
+    unimodularize = subdivision._unimodularize
+    monkeypatch.setattr(
+        subdivision, "_unimodularize", lambda sub: given.append(sub) or unimodularize(sub)
+    )
+    run()
+    assert len(given) == 1
+    return given[0]
+
+
+def _whole_cone_cell(step, cid):
+    """The refined id over the original cone cid whose cone is all of cid."""
+    cone = step.original.cones[cid]
+    return next(r for r in step.refined_over(cid) if step.refined.cones[r] == cone)
+
+
+class TestCopies:
+    """A stellar step copies each untouched cone cid as cid.0."""
+
+    def test_a_copy_takes_the_first_automorphism_of_each_face(self, monkeypatch):
+        # the face map of a copy for the face F is the embedding that stands
+        # for F composed with the inverse of the first automorphism of its
+        # source, which is often not the identity
+        sub = _chain_input(
+            monkeypatch,
+            lambda: single_factor_run(
+                2, 2, (3, -3), unimodularize=True, max_edges=3,
+                base=build_moduli_complex(2, 2, 3),
+            ),
+        )
+        _, steps = unimodularize_whole(sub)
+        assert len(steps) == 4
+        twisted = 0
+        for _, _, step in steps:
+            cx = step.original
+            for cid in cx.ids():
+                if cid in step.touched:
+                    continue
+                expected = set()
+                for face in cx.cones[cid].proper_faces():
+                    emb = cx.embedding_onto(cid, face)
+                    m = emb.map.compose(eg.inverse(cx.auts[emb.src][0]))
+                    expected.add((_whole_cone_cell(step, emb.src), m.matrix))
+                copy = step.refined.face_maps_into(f"{cid}.0")
+                assert {(f.sub, f.map.matrix) for f in copy} == expected
+                assert step.refined.auts[f"{cid}.0"] == cx.auts[cid]
+                before = {f.map.matrix for f in cx.face_maps_into(cid)}
+                twisted += any(f.map.matrix not in before for f in copy)
+        assert twisted > 0
+
+    @pytest.mark.parametrize(
+        "bad, problems",
+        [
+            # twice the swap of the two rays fixes the cone but is no
+            # lattice automorphism
+            (((0, -2), (-2, 0)), ["is not invertible over the lattice"]),
+            # a shear that moves the cone
+            (((1, 0), (1, 1)), ["does not preserve the cone"]),
+        ],
+    )
+    def test_a_bad_automorphism_of_an_untouched_cone(self, bad, problems):
+        # the copy's group is the original's whenever its elements fix the
+        # cone, and the refusal names the original's problems alone
+        cx, _, fans, beside = _two_quadrants()
+        g = eg.LinearMap(bad, 2, 2)
+        broken = ConeComplex(cx.cones, cx.faces, {**cx.auts, beside: cx.auts[beside] + (g,)})
+        sub = _assemble(broken, fans)
+        assert beside not in sub.touched
+        if eg.image_cone(g, cx.cones[beside]) == cx.cones[beside]:
+            assert sub.refined.auts[f"{beside}.0"] == broken.auts[beside]
+        found = validate_complex(broken)
+        assert all(any(p in f for f in found) for p in problems)
+        with pytest.raises(eg.GeometryError) as info:
+            check_subdivision(sub)
+        assert str(info.value) == "subdivision is not well glued: " + "; ".join(found)
+
+
+_id_head = st.builds(
+    lambda head, n: f"{head}{n}", st.sampled_from("GTcs"), st.integers(0, 120)
+)
+_assembled_id = st.builds(
+    lambda head, tail: head + "".join(f".{k}" for k in tail),
+    _id_head,
+    st.lists(st.integers(0, 14), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), _assembled_id), max_size=40), st.integers(1, 4))
+def test_copy_ids_keep_the_dimension_id_order(keys, steps):
+    # a step renames every untouched cone cid to cid.0; on ids made of
+    # letters, digits and dots, '.' sorts before every other character, so
+    # the (dimension, id) order of the copies is the order of the originals
+    suffix = ".0" * steps
+    assert sorted((d, i + suffix) for d, i in keys) == [
+        (d, i + suffix) for d, i in sorted(keys)
+    ]
+
+
+def test_closed_arrangements_need_no_closure_rounds(ladder):
+    """Every hyperplane refinement the benchmark's inputs make, those of the
+    unimodularized M_{1,3} runs among them, against the same chambers closed
+    again by the automorphism and pullback rounds."""
+    cut = 0
+    for cx, covectors, sub in ladder.hyperplanes:
+        again = hyperplane_refine_by_fixpoint(cx, covectors)
+        assert _same_subdivision(sub, again) and sub.touched == again.touched
+        cut += bool(sub.touched)
+    assert cut > 10
+
+
+def _frame(cone):
+    """A cone with the frame its lattice lifts read."""
+    return cone, cone.span_basis
+
+
+def test_unimodularization_takes_the_whole_complex_steps(ladder):
+    """Every unimodularization the benchmark's inputs make (the worked
+    example and the M_{1,3} runs) against the whole-complex steps: the cone
+    and ray of each step, the cells each step glues, and the composite."""
+    taken = 0
+    for sub, result, steps in ladder.chains:
+        whole, whole_steps = unimodularize_whole(sub)
+        assert [s[:2] for s in steps] == [s[:2] for s in whole_steps]
+        for (_, _, star), (_, _, step) in zip(steps, whole_steps):
+            # the step is handed every cone the whole step glues, and glues
+            # each as the whole step does
+            assert step.touched <= set(star.original.cones)
+            for cid in star.original.ids():
+                assert list(star.refined_over(cid)) == list(step.refined_over(cid))
+                for rid in star.refined_over(cid):
+                    assert _frame(star.refined.cones[rid]) == _frame(step.refined.cones[rid])
+                    assert star.refined.auts[rid] == step.refined.auts[rid]
+                    assert star.refined.face_maps_into(rid) == step.refined.face_maps_into(rid)
+        assert result.refined.to_json() == whole.refined.to_json()
+        assert all(
+            _frame(cone) == _frame(whole.refined.cones[rid])
+            for rid, cone in result.refined.cones.items()
+        )
+        assert result.projection.to_json() == whole.projection.to_json()
+        assert result.original is whole.original and result.touched == whole.touched
+        taken += len(steps)
+    assert taken > 10
 
 
 class TestBoxPoint:
