@@ -27,6 +27,7 @@ from .complexes import (
     validate_morphism,
 )
 from .subdivision import (
+    CapReached,
     RayOutside,
     SubdivisionOf,
     check_subdivision,

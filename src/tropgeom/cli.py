@@ -3,7 +3,8 @@ reflecting check outcomes.
 
 Exit codes: 0 all checks in scope passed, 1 a verification failed (the
 report is still written), 2 malformed input, an option the command does
-not take, or an --out path that cannot be written.
+not take, an --out path that cannot be written, or a refinement that
+reached its cap (`subdivision.CapReached`) without finishing.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .pipeline import (
     figure1_demo,
     run_contacts,
 )
+from .subdivision import CapReached
 
 
 def _parse_contact(text: str):
@@ -260,7 +262,7 @@ def main(argv=None) -> int:
         if hasattr(args, "g"):
             _check_range(args)
         return args.fn(args)
-    except (SystemExit2, ValueError) as exc:
+    except (SystemExit2, ValueError, CapReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -372,7 +372,10 @@ def _nu_check_pairs(report: Report, products, sub: SubdivisionOf, base: CurveMod
     For each tuple of single factor types over a shared stable graph and each
     refined cell of the base cone, the chamber images must cover the fiber
     piece exactly, with pairwise disjoint relative interiors; one
-    arrangement (`cones_cover_exactly`) gives both verdicts.
+    arrangement (`cones_cover_exactly`) gives both verdicts.  Factor types
+    on stable graphs overlay to one chamber (`superimpose`), which on each
+    fiber cell is that cell; a single cell equal to its target is answered
+    without slicing.
     """
     by_factors = {}
     for p in products:

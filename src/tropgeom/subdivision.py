@@ -73,6 +73,12 @@ class RayOutside(GeometryError):
     pass
 
 
+class CapReached(GeometryError):
+    """A refinement loop that reached its cap without finishing: a fixpoint
+    after MAX_FIXPOINT_ROUNDS rounds, or unimodularization after
+    MAX_UNIMODULAR_STEPS stellar steps."""
+
+
 class UnsoundSample(GeometryError):
     """A sampled point of an original cone that no maximal cell covers, or
     that lies in the relative interiors of two."""
@@ -319,7 +325,7 @@ def _closure_of_fans(cx: ConeComplex, fans: dict):
                         changed.add(f.sub)
         if not changed:
             return cells
-    raise GeometryError(
+    raise CapReached(
         f"cell closure did not stabilize in {MAX_FIXPOINT_ROUNDS} rounds; "
         f"cells of cones {sorted(changed)} still changed in the last round"
     )
@@ -800,7 +806,7 @@ def _closed_covectors(cx: ConeComplex, given: dict) -> tuple:
         still = "; ".join(
             f"{cid}: {sorted(ws)}" for cid, ws in sorted(added.items())
         )
-        raise GeometryError(
+        raise CapReached(
             f"covector transport did not stabilize in {MAX_FIXPOINT_ROUNDS} rounds; "
             f"covectors still added in the last round: {still}"
         )
@@ -859,8 +865,20 @@ def cones_cover_exactly(target: RationalCone, cells):
     overlap, lies in the relative interior of both: overlap is None exactly
     when the pairwise relative interior test on those cells passes.  Cells
     that do not lie in the target take part in neither verdict.
+
+    When the cells inside the target are the target alone, it tiles itself
+    and (None, None) is answered without slicing: no covector of the target
+    slices it, so its one chamber is itself, held by one cell.
     """
     cells = {c for c in cells if target.contains_cone(c)}
+    if cells == {target}:
+        return None, None
+    return _sliced_cover(target, cells)
+
+
+def _sliced_cover(target: RationalCone, cells):
+    """The verdicts of `cones_cover_exactly` from the chambers of the
+    arrangement of the cells' covectors, given the cells inside the target."""
     covs = set()
     for c in cells:
         covs.update(map(_canon_covector, c.facets))
@@ -1052,7 +1070,7 @@ def _unimodularize(sub: SubdivisionOf) -> SubdivisionOf:
     its box point (`_parallelepiped_interior_point`), which lies in its
     relative interior; any other at its first ray, which pulls the cone into
     simplices.  A cone that still is not unimodular after
-    MAX_UNIMODULAR_STEPS steps raises a GeometryError naming its id, its
+    MAX_UNIMODULAR_STEPS steps raises CapReached naming its id, its
     rays and why: not simplicial, or its lattice index.
 
     The result is the composite of the steps `stellar_subdivide` would take
@@ -1113,7 +1131,7 @@ def _unimodularize(sub: SubdivisionOf) -> SubdivisionOf:
             why = "not simplicial"
             if cone.is_simplicial():
                 why = f"lattice index {cone.lattice_index()}"
-            raise GeometryError(
+            raise CapReached(
                 f"unimodularization did not finish in {MAX_UNIMODULAR_STEPS} stellar "
                 f"steps; refined cone {name(worst)} with rays {list(cone.rays)} is "
                 f"still not unimodular ({why})"

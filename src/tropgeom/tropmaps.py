@@ -346,6 +346,16 @@ def superimpose(*types: RubberMapType):
     slope rows and contact vectors are the inputs' concatenated.  Together
     their cones cover the fiber product of the input moduli cones over the
     stable orthant with disjoint interiors.
+
+    When every input's graph is the stable graph itself, each trail its own
+    edge walked forward, there is one chamber, built directly: the stable
+    graph with the inputs' slope rows side by side, its moduli cone, and the
+    diagonal embedding.  Over a stable graph the fiber condition says the
+    inputs' edge lengths agree, so the fiber product is the diagonal image
+    of the lengths satisfying every input's cycle equations: the
+    intersection of the input cones, which is the product type's moduli
+    cone.  Types enumerated on stable graphs always overlay this way; the
+    general walk (`_overlay`) serves subdivision-type curves.
     """
     genus, n = types[0].contact.genus, types[0].contact.num_markings
     if any(t.contact.genus != genus or t.contact.num_markings != n for t in types):
@@ -360,8 +370,19 @@ def superimpose(*types: RubberMapType):
             "stabilization dropped edges; only subdivision-type curves can be overlaid"
         )
     contact = ContactData(genus, tuple(a for t in types for a in t.contact.slopes))
-    rows = [(k, row) for k, t in enumerate(types) for row in t.slopes]
+    ne = stable.num_edges
+    forward = tuple(((j, 1),) for j in range(ne))
+    if all(t.graph == stable and tr == forward for t, tr in zip(types, trails)):
+        ptype = RubberMapType(stable, tuple(row for t in types for row in t.slopes), contact)
+        embed = LinearMap(la.identity_matrix(ne) * len(types), ne, ne * len(types))
+        return [ProductType(ptype, moduli_cone(ptype), embed, types)]
+    return _overlay(types, stable, trails, contact)
 
+
+def _overlay(types, stable: DualGraph, trails, contact: ContactData):
+    """The chambers of `superimpose` by walking the trails: one per choice
+    of a monotone lattice path (`_paths`) on every stable edge."""
+    rows = [(k, row) for k, t in enumerate(types) for row in t.slopes]
     per_edge_paths = [
         _paths(tuple(len(tr[j]) for tr in trails)) for j in range(stable.num_edges)
     ]

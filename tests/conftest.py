@@ -110,12 +110,17 @@ def ladder():
     made on the way (`complexes`), the Γ of each run and the source
     subdivision of each pullback (`subdivisions`), each pullback as
     (morphism, Γ, result) (`pullbacks`), each hyperplane refinement as
-    (complex, covectors, result) (`hyperplanes`), and each unimodularization
+    (complex, covectors, result) (`hyperplanes`), each unimodularization
     as (subdivision, result, steps), a step being (cone id, ray, stellar
-    subdivision) (`chains`)."""
+    subdivision) (`chains`), each product run's superimposed chambers as
+    (factor types, chambers) (`overlays`), and each cover check of a product
+    run as (target, cells, answer) (`covers`)."""
     built, pullbacks, gammas, hyperplanes, chains, steps = [], [], [], [], [], []
+    overlays, covers = [], []
     init = complexes.ConeComplex.__init__
     pull_back = pipeline.pullback_subdivision
+    overlay = pipeline.superimpose
+    cover = pipeline.cones_cover_exactly
     refine = subdivision.hyperplane_refine
     unimodularize = subdivision._unimodularize
     stellar = subdivision.stellar_subdivide
@@ -138,6 +143,14 @@ def ladder():
         steps.append((cid, ray, stellar(cx, cid, ray)))
         return steps[-1][2]
 
+    def recorded_overlay(*types):
+        overlays.append((types, overlay(*types)))
+        return overlays[-1][1]
+
+    def recorded_cover(target, cells):
+        covers.append((target, list(cells), cover(target, cells)))
+        return covers[-1][2]
+
     def recorded_unimodularize(sub):
         steps.clear()
         result = unimodularize(sub)
@@ -150,6 +163,8 @@ def ladder():
         mp.setattr(subdivision, "hyperplane_refine", recorded_refine)
         mp.setattr(subdivision, "_unimodularize", recorded_unimodularize)
         mp.setattr(subdivision, "stellar_subdivide", recorded_stellar)
+        mp.setattr(pipeline, "superimpose", recorded_overlay)
+        mp.setattr(pipeline, "cones_cover_exactly", recorded_cover)
         for g, n in ((0, 5), (1, 3)):
             base = build_moduli_complex(g, n)
             for vectors in lemma_inputs(n):
@@ -172,4 +187,6 @@ def ladder():
         pullbacks=pullbacks,
         hyperplanes=hyperplanes,
         chains=chains,
+        overlays=overlays,
+        covers=covers,
     )

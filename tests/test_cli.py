@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tropgeom import subdivision
 from tropgeom.cli import main
 from tropgeom.complexes import ConeComplex
 from tropgeom.curves import DualGraph
@@ -125,6 +126,17 @@ def test_subdivide_output_pinned(capsys, argv, digest):
         (
             ("dr-support", "1", "3", "2,0,-2"),
             "5fccbe19059bb6593404faf0047f2ad5af29b1a3c434320ff660c03364ba4c5d",
+        ),
+        (
+            # two factors on M_{1,3}: superimposed chambers and the cover check
+            ("product-check", "1", "3", "2,0,-2", "1,-1,0"),
+            "5fcc19c6b33625f5425adeb7ed461b7e61dfcd3a6a13272e1e52504ac8321255",
+        ),
+        (
+            # two factors on M_{2,2}: of its 32 product types, 18 have loops
+            # and 7 parallel edges
+            ("product-check", "2", "2", "3,-3", "1,-1", "--max-edges", "3"),
+            "c911fd2b0942f8b892eb3ff9fc8c354efbea4fafa35123f48953d97a89ee6193",
         ),
         (
             # the run behind the unimodular-g2n2 benchmark's slowest run:
@@ -250,6 +262,19 @@ def test_exit_codes(capsys, argv, message):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and message in lines[0]
+
+
+def test_a_refinement_at_its_cap_exits_two_with_one_line(capsys, monkeypatch):
+    # with no stellar step allowed, the first cone that is not unimodular
+    # ends the run; the line names it
+    monkeypatch.setattr(subdivision, "MAX_UNIMODULAR_STEPS", 0)
+    code = main(["verify", "1", "2", "3,-3", "--unimodularize"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: unimodularization did not finish in 0 stellar steps")
+    assert "refined cone G4.2 " in lines[0]
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])

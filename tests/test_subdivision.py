@@ -469,6 +469,33 @@ class TestSoundness:
         assert target.contains(witness) and not a.contains(witness)
 
 
+def test_a_single_cell_equal_to_its_target_is_answered_without_slicing(monkeypatch):
+    target = eg.cone_from_generators([(1, 0), (0, 1)])
+    outside = eg.cone_from_generators([(1, -1)])
+    face = eg.cone_from_generators([(1, 0)])
+
+    def sliced(target, cells):
+        raise AssertionError("sliced")
+
+    monkeypatch.setattr(subdivision, "_sliced_cover", sliced)
+    assert cones_cover_exactly(target, [target]) == (None, None)
+    # a cell outside the target takes no part; a face inside it does
+    assert cones_cover_exactly(target, [target, outside]) == (None, None)
+    with pytest.raises(AssertionError, match="sliced"):
+        cones_cover_exactly(target, [target, face])
+
+
+def test_cover_answers_match_the_slicing_path(ladder):
+    """Every cover check of the ladder's product runs gets the slicing
+    path's answer.  Factor types on stable graphs overlay to one chamber, so
+    each fiber cell is tiled by itself alone."""
+    assert ladder.covers
+    for target, cells, answer in ladder.covers:
+        inside = {c for c in cells if target.contains_cone(c)}
+        assert inside == {target}
+        assert subdivision._sliced_cover(target, inside) == answer == (None, None)
+
+
 def _chamber_cases():
     g = eg.cone_from_generators
     orthant = [(1, 0), (0, 1)]
@@ -613,7 +640,7 @@ class TestFixpointDiagnostics:
         # for the same covectors again; a fresh copy runs it
         assert len(hyperplane_refine(cx, {top: [(1, -1, 0)]}).max_cells_over(top)) == 2
         cx, top, face = self._face12()
-        with pytest.raises(eg.GeometryError) as info:
+        with pytest.raises(subdivision.CapReached) as info:
             hyperplane_refine(cx, {top: [(1, -1, 0)]})
         message = str(info.value)
         assert "in 1 rounds" in message
@@ -631,7 +658,7 @@ class TestFixpointDiagnostics:
         cells = subdivision._closure_of_fans(cx, {top: halves})
         assert eg.cone_from_generators([(1, 1, 0)], 3) in cells[face]
         monkeypatch.setattr(subdivision, "MAX_FIXPOINT_ROUNDS", 1)
-        with pytest.raises(eg.GeometryError) as info:
+        with pytest.raises(subdivision.CapReached) as info:
             subdivision._closure_of_fans(cx, {top: halves})
         message = str(info.value)
         assert "in 1 rounds" in message

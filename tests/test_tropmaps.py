@@ -6,6 +6,8 @@ from itertools import product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lemma_inputs, moduli_cached
 from oracles import (
@@ -26,6 +28,8 @@ from tropgeom.curves import (
     build_moduli_complex,
     contract_subset,
     enumerate_stable_graphs,
+    sort_key,
+    stabilize,
 )
 from tropgeom.pipeline import contact_types
 from tropgeom.tropmaps import (
@@ -42,6 +46,7 @@ from tropgeom.tropmaps import (
     is_balanced,
     moduli_cone,
     superimpose,
+    _overlay,
     _paths,
 )
 from tropgeom.subdivision import cones_cover_exactly
@@ -389,6 +394,100 @@ class TestSuperimpose:
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
                 assert not relints_intersect(images[i], images[j])
+
+
+def _overlaid(*types):
+    """The chambers of the general overlay of the types (`_overlay`)."""
+    stabs = [stabilize(t.graph) for t in types]
+    contact = ContactData(
+        types[0].contact.genus, tuple(a for t in types for a in t.contact.slopes)
+    )
+    return _overlay(types, stabs[0][0], [tr for _, _, tr in stabs], contact)
+
+
+def _same_chambers(got, want):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.map_type == q.map_type
+        assert p.cone == q.cone and p.cone.span_basis == q.cone.span_basis
+        assert p.embed == q.embed
+        assert p.factors == q.factors
+
+
+def _relabelled(t, perm):
+    """The type t with vertex v of its graph renamed perm[v]."""
+    g = t.graph
+    items = []
+    for (u, v), d in zip(g.edges, t.edge_data()):
+        a, b = perm[u], perm[v]
+        items.append((a, b, d) if a <= b else (b, a, tuple(-x for x in d)))
+    items.sort()
+    genera = [None] * g.num_vertices
+    for v, w in enumerate(perm):
+        genera[w] = g.genera[v]
+    graph = DualGraph(
+        tuple(genera), tuple((a, b) for a, b, _ in items), tuple(perm[v] for v in g.legs)
+    )
+    return RubberMapType.from_edge_data(graph, [d for _, _, d in items], t.contact)
+
+
+def test_one_chamber_matches_the_overlay_on_the_ladder(ladder):
+    """Every product run of the ladder overlays factor types on their stable
+    graph: one chamber, built directly, equal to the general overlay's."""
+    assert ladder.overlays
+    for types, chambers in ladder.overlays:
+        assert len(chambers) == 1
+        _same_chambers(chambers, _overlaid(*types))
+
+
+# contact vectors whose single factor types (on stable graphs of at most three
+# edges) are paired in the sample below
+SAMPLED = {
+    (1, 3): ((2, 0, -2), (1, 1, -2), (1, -1, 0), (0, 0, 0)),
+    (2, 2): ((3, -3), (1, -1), (0, 0)),
+}
+_types_by_graph = {}
+
+
+def _stable_graph_types(space):
+    """The sampled spaces' single factor types, grouped by graph."""
+    if space not in _types_by_graph:
+        g, _ = space
+        by_graph = {}
+        for a in SAMPLED[space]:
+            for t in enumerate_rubber_types(ContactData(g, (a,)), max_edges=3):
+                by_graph.setdefault(t.graph, []).append(t)
+        _types_by_graph[space] = [by_graph[k] for k in sorted(by_graph, key=sort_key)]
+    return _types_by_graph[space]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_chamber_matches_the_overlay_on_sampled_pairs(data):
+    space = data.draw(st.sampled_from(sorted(SAMPLED)))
+    ts = data.draw(st.sampled_from(_stable_graph_types(space)))
+    x, y = data.draw(st.sampled_from(ts)), data.draw(st.sampled_from(ts))
+    chambers = superimpose(x, y)
+    _same_chambers(chambers, _overlaid(x, y))
+    assert eg.image_cone(chambers[0].embed, chambers[0].cone) == fiber_product_cone(x, y)
+
+
+def test_a_relabelled_stable_graph_takes_the_overlay():
+    # the stable graph with its vertices in reverse order is not its
+    # canonical form: each trail is one edge, but not its own edge forward
+    t = next(
+        t for t in enumerate_rubber_types(ContactData(1, ((2, 0, -2),)))
+        if t.graph.num_vertices > 1 and any(t.slopes[0])
+    )
+    x = _relabelled(t, tuple(reversed(range(t.graph.num_vertices))))
+    stable, _, trails = stabilize(x.graph)
+    assert stable == t.graph
+    assert all(len(tr) == 1 for tr in trails)
+    assert trails != tuple(((j, 1),) for j in range(stable.num_edges))
+    chambers = superimpose(x, x)
+    _same_chambers(chambers, _overlaid(x, x))
+    assert chambers[0].map_type == superimpose(t, t)[0].map_type
+    assert eg.image_cone(chambers[0].embed, chambers[0].cone) == fiber_product_cone(x, x)
 
 
 class TestMapComplex:
